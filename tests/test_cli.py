@@ -60,6 +60,21 @@ def test_lift_success(runner):
     assert all(payload["report"].values())
 
 
+def test_chi_success(runner):
+    result = runner.invoke(
+        main,
+        [
+            "chi",
+            "-f", fixture("chi_f.json"),
+            "-t", fixture("chi_t.json"),
+            "-p", fixture("chi_pm.json"),
+        ],
+    )
+    assert result.exit_code == 0
+    report = json.loads(result.output)["report"]
+    assert report == {"left_rectangle": True, "natural": True, "right_rectangle": True}
+
+
 def test_cofinalize_success(runner):
     result = runner.invoke(
         main, ["cofinalize", fixture("one_object.json"), "--levels", "1", "--reysha-cap", "2"]
