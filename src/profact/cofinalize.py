@@ -70,9 +70,8 @@ class CofinalTower:
             self.source.compose(self.mor_map[(c2, c3)], self.mor_map[(c, c2)])
             == self.mor_map[(c, c3)]
             for c in top.elements
-            for c2 in top.elements
-            for c3 in top.elements
-            if top.le(c3, c2) and top.le(c2, c)
+            for c2 in top.downset(c)
+            for c3 in top.downset(c2)
         )
         coherent = all(
             set(small.elements) <= set(big.elements)

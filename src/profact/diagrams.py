@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass
 
 from .base import (
-    BaseError,
     BaseMorphism,
     BaseObject,
     TERMINAL,
@@ -125,37 +124,13 @@ class NatTrans:
         )
 
 
-_LIMIT_CACHE: dict = {}
-_LIMIT_CACHE_MAX = 512
-
-
-def clear_limit_cache() -> None:
-    _LIMIT_CACHE.clear()
-
-
-def _limit_key(diagram: Diagram):
-    return (
-        diagram.shape.elements,
-        tuple(sorted(diagram.shape.le_pairs)),
-        tuple((x, diagram.objects[x].carrier) for x in diagram.shape.elements),
-        tuple(
-            sorted(
-                (pair, tuple(sorted(arr.mapping.items())))
-                for pair, arr in diagram.arrows.items()
-            )
-        ),
-    )
-
-
 def limit_over_poset(diagram: Diagram) -> tuple[BaseObject, dict[str, BaseMorphism]]:
     """The limit of a diagram over a finite poset: all compatible families.
 
     The empty shape yields the terminal one-point object.  Carrier ids are
     positional ("l0", "l1", ...) in the canonical enumeration order, which
     is the lexicographic order on the values at the maximal elements
-    (everything else is determined by the arrows).  Results are cached by
-    value, since the same restricted diagram is typically requested several
-    times per run.
+    (everything else is determined by the arrows).
 
     The families are built as an ordered join: the maximal fibers are added
     one at a time, each bucketed by its values on the elements that earlier
@@ -166,10 +141,6 @@ def limit_over_poset(diagram: Diagram) -> tuple[BaseObject, dict[str, BaseMorphi
     shape = diagram.shape
     if not shape.elements:
         return TERMINAL, {}
-    key = _limit_key(diagram)
-    cached = _LIMIT_CACHE.get(key)
-    if cached is not None:
-        return cached
     maximal = [x for x in shape.elements if not any(shape.lt(x, y) for y in shape.elements)]
     families: list[dict[str, str]] = [{}]
     fixed: set[str] = set()
@@ -192,10 +163,26 @@ def limit_over_poset(diagram: Diagram) -> tuple[BaseObject, dict[str, BaseMorphi
         x: BaseMorphism(carrier, diagram.at(x), {f"l{i}": fam[x] for i, fam in enumerate(families)})
         for x in shape.elements
     }
-    if len(_LIMIT_CACHE) >= _LIMIT_CACHE_MAX:
-        _LIMIT_CACHE.clear()
-    _LIMIT_CACHE[key] = (carrier, projections)
     return carrier, projections
+
+
+def cone_into_limit(
+    apex: BaseObject,
+    legs: dict[str, BaseMorphism],
+    limit: tuple[BaseObject, dict[str, BaseMorphism]],
+) -> BaseMorphism:
+    """The map into a limit induced by a cone of legs apex -> D(s)."""
+    lim_obj, lim_proj = limit
+    order = sorted(lim_proj)
+    index = {tuple(lim_proj[x].mapping[e] for x in order): e for e in lim_obj.carrier}
+    leg_maps = [legs[x].mapping for x in order]
+    mapping = {}
+    for e in apex.carrier:
+        key = tuple(leg[e] for leg in leg_maps)
+        if key not in index:
+            raise DiagramError("the legs do not form a cone over the limit's diagram")
+        mapping[e] = index[key]
+    return BaseMorphism(apex, lim_obj, mapping)
 
 
 def limit_map(
@@ -205,18 +192,54 @@ def limit_map(
 ) -> BaseMorphism:
     """The map of limits induced by levelwise maps commuting with the arrows."""
     src_obj, src_proj = source_limit
-    tgt_obj, tgt_proj = target_limit
-    if not tgt_proj:
-        return BaseMorphism(src_obj, tgt_obj, {e: "*" for e in src_obj.carrier})
-    order = sorted(tgt_proj)
-    index = {tuple(tgt_proj[x](e) for x in order): e for e in tgt_obj.carrier}
-    mapping = {}
-    for e in src_obj.carrier:
-        key = tuple(components[x](src_proj[x](e)) for x in order)
-        if key not in index:
-            raise DiagramError("levelwise maps do not induce a map of limits")
-        mapping[e] = index[key]
-    return BaseMorphism(src_obj, tgt_obj, mapping)
+    legs = {x: compose(components[x], src_proj[x]) for x in target_limit[1]}
+    return cone_into_limit(src_obj, legs, target_limit)
+
+
+def matching_limit(
+    shape: FinPoset,
+    objects: dict[str, BaseObject],
+    arrows: dict[tuple[str, str], BaseMorphism],
+    x: str,
+) -> tuple[BaseObject, dict[str, BaseMorphism]]:
+    """The limit of a diagram restricted to the strict downset of x.
+
+    objects and arrows need only cover that downset, so a diagram that is
+    still being built element by element goes through like a whole one.
+    """
+    strict = shape.strict_downset(x)
+    members = set(strict)
+    below = Diagram.make(
+        shape.restrict(strict),
+        {s: objects[s] for s in strict},
+        {p: a for p, a in arrows.items() if p[0] in members and p[1] in members},
+    )
+    return limit_over_poset(below)
+
+
+def matching_object(
+    shape: FinPoset,
+    objects: dict[str, BaseObject],
+    arrows: dict[tuple[str, str], BaseMorphism],
+    target: Diagram,
+    components: dict[str, BaseMorphism],
+    x: str,
+) -> tuple[tuple[BaseObject, dict[str, BaseMorphism]], BaseMorphism, BaseMorphism]:
+    """The source matching limit at x and the cospan whose pullback is the
+    matching object of a transformation into target.
+
+    The source is given as (shape, objects, arrows) built at least up to
+    below x, and components at least on the strict downset of x.  Returns
+    (source matching limit, the map of matching limits induced by the
+    components, the target fiber's map into the target matching limit).
+    Each caller takes the pullback with its own leg order, since carrier
+    ids follow that order.
+    """
+    src_limit = matching_limit(shape, objects, arrows, x)
+    tgt_limit = matching_limit(target.shape, target.objects, target.arrows, x)
+    limit_of_components = limit_map(src_limit, tgt_limit, components)
+    fiber_legs = {s: target.arrow(x, s) for s in target.shape.strict_downset(x)}
+    return src_limit, limit_of_components, cone_into_limit(target.at(x), fiber_legs, tgt_limit)
 
 
 def is_levelwise(nt: NatTrans, cls: str) -> bool:
@@ -228,34 +251,23 @@ def is_levelwise(nt: NatTrans, cls: str) -> bool:
 def matching_data(nt: NatTrans, x: str):
     """The matching pullback at x and the relative map into it.
 
-    Returns (pullback carrier, projection to target fiber, projection to
-    the source matching limit, relative map source.at(x) -> pullback).
+    Returns (source matching limit, pullback as (carrier, projection to
+    target fiber, projection to the source matching limit), relative map
+    source.at(x) -> pullback).
     """
-    shape = nt.shape
-    strict = Reysha(shape, shape.strict_downset(x))
-    src_limit = limit_over_poset(nt.source.restrict(strict))
-    tgt_limit = limit_over_poset(nt.target.restrict(strict))
-    limit_of_components = limit_map(src_limit, tgt_limit, {s: nt.at(s) for s in strict.members})
-    fiber_to_limit = limit_map(
-        (nt.target.at(x), {s: nt.target.arrow(x, s) for s in strict.members}),
-        tgt_limit,
-        {s: identity(nt.target.at(s)) for s in strict.members},
+    source = nt.source
+    src_limit, limit_of_components, fiber_to_limit = matching_object(
+        nt.shape, source.objects, source.arrows, nt.target, nt.components, x
     )
     pb = pullback(fiber_to_limit, limit_of_components)
-    into_fiber = nt.at(x)
-    into_limit = limit_map(
-        (nt.source.at(x), {s: nt.source.arrow(x, s) for s in strict.members}),
-        src_limit,
-        {s: identity(nt.source.at(s)) for s in strict.members},
-    )
-    relative = induced_into_pullback(pb, into_fiber, into_limit)
-    carrier, proj_fiber, proj_limit = pb
-    return carrier, proj_fiber, proj_limit, relative
+    legs = {s: source.arrow(x, s) for s in nt.shape.strict_downset(x)}
+    relative = induced_into_pullback(pb, nt.at(x), cone_into_limit(source.at(x), legs, src_limit))
+    return src_limit, pb, relative
 
 
 def relative_matching_map(nt: NatTrans, x: str) -> BaseMorphism:
     """The canonical map from the source fiber into the matching pullback."""
-    return matching_data(nt, x)[3]
+    return matching_data(nt, x)[2]
 
 
 def is_special(nt: NatTrans, cls: str = "M") -> bool:

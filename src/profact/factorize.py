@@ -22,7 +22,7 @@ from .base import (
     induced_into_pullback,
     pullback,
 )
-from .diagrams import Diagram, NatTrans, is_levelwise, is_special, limit_map, limit_over_poset
+from .diagrams import Diagram, NatTrans, cone_into_limit, is_levelwise, is_special, matching_object
 from .poset import FinPoset, Reysha
 
 
@@ -73,29 +73,15 @@ def _step(
 ) -> None:
     """Extend a partial factorization to one more element whose strict
     downset is already covered."""
-    shape = f.shape
-    strict = shape.strict_downset(x)
-    sub = shape.restrict(strict)
-    mid_partial = Diagram.make(
-        sub,
-        {s: mid_objects[s] for s in strict},
-        {p: a for p, a in mid_arrows.items() if p[0] in strict and p[1] in strict},
+    strict = f.shape.strict_downset(x)
+    lim_mid, mid_to_tgt, fiber_to_tgt = matching_object(
+        f.shape, mid_objects, mid_arrows, f.target, right, x
     )
-    target_partial = f.target.restrict(Reysha(shape, strict))
-    lim_mid = limit_over_poset(mid_partial)
-    lim_tgt = limit_over_poset(target_partial)
-    mid_to_tgt = limit_map(lim_mid, lim_tgt, {s: right[s] for s in strict})
-    fiber_to_tgt = limit_map(
-        (f.target.at(x), {s: f.target.arrow(x, s) for s in strict}),
-        lim_tgt,
-        {s: identity(f.target.at(s)) for s in strict},
-    )
+    # the limit leg goes first: the middle fibers' carrier ids follow it
     pb = pullback(mid_to_tgt, fiber_to_tgt)
     carrier, proj_lim, proj_fiber = pb
-    into_lim = limit_map(
-        (f.source.at(x), {s: compose(left[s], f.source.arrow(x, s)) for s in strict}),
-        lim_mid,
-        {s: identity(mid_objects[s]) for s in strict},
+    into_lim = cone_into_limit(
+        f.source.at(x), {s: compose(left[s], f.source.arrow(x, s)) for s in strict}, lim_mid
     )
     u = induced_into_pullback(pb, into_lim, f.at(x))
     triple = factorize_base(u)
@@ -155,6 +141,37 @@ def extend_step(f: NatTrans, partial: ReedyFactorization, x: str) -> ReedyFactor
     return _assemble(f_sub, sub, mid_objects, mid_arrows, left, right, details)
 
 
+def check_pre_morphism(
+    alpha: dict[str, str],
+    families: list[tuple[str, Diagram, Diagram, dict[str, BaseMorphism]]],
+) -> None:
+    """Check a pre-morphism: a strictly increasing index map alpha: B -> A
+    plus, for each named family (name, X over A, Y over B, components), a
+    natural family of components X(alpha(b)) -> Y(b).
+
+    Raises FactorizeError naming the first failure.
+    """
+    a_shape, b_shape = families[0][1].shape, families[0][2].shape
+    for b in b_shape.elements:
+        if alpha.get(b) not in a_shape:
+            raise FactorizeError(f"index map undefined or out of range at {b!r}")
+    below = [(b, b2) for b in b_shape.elements for b2 in b_shape.strict_downset(b)]
+    for b, b2 in below:
+        if not a_shape.lt(alpha[b2], alpha[b]):
+            raise FactorizeError(f"index map is not strictly increasing on {b2!r} < {b!r}")
+    for b in b_shape.elements:
+        for name, source, target, components in families:
+            comp = components.get(b)
+            if comp is None or comp.source != source.at(alpha[b]) or comp.target != target.at(b):
+                raise FactorizeError(f"ill-typed {name} component at {b!r}")
+    for b, b2 in below:
+        for name, source, target, components in families:
+            if compose(components[b2], source.arrow(alpha[b], alpha[b2])) != compose(
+                target.arrow(b, b2), components[b]
+            ):
+                raise FactorizeError(f"{name} family not natural on {b!r} >= {b2!r}")
+
+
 @dataclass(frozen=True)
 class ArrowPreMorphism:
     """A pre-morphism between arrow objects f: E -> F over A and
@@ -166,36 +183,13 @@ class ArrowPreMorphism:
     psi: dict[str, BaseMorphism]  # F(alpha(b)) -> G(b)
 
     def validate(self, f: NatTrans, t: NatTrans) -> None:
-        a_shape, b_shape = f.shape, t.shape
-        for b in b_shape.elements:
-            if self.alpha.get(b) not in a_shape:
-                raise FactorizeError(f"index map undefined or out of range at {b!r}")
-        for b in b_shape.elements:
-            for b2 in b_shape.elements:
-                if b_shape.lt(b2, b):
-                    if not a_shape.lt(self.alpha[b2], self.alpha[b]):
-                        raise FactorizeError(
-                            f"index map is not strictly increasing on {b2!r} < {b!r}"
-                        )
-        for b in b_shape.elements:
-            a = self.alpha[b]
-            if self.phi[b].source != f.source.at(a) or self.phi[b].target != t.source.at(b):
-                raise FactorizeError(f"ill-typed top component at {b!r}")
-            if self.psi[b].source != f.target.at(a) or self.psi[b].target != t.target.at(b):
-                raise FactorizeError(f"ill-typed bottom component at {b!r}")
-            if compose(self.psi[b], f.at(a)) != compose(t.at(b), self.phi[b]):
+        check_pre_morphism(
+            self.alpha,
+            [("top", f.source, t.source, self.phi), ("bottom", f.target, t.target, self.psi)],
+        )
+        for b in t.shape.elements:
+            if compose(self.psi[b], f.at(self.alpha[b])) != compose(t.at(b), self.phi[b]):
                 raise FactorizeError(f"component square does not commute at {b!r}")
-        for b in b_shape.elements:
-            for b2 in b_shape.elements:
-                if b_shape.lt(b2, b):
-                    if compose(self.phi[b2], f.source.arrow(self.alpha[b], self.alpha[b2])) != compose(
-                        t.source.arrow(b, b2), self.phi[b]
-                    ):
-                        raise FactorizeError(f"top family not natural on {b!r} >= {b2!r}")
-                    if compose(self.psi[b2], f.target.arrow(self.alpha[b], self.alpha[b2])) != compose(
-                        t.target.arrow(b, b2), self.psi[b]
-                    ):
-                        raise FactorizeError(f"bottom family not natural on {b!r} >= {b2!r}")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ from .base import (
     is_in_n,
     lift_base,
 )
-from .diagrams import NatTrans, is_levelwise, is_special, limit_map, limit_over_poset, matching_data
-from .poset import Reysha
+from .diagrams import NatTrans, cone_into_limit, is_levelwise, is_special, matching_data
 
 
 class LiftingError(ValueError):
@@ -128,17 +127,10 @@ def lift_against_special(problem: LiftingProblem) -> ConeLift:
     shape = f.shape
     lifts: dict[str, BaseMorphism] = {}
     for t in shape.in_degree_order():
-        strict = shape.strict_downset(t)
-        carrier, proj_fiber, proj_limit, relative = matching_data(f, t)
-        src_limit = limit_over_poset(f.source.restrict(Reysha(shape, strict)))
-        into_limit = limit_map(
-            (problem.left.target, {s: lifts[s] for s in strict}),
-            src_limit,
-            {s: identity(f.source.at(s)) for s in strict},
-        )
-        into_pb = induced_into_pullback(
-            (carrier, proj_fiber, proj_limit), problem.bottom[t], into_limit
-        )
+        src_limit, pb, relative = matching_data(f, t)
+        lift_legs = {s: lifts[s] for s in shape.strict_downset(t)}
+        into_limit = cone_into_limit(problem.left.target, lift_legs, src_limit)
+        into_pb = induced_into_pullback(pb, problem.bottom[t], into_limit)
         lifts[t] = lift_base(problem.left, relative, problem.top[t], into_pb)
     return ConeLift(lifts)
 

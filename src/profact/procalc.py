@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .base import BaseMorphism, compose, identity
 from .diagrams import Diagram
+from .factorize import FactorizeError, check_pre_morphism
 from .poset import FinPoset, is_directed_poset
 
 
@@ -78,31 +79,11 @@ def eq_in_colim(
     return False, None
 
 
-def _alpha_strict(b_shape: FinPoset, a_shape: FinPoset, alpha: dict[str, str]) -> bool:
-    for b in b_shape.elements:
-        if alpha.get(b) not in a_shape:
-            return False
-    for b in b_shape.elements:
-        for b2 in b_shape.elements:
-            if b_shape.le(b2, b) and not a_shape.le(alpha[b2], alpha[b]):
-                return False
-            if b_shape.lt(b2, b) and not a_shape.lt(alpha[b2], alpha[b]):
-                return False
-    return True
-
-
 def is_pre_morphism(F: ProObject, G: ProObject, alpha: dict[str, str], phi: dict[str, BaseMorphism]) -> bool:
-    if not _alpha_strict(G.shape, F.shape, alpha):
+    try:
+        check_pre_morphism(alpha, [("tower", F.diagram, G.diagram, phi)])
+    except FactorizeError:
         return False
-    for b in G.shape.elements:
-        comp = phi.get(b)
-        if comp is None or comp.source != F.at(alpha[b]) or comp.target != G.at(b):
-            return False
-    for b in G.shape.elements:
-        for b2 in G.shape.elements:
-            if G.shape.lt(b2, b):
-                if compose(G.arrow(b, b2), phi[b]) != compose(phi[b2], F.arrow(alpha[b], alpha[b2])):
-                    return False
     return True
 
 

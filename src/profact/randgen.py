@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 
 from .base import BaseMorphism, BaseObject, compose, identity, pullback
-from .diagrams import Diagram, NatTrans, limit_map, limit_over_poset
+from .diagrams import Diagram, NatTrans, limit_over_poset, matching_limit, matching_object
 from .factorize import ArrowPreMorphism
-from .poset import FinPoset, Reysha
+from .poset import FinPoset
 from .procalc import PreMorphism, ProObject, RawMorphism
 
 
@@ -81,19 +81,13 @@ def random_diagram(
     objects: dict[str, BaseObject] = {}
     arrows: dict[tuple[str, str], BaseMorphism] = {}
     for x in shape.in_degree_order():
-        strict = shape.strict_downset(x)
-        partial = Diagram.make(
-            shape.restrict(strict),
-            {s: objects[s] for s in strict},
-            {p: a for p, a in arrows.items() if p[0] in strict and p[1] in strict},
-        )
-        lim_obj, lim_proj = limit_over_poset(partial)
+        lim_obj, lim_proj = matching_limit(shape, objects, arrows, x)
         size = rng.randint(1, max_fiber) if lim_obj.carrier else 0
         fiber = BaseObject(tuple(f"{prefix}{x}_{i}" for i in range(size)))
         objects[x] = fiber
         into = random_map(rng, fiber, lim_obj) if fiber.carrier else BaseMorphism(fiber, lim_obj, {})
         arrows[(x, x)] = identity(fiber)
-        for s in strict:
+        for s in shape.strict_downset(x):
             arrows[(x, s)] = compose(lim_proj[s], into)
     return Diagram.make(shape, objects, arrows)
 
@@ -109,28 +103,15 @@ def random_nattrans(rng: random.Random, shape: FinPoset, max_fiber: int) -> NatT
     arrows: dict[tuple[str, str], BaseMorphism] = {}
     components: dict[str, BaseMorphism] = {}
     for x in shape.in_degree_order():
-        strict = shape.strict_downset(x)
-        partial_src = Diagram.make(
-            shape.restrict(strict),
-            {s: objects[s] for s in strict},
-            {p: a for p, a in arrows.items() if p[0] in strict and p[1] in strict},
-        )
-        src_limit = limit_over_poset(partial_src)
-        tgt_limit = limit_over_poset(target.restrict(Reysha(shape, strict)))
-        comp_map = limit_map(src_limit, tgt_limit, {s: components[s] for s in strict})
-        fiber_map = limit_map(
-            (target.at(x), {s: target.arrow(x, s) for s in strict}),
-            tgt_limit,
-            {s: identity(target.at(s)) for s in strict},
-        )
-        pb = pullback(fiber_map, comp_map)
-        carrier, proj_fiber, proj_limit = pb
+        src_limit, comp_map, fiber_map = matching_object(shape, objects, arrows, target, components, x)
+        # the fiber leg goes first: the draws below index the pullback's carrier
+        carrier, proj_fiber, proj_limit = pullback(fiber_map, comp_map)
         size = rng.randint(1, max_fiber) if carrier.carrier else 0
         fiber = BaseObject(tuple(f"x{x}_{i}" for i in range(size)))
         into = random_map(rng, fiber, carrier) if fiber.carrier else BaseMorphism(fiber, carrier, {})
         objects[x] = fiber
         arrows[(x, x)] = identity(fiber)
-        for s in strict:
+        for s in shape.strict_downset(x):
             arrows[(x, s)] = compose(compose(src_limit[1][s], proj_limit), into)
         components[x] = compose(proj_fiber, into)
     source = Diagram.make(shape, objects, arrows)
@@ -162,13 +143,7 @@ def junk_extend(
     arrows: dict[tuple[str, str], BaseMorphism] = {}
     components: dict[str, BaseMorphism] = {}
     for b in shape.in_degree_order():
-        strict = shape.strict_downset(b)
-        partial = Diagram.make(
-            shape.restrict(strict),
-            {s: objects[s] for s in strict},
-            {p: a for p, a in arrows.items() if p[0] in strict and p[1] in strict},
-        )
-        lim_obj, lim_proj = limit_over_poset(partial)
+        lim_obj, lim_proj = matching_limit(shape, objects, arrows, b)
         junk_size = rng.randint(0, max_junk) if lim_obj.carrier else 0
         originals = tuple("o:" + x for x in source.at(b).carrier)
         junk = tuple(f"{prefix}:{i}" for i in range(junk_size))
@@ -179,7 +154,7 @@ def junk_extend(
         )
         junk_anchor = {j: rng.choice(lim_obj.carrier) for j in junk}
         arrows[(b, b)] = identity(fiber)
-        for s in strict:
+        for s in shape.strict_downset(b):
             mapping = {}
             for x in source.at(b).carrier:
                 mapping["o:" + x] = components[s](source.arrow(b, s)(x))
@@ -222,38 +197,29 @@ def pushout_diagram(
                 label[root] = f"q{len(label)}"
         classes[b] = {t: label[find(t)] for t in tagged}
         objects[b] = BaseObject(tuple(dict.fromkeys(classes[b][t] for t in tagged)))
+    legs = (("l:", left), ("r:", right))
     arrows: dict[tuple[str, str], BaseMorphism] = {}
     for b in shape.elements:
         for b2 in shape.elements:
             if shape.le(b2, b):
                 mapping: dict[str, str] = {}
-                for x in left.at(b).carrier:
-                    value = classes[b2]["l:" + left.arrow(b, b2)(x)]
-                    key = classes[b]["l:" + x]
-                    if mapping.setdefault(key, value) != value:
-                        raise ValueError("pushout arrow ill-defined")
-                for y in right.at(b).carrier:
-                    value = classes[b2]["r:" + right.arrow(b, b2)(y)]
-                    key = classes[b]["r:" + y]
-                    if mapping.setdefault(key, value) != value:
-                        raise ValueError("pushout arrow ill-defined")
+                for tag, leg in legs:
+                    for x in leg.at(b).carrier:
+                        value = classes[b2][tag + leg.arrow(b, b2)(x)]
+                        if mapping.setdefault(classes[b][tag + x], value) != value:
+                            raise ValueError("pushout arrow ill-defined")
                 arrows[(b, b2)] = BaseMorphism(objects[b], objects[b2], mapping)
     pushout = Diagram.make(shape, objects, arrows)
-    in_left = NatTrans.make(
-        left,
-        pushout,
-        {
-            b: BaseMorphism(left.at(b), objects[b], {x: classes[b]["l:" + x] for x in left.at(b).carrier})
-            for b in shape.elements
-        },
-    )
-    in_right = NatTrans.make(
-        right,
-        pushout,
-        {
-            b: BaseMorphism(right.at(b), objects[b], {y: classes[b]["r:" + y] for y in right.at(b).carrier})
-            for b in shape.elements
-        },
+    in_left, in_right = (
+        NatTrans.make(
+            leg,
+            pushout,
+            {
+                b: BaseMorphism(leg.at(b), objects[b], {x: classes[b][tag + x] for x in leg.at(b).carrier})
+                for b in shape.elements
+            },
+        )
+        for tag, leg in legs
     )
     return pushout, in_left, in_right
 
@@ -288,34 +254,39 @@ def random_arrow_pre_morphism(
     return t, pm
 
 
+def _refined_alpha(
+    rng: random.Random, a_shape: FinPoset, b_shape: FinPoset, alpha: dict[str, str]
+) -> dict[str, str]:
+    """A random strictly increasing index map at or above alpha, drawn in
+    degree order; alpha itself when eight attempts all reach an element
+    with nothing eligible."""
+    for _ in range(8):
+        refined: dict[str, str] = {}
+        for b in b_shape.in_degree_order():
+            eligible = [
+                a
+                for a in a_shape.elements
+                if a_shape.le(alpha[b], a)
+                and all(a_shape.lt(refined[b2], a) for b2 in b_shape.strict_downset(b))
+            ]
+            if not eligible:
+                break
+            refined[b] = rng.choice(eligible)
+        else:
+            return refined
+    return dict(alpha)
+
+
 def refine_arrow_pre_morphism(
     rng: random.Random, f: NatTrans, t: NatTrans, pm: ArrowPreMorphism
 ) -> ArrowPreMorphism:
     """A pre-morphism above pm: the index map moves up and the components
     factor through the restriction arrows."""
-    a_shape, b_shape = f.shape, t.shape
-    for _ in range(8):
-        alpha: dict[str, str] = {}
-        ok = True
-        for b in b_shape.in_degree_order():
-            eligible = [
-                a
-                for a in a_shape.elements
-                if a_shape.le(pm.alpha[b], a)
-                and all(a_shape.lt(alpha[b2], a) for b2 in b_shape.strict_downset(b))
-            ]
-            if not eligible:
-                ok = False
-                break
-            alpha[b] = rng.choice(eligible)
-        if ok:
-            break
-    else:
-        alpha = dict(pm.alpha)
+    alpha = _refined_alpha(rng, f.shape, t.shape, pm.alpha)
     refined = ArrowPreMorphism(
         alpha,
-        {b: compose(pm.phi[b], f.source.arrow(alpha[b], pm.alpha[b])) for b in b_shape.elements},
-        {b: compose(pm.psi[b], f.target.arrow(alpha[b], pm.alpha[b])) for b in b_shape.elements},
+        {b: compose(pm.phi[b], f.source.arrow(alpha[b], pm.alpha[b])) for b in t.shape.elements},
+        {b: compose(pm.psi[b], f.target.arrow(alpha[b], pm.alpha[b])) for b in t.shape.elements},
     )
     refined.validate(f, t)
     return refined
@@ -359,28 +330,10 @@ def random_pre_morphism(
 def refine_pre_morphism(
     rng: random.Random, F: ProObject, G: ProObject, pm: PreMorphism
 ) -> PreMorphism:
-    a_shape, b_shape = F.shape, G.shape
-    for _ in range(8):
-        alpha: dict[str, str] = {}
-        ok = True
-        for b in b_shape.in_degree_order():
-            eligible = [
-                a
-                for a in a_shape.elements
-                if a_shape.le(pm.alpha[b], a)
-                and all(a_shape.lt(alpha[b2], a) for b2 in b_shape.strict_downset(b))
-            ]
-            if not eligible:
-                ok = False
-                break
-            alpha[b] = rng.choice(eligible)
-        if ok:
-            break
-    else:
-        alpha = dict(pm.alpha)
+    alpha = _refined_alpha(rng, F.shape, G.shape, pm.alpha)
     return PreMorphism(
         alpha,
-        {b: compose(pm.phi[b], F.arrow(alpha[b], pm.alpha[b])) for b in b_shape.elements},
+        {b: compose(pm.phi[b], F.arrow(alpha[b], pm.alpha[b])) for b in G.shape.elements},
     )
 
 

@@ -28,7 +28,6 @@ from .randgen import (
     random_pro_object,
     random_raw_morphism,
     random_special_problem,
-    refine_arrow_pre_morphism,
     refine_pre_morphism,
 )
 from .serialize import SCHEMA_VERSION

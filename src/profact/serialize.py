@@ -18,7 +18,7 @@ from .diagrams import Diagram, NatTrans
 from .factorize import ArrowPreMorphism, ChiMap, ReedyFactorization
 from .lifting import ConeLift, LiftingProblem
 from .poset import FinPoset
-from .procalc import PreMorphism, ProObject, RawMorphism
+from .procalc import PreMorphism, ProObject
 
 SCHEMA_VERSION = 1
 
@@ -57,12 +57,12 @@ def poset_from_json(data: Any, path: str = "$") -> FinPoset:
         raise ParseError(str(exc), path) from exc
 
 
-def object_to_json(obj: BaseObject) -> list:
-    return list(obj.carrier)
+def _is_element(shape: FinPoset, x: Any) -> bool:
+    return isinstance(x, str) and x in shape
 
 
 def object_from_json(data: Any, path: str = "$") -> BaseObject:
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(e, str) for e in data):
         raise ParseError("expected a list of element ids", path)
     try:
         return BaseObject(tuple(data))
@@ -85,13 +85,16 @@ def morphism_from_json(data: Any, path: str = "$") -> BaseMorphism:
 
 
 def _component_morphism(
-    source: BaseObject, target: BaseObject, mapping: Any, path: str
+    source: BaseObject, target: BaseObject, data: Any, key: str, path: str
 ) -> BaseMorphism:
+    """The assignment data[key] as a map source -> target; path locates data."""
+    mapping = _require(data, key, path)
+    path = f"{path}.{key}"
     if not isinstance(mapping, dict):
         raise ParseError("expected an assignment object", path)
     try:
         return BaseMorphism(source, target, dict(mapping))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(str(exc), path) from exc
 
 
@@ -119,9 +122,9 @@ def diagram_from_json(data: Any, path: str = "$") -> Diagram:
     for i, entry in enumerate(data.get("arrows", [])):
         apath = f"{path}.arrows[{i}]"
         x, y = _require(entry, "from", apath), _require(entry, "to", apath)
-        if x not in shape or y not in shape or not shape.lt(y, x):
+        if not (_is_element(shape, x) and _is_element(shape, y) and shape.lt(y, x)):
             raise ParseError(f"arrow over non-strict pair ({x!r}, {y!r})", apath)
-        arrows[(x, y)] = _component_morphism(objects[x], objects[y], _require(entry, "map", apath), apath + ".map")
+        arrows[(x, y)] = _component_morphism(objects[x], objects[y], entry, "map", apath)
     # fill in derivable composites so inputs can list covering arrows only
     changed = True
     while changed:
@@ -153,26 +156,13 @@ def nattrans_from_json(data: Any, path: str = "$") -> NatTrans:
     target = diagram_from_json(_require(data, "target", path), path + ".target")
     raw = _require(data, "components", path)
     components = {
-        x: _component_morphism(
-            source.at(x), target.at(x), _require(raw, x, path + ".components"), f"{path}.components.{x}"
-        )
+        x: _component_morphism(source.at(x), target.at(x), raw, x, path + ".components")
         for x in source.shape.elements
     }
     try:
         return NatTrans.make(source, target, components)
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc
-
-
-def category_to_json(cat: FinCategory) -> dict:
-    return {
-        "objects": list(cat.objects),
-        "morphisms": list(cat.morphisms),
-        "src": dict(cat.src),
-        "tgt": dict(cat.tgt),
-        "compose": sorted([g, f, h] for (g, f), h in cat.compose_table.items()),
-        "identities": dict(cat.identities),
-    }
 
 
 def category_from_json(data: Any, path: str = "$") -> FinCategory:
@@ -196,12 +186,10 @@ def arrow_pre_morphism_from_json(data: Any, f: NatTrans, t: NatTrans, path: str 
     phi, psi = {}, {}
     for b in t.shape.elements:
         a = _require(alpha, b, path + ".alpha")
-        phi[b] = _component_morphism(
-            f.source.at(a), t.source.at(b), _require(phi_raw, b, path + ".phi"), f"{path}.phi.{b}"
-        )
-        psi[b] = _component_morphism(
-            f.target.at(a), t.target.at(b), _require(psi_raw, b, path + ".psi"), f"{path}.psi.{b}"
-        )
+        if not _is_element(f.shape, a):
+            raise ParseError(f"unknown index {a!r}", path + ".alpha")
+        phi[b] = _component_morphism(f.source.at(a), t.source.at(b), phi_raw, b, path + ".phi")
+        psi[b] = _component_morphism(f.target.at(a), t.target.at(b), psi_raw, b, path + ".psi")
     return ArrowPreMorphism(dict(alpha), phi, psi)
 
 
@@ -230,15 +218,11 @@ def lifting_problem_from_json(data: Any, path: str = "$") -> LiftingProblem:
     top_raw = _require(data, "top", path)
     bottom_raw = _require(data, "bottom", path)
     top = {
-        t: _component_morphism(
-            left.source, right.source.at(t), _require(top_raw, t, path + ".top"), f"{path}.top.{t}"
-        )
+        t: _component_morphism(left.source, right.source.at(t), top_raw, t, path + ".top")
         for t in right.shape.elements
     }
     bottom = {
-        t: _component_morphism(
-            left.target, right.target.at(t), _require(bottom_raw, t, path + ".bottom"), f"{path}.bottom.{t}"
-        )
+        t: _component_morphism(left.target, right.target.at(t), bottom_raw, t, path + ".bottom")
         for t in right.shape.elements
     }
     problem = LiftingProblem(left, right, top, bottom)
@@ -272,31 +256,14 @@ def pre_morphism_from_json(data: Any, F: ProObject, G: ProObject, path: str = "$
     phi = {}
     for b in G.shape.elements:
         a = _require(alpha, b, path + ".alpha")
-        if a not in F.shape:
+        if not _is_element(F.shape, a):
             raise ParseError(f"unknown index {a!r}", path + ".alpha")
-        phi[b] = _component_morphism(
-            F.at(a), G.at(b), _require(phi_raw, b, path + ".phi"), f"{path}.phi.{b}"
-        )
+        phi[b] = _component_morphism(F.at(a), G.at(b), phi_raw, b, path + ".phi")
     return PreMorphism(dict(alpha), phi)
 
 
 def pre_morphism_to_json(pm: PreMorphism) -> dict:
     return {"alpha": dict(pm.alpha), "phi": {b: morphism_to_json(m) for b, m in pm.phi.items()}}
-
-
-def raw_morphism_from_json(data: Any, F: ProObject, G: ProObject, path: str = "$") -> RawMorphism:
-    rep_raw = _require(data, "rep", path)
-    rep = {}
-    for b in G.shape.elements:
-        entry = _require(rep_raw, b, path + ".rep")
-        a = _require(entry, "index", f"{path}.rep.{b}")
-        if a not in F.shape:
-            raise ParseError(f"unknown index {a!r}", f"{path}.rep.{b}")
-        rep[b] = (
-            a,
-            _component_morphism(F.at(a), G.at(b), _require(entry, "map", f"{path}.rep.{b}"), f"{path}.rep.{b}.map"),
-        )
-    return RawMorphism(rep)
 
 
 def tower_to_json(tower: CofinalTower, reports: list[OverCategoryReport], directed: bool) -> dict:

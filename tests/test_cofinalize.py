@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib import resources
 
@@ -71,6 +72,37 @@ def test_projection_laws_on_chain3():
         "projection_functorial": True,
         "levels_coherent": True,
     }
+
+
+def idempotent_monoid():
+    """One object with an identity and an idempotent: directed, and with two
+    parallel morphisms, so a projection entry can be wrong yet well typed."""
+    return FinCategory.make(
+        ["i"],
+        ["1", "e"],
+        {"1": "i", "e": "i"},
+        {"1": "i", "e": "i"},
+        {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"},
+        {"i": "1"},
+    )
+
+
+def test_verify_catches_a_corrupted_composite():
+    tower = build_tower(idempotent_monoid(), levels=2, reysha_cap=2)
+    assert all(tower.verify().values())
+    top = tower.top
+    c, c2, c3 = next(
+        (c, c2, c3)
+        for c in top.elements
+        for c2 in top.elements
+        for c3 in top.elements
+        if top.lt(c3, c2) and top.lt(c2, c)
+    )
+    wrong = "e" if tower.mor_map[(c, c3)] == "1" else "1"
+    corrupted = dataclasses.replace(tower, mor_map={**tower.mor_map, (c, c3): wrong})
+    verdicts = corrupted.verify()
+    assert verdicts["projection_typed"] is True
+    assert verdicts["projection_functorial"] is False
 
 
 def test_directedness_holds_at_matching_cap():

@@ -161,7 +161,7 @@ def test_matching_data_over_random_transformations():
     for _ in range(10):
         nt = random_nattrans(rng, random_poset(rng, 4), 3)
         for x in nt.shape.elements:
-            carrier, proj_fiber, proj_limit, relative = matching_data(nt, x)
+            _, (carrier, proj_fiber, proj_limit), relative = matching_data(nt, x)
             assert relative.source == nt.source.at(x)
             for e in nt.source.at(x).carrier:
                 assert proj_fiber(relative(e)) == nt.at(x)(e)

@@ -1,0 +1,105 @@
+"""Malformed documents end in exit code 3 with a JSON path, never in a
+traceback."""
+
+import copy
+import json
+from importlib import resources
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from profact.cli import main
+
+
+def fixture(name):
+    return str(resources.files("profact").joinpath("fixtures", name))
+
+
+def load(name):
+    return json.loads(resources.files("profact").joinpath("fixtures", name).read_text())
+
+
+def run(args):
+    result = CliRunner().invoke(main, args)
+    # an uncaught exception leaves something other than SystemExit behind
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    return result
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _arrow_from_list(doc):
+    doc["source"]["arrows"][0]["from"] = ["a"]
+
+
+def _carrier_element_list(doc):
+    doc["source"]["objects"]["t"][0] = ["a"]
+
+
+def _component_value_list(doc):
+    doc["components"]["t"]["a"] = ["z"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, path",
+    [
+        (_arrow_from_list, ".source.arrows[0]"),
+        (_carrier_element_list, ".source.objects.t"),
+        (_component_value_list, ".components.t"),
+    ],
+)
+def test_malformed_reedy_input_is_parse_error(tmp_path, corrupt, path):
+    doc = load("identity_over_v.json")
+    corrupt(doc)
+    bad = _write(tmp_path, "bad.json", doc)
+    result = run(["reedy", bad])
+    assert result.exit_code == 3
+    assert f"{bad}{path}:" in result.output
+
+
+def test_chi_index_outside_source_poset_is_parse_error(tmp_path):
+    pm = load("chi_pm.json")
+    pm["alpha"]["e0"] = "zz"
+    bad = _write(tmp_path, "pm.json", pm)
+    result = run(["chi", "-f", fixture("chi_f.json"), "-t", fixture("chi_t.json"), "-p", bad])
+    assert result.exit_code == 3
+    assert f"{bad}.alpha: unknown index 'zz'" in result.output
+
+
+def _id_positions(node, trail=()):
+    """Every place an element id sits in a document: its string leaves."""
+    if isinstance(node, str):
+        yield trail
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _id_positions(value, trail + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _id_positions(value, trail + (i,))
+
+
+IDENTITY = load("identity_over_v.json")
+NON_STRING_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(position=st.sampled_from(list(_id_positions(IDENTITY))), value=NON_STRING_JSON)
+def test_non_string_id_is_parse_error(tmp_path_factory, position, value):
+    doc = copy.deepcopy(IDENTITY)
+    node = doc
+    for step in position[:-1]:
+        node = node[step]
+    node[position[-1]] = value
+    bad = _write(tmp_path_factory.mktemp("doc"), "bad.json", doc)
+    assert run(["reedy", bad]).exit_code == 3
