@@ -50,6 +50,18 @@ class BaseMorphism:
             if v not in self.target:
                 raise BaseError(f"assignment value {v!r} outside target carrier")
 
+    @classmethod
+    def _trusted(cls, source: BaseObject, target: BaseObject, mapping: dict[str, str]) -> "BaseMorphism":
+        """A morphism whose mapping is total and lands in the target by
+        construction: the results of compose, identity, the pullback maps,
+        the base factorization and the limit maps.  It skips the checks;
+        the public constructor keeps them."""
+        morphism = object.__new__(cls)
+        object.__setattr__(morphism, "source", source)
+        object.__setattr__(morphism, "target", target)
+        object.__setattr__(morphism, "mapping", mapping)
+        return morphism
+
     def __call__(self, x: str) -> str:
         return self.mapping[x]
 
@@ -58,7 +70,7 @@ class BaseMorphism:
 
 
 def identity(obj: BaseObject) -> BaseMorphism:
-    return BaseMorphism(obj, obj, {x: x for x in obj.carrier})
+    return BaseMorphism._trusted(obj, obj, {x: x for x in obj.carrier})
 
 
 def morphism(source: BaseObject, target: BaseObject, mapping: dict[str, str]) -> BaseMorphism:
@@ -68,7 +80,8 @@ def morphism(source: BaseObject, target: BaseObject, mapping: dict[str, str]) ->
 def compose(g: BaseMorphism, f: BaseMorphism) -> BaseMorphism:
     if f.target != g.source:
         raise BaseError("composition mismatch: target of inner differs from source of outer")
-    return BaseMorphism(f.source, g.target, {x: g(f(x)) for x in f.source.carrier})
+    f_map, g_map = f.mapping, g.mapping
+    return BaseMorphism._trusted(f.source, g.target, {x: g_map[f_map[x]] for x in f.source.carrier})
 
 
 def is_in_n(f: BaseMorphism) -> bool:
@@ -94,10 +107,13 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> tuple[BaseObject, BaseMorphism
     """
     if f.target != g.target:
         raise BaseError("pullback legs must share a target")
-    pairs = [(x, y) for x in f.source.carrier for y in g.source.carrier if f(x) == g(y)]
+    fiber: dict[str, list[str]] = {}
+    for y in g.source.carrier:
+        fiber.setdefault(g.mapping[y], []).append(y)
+    pairs = [(x, y) for x in f.source.carrier for y in fiber.get(f.mapping[x], ())]
     carrier = BaseObject(tuple(f"p{i}" for i in range(len(pairs))))
-    proj_f = BaseMorphism(carrier, f.source, {f"p{i}": x for i, (x, _) in enumerate(pairs)})
-    proj_g = BaseMorphism(carrier, g.source, {f"p{i}": y for i, (_, y) in enumerate(pairs)})
+    proj_f = BaseMorphism._trusted(carrier, f.source, {f"p{i}": x for i, (x, _) in enumerate(pairs)})
+    proj_g = BaseMorphism._trusted(carrier, g.source, {f"p{i}": y for i, (_, y) in enumerate(pairs)})
     return carrier, proj_f, proj_g
 
 
@@ -115,7 +131,7 @@ def induced_into_pullback(
         if key not in lookup:
             raise BaseError("span does not commute with the pullback legs")
         mapping[w] = lookup[key]
-    return BaseMorphism(to_f_source.source, carrier, mapping)
+    return BaseMorphism._trusted(to_f_source.source, carrier, mapping)
 
 
 SOURCE_TAG = "s:"
@@ -138,10 +154,10 @@ def factorize_base(f: BaseMorphism) -> FactorizationTriple:
     mid = BaseObject(
         tuple(SOURCE_TAG + x for x in f.source.carrier) + tuple(TARGET_TAG + y for y in f.target.carrier)
     )
-    left = BaseMorphism(f.source, mid, {x: SOURCE_TAG + x for x in f.source.carrier})
+    left = BaseMorphism._trusted(f.source, mid, {x: SOURCE_TAG + x for x in f.source.carrier})
     right_map = {SOURCE_TAG + x: f(x) for x in f.source.carrier}
     right_map.update({TARGET_TAG + y: y for y in f.target.carrier})
-    right = BaseMorphism(mid, f.target, right_map)
+    right = BaseMorphism._trusted(mid, f.target, right_map)
     return FactorizationTriple(mid, left, right)
 
 

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .base import (
+    BaseError,
     BaseMorphism,
     BaseObject,
     TERMINAL,
@@ -160,7 +161,7 @@ def limit_over_poset(diagram: Diagram) -> tuple[BaseObject, dict[str, BaseMorphi
         fixed.update(y for y, _ in below)
     carrier = BaseObject(tuple(f"l{i}" for i in range(len(families))))
     projections = {
-        x: BaseMorphism(carrier, diagram.at(x), {f"l{i}": fam[x] for i, fam in enumerate(families)})
+        x: BaseMorphism._trusted(carrier, diagram.at(x), {f"l{i}": fam[x] for i, fam in enumerate(families)})
         for x in shape.elements
     }
     return carrier, projections
@@ -182,7 +183,7 @@ def cone_into_limit(
         if key not in index:
             raise DiagramError("the legs do not form a cone over the limit's diagram")
         mapping[e] = index[key]
-    return BaseMorphism(apex, lim_obj, mapping)
+    return BaseMorphism._trusted(apex, lim_obj, mapping)
 
 
 def limit_map(
@@ -196,50 +197,72 @@ def limit_map(
     return cone_into_limit(src_obj, legs, target_limit)
 
 
-def matching_limit(
-    shape: FinPoset,
-    objects: dict[str, BaseObject],
-    arrows: dict[tuple[str, str], BaseMorphism],
-    x: str,
-) -> tuple[BaseObject, dict[str, BaseMorphism]]:
-    """The limit of a diagram restricted to the strict downset of x.
+class PartialDiagram:
+    """A diagram that may still be growing element by element, with each
+    matching limit computed once per strict downset.
 
-    objects and arrows need only cover that downset, so a diagram that is
-    still being built element by element goes through like a whole one.
+    objects and arrows are the caller's dicts and are read as they grow.
+    An element is added only after its whole strict downset, and nothing
+    added earlier changes, so a limit over a strict downset stays valid and
+    two elements with the same strict downset share it.  The memo lives as
+    long as this object: a construction builds one and drops it when done.
     """
-    strict = shape.strict_downset(x)
-    members = set(strict)
-    below = Diagram.make(
-        shape.restrict(strict),
-        {s: objects[s] for s in strict},
-        {p: a for p, a in arrows.items() if p[0] in members and p[1] in members},
-    )
-    return limit_over_poset(below)
+
+    def __init__(
+        self,
+        shape: FinPoset,
+        objects: dict[str, BaseObject] | None = None,
+        arrows: dict[tuple[str, str], BaseMorphism] | None = None,
+    ) -> None:
+        self.shape = shape
+        self.objects = {} if objects is None else objects
+        self.arrows = {} if arrows is None else arrows
+        self._limits: dict[tuple[str, ...], tuple[BaseObject, dict[str, BaseMorphism]]] = {}
+
+    @staticmethod
+    def of(diagram: Diagram) -> "PartialDiagram":
+        return PartialDiagram(diagram.shape, diagram.objects, diagram.arrows)
+
+    def matching_limit(self, x: str) -> tuple[BaseObject, dict[str, BaseMorphism]]:
+        """The limit of the diagram restricted to the strict downset of x.
+
+        The restriction of a functor is a functor, so the sub-diagram is
+        built without Diagram.make's checks.
+        """
+        strict = self.shape.strict_downset(x)
+        limit = self._limits.get(strict)
+        if limit is None:
+            members = set(strict)
+            below = Diagram(
+                self.shape.restrict(strict),
+                {s: self.objects[s] for s in strict},
+                {p: a for p, a in self.arrows.items() if p[0] in members and p[1] in members},
+            )
+            limit = self._limits[strict] = limit_over_poset(below)
+        return limit
 
 
 def matching_object(
-    shape: FinPoset,
-    objects: dict[str, BaseObject],
-    arrows: dict[tuple[str, str], BaseMorphism],
-    target: Diagram,
+    source: PartialDiagram,
+    target: PartialDiagram,
     components: dict[str, BaseMorphism],
     x: str,
 ) -> tuple[tuple[BaseObject, dict[str, BaseMorphism]], BaseMorphism, BaseMorphism]:
     """The source matching limit at x and the cospan whose pullback is the
     matching object of a transformation into target.
 
-    The source is given as (shape, objects, arrows) built at least up to
-    below x, and components at least on the strict downset of x.  Returns
+    source needs to be built at least up to below x, target at least up to
+    x, and components at least on the strict downset of x.  Returns
     (source matching limit, the map of matching limits induced by the
     components, the target fiber's map into the target matching limit).
     Each caller takes the pullback with its own leg order, since carrier
     ids follow that order.
     """
-    src_limit = matching_limit(shape, objects, arrows, x)
-    tgt_limit = matching_limit(target.shape, target.objects, target.arrows, x)
+    src_limit = source.matching_limit(x)
+    tgt_limit = target.matching_limit(x)
     limit_of_components = limit_map(src_limit, tgt_limit, components)
-    fiber_legs = {s: target.arrow(x, s) for s in target.shape.strict_downset(x)}
-    return src_limit, limit_of_components, cone_into_limit(target.at(x), fiber_legs, tgt_limit)
+    fiber_legs = {s: target.arrows[(x, s)] for s in target.shape.strict_downset(x)}
+    return src_limit, limit_of_components, cone_into_limit(target.objects[x], fiber_legs, tgt_limit)
 
 
 def is_levelwise(nt: NatTrans, cls: str) -> bool:
@@ -248,20 +271,23 @@ def is_levelwise(nt: NatTrans, cls: str) -> bool:
     return all(pred(nt.at(x)) for x in nt.shape.elements)
 
 
-def matching_data(nt: NatTrans, x: str):
+def matching_data(
+    nt: NatTrans, x: str, source: PartialDiagram | None = None, target: PartialDiagram | None = None
+):
     """The matching pullback at x and the relative map into it.
 
-    Returns (source matching limit, pullback as (carrier, projection to
-    target fiber, projection to the source matching limit), relative map
-    source.at(x) -> pullback).
+    source and target, when given, are PartialDiagram.of(nt.source) and
+    PartialDiagram.of(nt.target) kept across the elements of one check, so
+    their matching limits are computed once.  Returns (source matching
+    limit, pullback as (carrier, projection to target fiber, projection to
+    the source matching limit), relative map source.at(x) -> pullback).
     """
-    source = nt.source
-    src_limit, limit_of_components, fiber_to_limit = matching_object(
-        nt.shape, source.objects, source.arrows, nt.target, nt.components, x
-    )
+    source = PartialDiagram.of(nt.source) if source is None else source
+    target = PartialDiagram.of(nt.target) if target is None else target
+    src_limit, limit_of_components, fiber_to_limit = matching_object(source, target, nt.components, x)
     pb = pullback(fiber_to_limit, limit_of_components)
-    legs = {s: source.arrow(x, s) for s in nt.shape.strict_downset(x)}
-    relative = induced_into_pullback(pb, nt.at(x), cone_into_limit(source.at(x), legs, src_limit))
+    legs = {s: nt.source.arrow(x, s) for s in nt.shape.strict_downset(x)}
+    relative = induced_into_pullback(pb, nt.at(x), cone_into_limit(nt.source.at(x), legs, src_limit))
     return src_limit, pb, relative
 
 
@@ -271,6 +297,15 @@ def relative_matching_map(nt: NatTrans, x: str) -> BaseMorphism:
 
 
 def is_special(nt: NatTrans, cls: str = "M") -> bool:
-    """True iff the relative matching map lies in the class at every element."""
+    """True iff the relative matching map lies in the class at every element.
+
+    A family whose squares do not commute, which only a structure built
+    without NatTrans.make can be, has no relative matching maps and is not
+    special.
+    """
     pred = {"N": is_in_n, "M": is_in_m}[cls]
-    return all(pred(relative_matching_map(nt, x)) for x in nt.shape.elements)
+    source, target = PartialDiagram.of(nt.source), PartialDiagram.of(nt.target)
+    try:
+        return all(pred(matching_data(nt, x, source, target)[2]) for x in nt.shape.elements)
+    except (BaseError, DiagramError):
+        return False

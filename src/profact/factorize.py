@@ -22,7 +22,15 @@ from .base import (
     induced_into_pullback,
     pullback,
 )
-from .diagrams import Diagram, NatTrans, cone_into_limit, is_levelwise, is_special, matching_object
+from .diagrams import (
+    Diagram,
+    NatTrans,
+    PartialDiagram,
+    cone_into_limit,
+    is_levelwise,
+    is_special,
+    matching_object,
+)
 from .poset import FinPoset, Reysha
 
 
@@ -64,19 +72,18 @@ class ReedyFactorization:
 
 def _step(
     f: NatTrans,
-    mid_objects: dict[str, BaseObject],
-    mid_arrows: dict[tuple[str, str], BaseMorphism],
+    target: PartialDiagram,
+    mid: PartialDiagram,
     left: dict[str, BaseMorphism],
     right: dict[str, BaseMorphism],
     details: dict[str, StepData],
     x: str,
 ) -> None:
     """Extend a partial factorization to one more element whose strict
-    downset is already covered."""
+    downset is already covered; target is f.target and mid the middle
+    diagram built so far, each with its memo of matching limits."""
     strict = f.shape.strict_downset(x)
-    lim_mid, mid_to_tgt, fiber_to_tgt = matching_object(
-        f.shape, mid_objects, mid_arrows, f.target, right, x
-    )
+    lim_mid, mid_to_tgt, fiber_to_tgt = matching_object(mid, target, right, x)
     # the limit leg goes first: the middle fibers' carrier ids follow it
     pb = pullback(mid_to_tgt, fiber_to_tgt)
     carrier, proj_lim, proj_fiber = pb
@@ -87,13 +94,33 @@ def _step(
     triple = factorize_base(u)
     lim_proj = lim_mid[1]
     to_lower = {s: compose(lim_proj[s], proj_lim) for s in strict}
-    mid_objects[x] = triple.mid
+    mid.objects[x] = triple.mid
     left[x] = triple.left
     right[x] = compose(proj_fiber, triple.right)
-    mid_arrows[(x, x)] = identity(triple.mid)
+    mid.arrows[(x, x)] = identity(triple.mid)
     for s in strict:
-        mid_arrows[(x, s)] = compose(to_lower[s], triple.right)
+        mid.arrows[(x, s)] = compose(to_lower[s], triple.right)
     details[x] = StepData(carrier, proj_fiber, to_lower, u, triple.right)
+
+
+def _construct(f: NatTrans, partial: ReedyFactorization | None, elements: tuple[str, ...]):
+    """Run _step over elements, starting from a partial factorization or
+    from nothing.  The matching-limit memos are local to this call, so they
+    are gone before the result is assembled and verified."""
+    if partial is None:
+        mid = PartialDiagram(f.shape)
+        left: dict[str, BaseMorphism] = {}
+        right: dict[str, BaseMorphism] = {}
+        details: dict[str, StepData] = {}
+    else:
+        mid = PartialDiagram(f.shape, dict(partial.mid.objects), dict(partial.mid.arrows))
+        left = dict(partial.left.components)
+        right = dict(partial.right.components)
+        details = dict(partial.details)
+    target = PartialDiagram.of(f.target)
+    for x in elements:
+        _step(f, target, mid, left, right, details, x)
+    return mid.objects, mid.arrows, left, right, details
 
 
 def _assemble(f: NatTrans, shape: FinPoset, mid_objects, mid_arrows, left, right, details) -> ReedyFactorization:
@@ -108,14 +135,7 @@ def _assemble(f: NatTrans, shape: FinPoset, mid_objects, mid_arrows, left, right
 def reedy(f: NatTrans) -> ReedyFactorization:
     """Factor f into a levelwise-injective map followed by a special
     surjective map, processing elements in (degree, canonical) order."""
-    mid_objects: dict[str, BaseObject] = {}
-    mid_arrows: dict[tuple[str, str], BaseMorphism] = {}
-    left: dict[str, BaseMorphism] = {}
-    right: dict[str, BaseMorphism] = {}
-    details: dict[str, StepData] = {}
-    for x in f.shape.in_degree_order():
-        _step(f, mid_objects, mid_arrows, left, right, details, x)
-    return _assemble(f, f.shape, mid_objects, mid_arrows, left, right, details)
+    return _assemble(f, f.shape, *_construct(f, None, f.shape.in_degree_order()))
 
 
 def extend_step(f: NatTrans, partial: ReedyFactorization, x: str) -> ReedyFactorization:
@@ -129,16 +149,11 @@ def extend_step(f: NatTrans, partial: ReedyFactorization, x: str) -> ReedyFactor
             f"partial factorization covers {partial.input.shape.elements}, "
             f"expected the strict downset {strict} of {x!r}"
         )
-    mid_objects = dict(partial.mid.objects)
-    mid_arrows = dict(partial.mid.arrows)
-    left = dict(partial.left.components)
-    right = dict(partial.right.components)
-    details = dict(partial.details)
-    _step(f, mid_objects, mid_arrows, left, right, details, x)
+    built = _construct(f, partial, (x,))
     members = strict + (x,)
     sub = f.shape.restrict(members)
     f_sub = f.restrict(Reysha(f.shape, members))
-    return _assemble(f_sub, sub, mid_objects, mid_arrows, left, right, details)
+    return _assemble(f_sub, sub, *built)
 
 
 def check_pre_morphism(

@@ -16,7 +16,7 @@ from .base import (
     is_in_n,
     lift_base,
 )
-from .diagrams import NatTrans, cone_into_limit, is_levelwise, is_special, matching_data
+from .diagrams import NatTrans, PartialDiagram, cone_into_limit, is_levelwise, is_special, matching_data
 
 
 class LiftingError(ValueError):
@@ -92,9 +92,13 @@ def has_lift_bruteforce(
     bottom: BaseMorphism,
     cap: int = SEARCH_CAP,
 ) -> tuple[bool, BaseMorphism | None]:
-    """Decide a single lifting square by enumerating all maps B -> X.
+    """Decide a single lifting square by enumerating maps B -> X.
 
-    Raises SearchExhausted when |X| ** |B| exceeds the cap.
+    A lift sends each b into the preimage f^-1(bottom(b)), so only the
+    product of those preimages is walked.  Each preimage keeps X's carrier
+    order, so the walk is a subsequence of the order of all maps B -> X and
+    the first lift found is the same.  Raises SearchExhausted when
+    |X| ** |B| exceeds the cap.
     """
     if compose(f, top) != compose(bottom, g):
         raise LiftingError("lifting square does not commute")
@@ -104,7 +108,8 @@ def has_lift_bruteforce(
         raise SearchExhausted(
             f"search exhausted: {len(codomain)} ** {len(domain)} candidates exceed cap {cap}"
         )
-    for values in itertools.product(codomain, repeat=len(domain)):
+    preimages = [[x for x in codomain if f(x) == bottom(b)] for b in domain]
+    for values in itertools.product(*preimages):
         cand = BaseMorphism(g.target, f.source, dict(zip(domain, values)))
         if compose(cand, g) == top and compose(f, cand) == bottom:
             return True, cand
@@ -125,9 +130,10 @@ def lift_against_special(problem: LiftingProblem) -> ConeLift:
         raise LiftingError("right transformation is not special surjective")
     f = problem.right
     shape = f.shape
+    source, target = PartialDiagram.of(f.source), PartialDiagram.of(f.target)
     lifts: dict[str, BaseMorphism] = {}
     for t in shape.in_degree_order():
-        src_limit, pb, relative = matching_data(f, t)
+        src_limit, pb, relative = matching_data(f, t, source, target)
         lift_legs = {s: lifts[s] for s in shape.strict_downset(t)}
         into_limit = cone_into_limit(problem.left.target, lift_legs, src_limit)
         into_pb = induced_into_pullback(pb, problem.bottom[t], into_limit)

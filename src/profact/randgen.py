@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .base import BaseMorphism, BaseObject, compose, identity, pullback
-from .diagrams import Diagram, NatTrans, limit_over_poset, matching_limit, matching_object
+from .diagrams import Diagram, NatTrans, PartialDiagram, limit_over_poset, matching_object
 from .factorize import ArrowPreMorphism
 from .poset import FinPoset
 from .procalc import PreMorphism, ProObject, RawMorphism
@@ -78,10 +78,10 @@ def random_diagram(
 ) -> Diagram:
     """Random functor: each fiber maps randomly into the limit of the part
     already built below it."""
-    objects: dict[str, BaseObject] = {}
-    arrows: dict[tuple[str, str], BaseMorphism] = {}
+    built = PartialDiagram(shape)
+    objects, arrows = built.objects, built.arrows
     for x in shape.in_degree_order():
-        lim_obj, lim_proj = matching_limit(shape, objects, arrows, x)
+        lim_obj, lim_proj = built.matching_limit(x)
         size = rng.randint(1, max_fiber) if lim_obj.carrier else 0
         fiber = BaseObject(tuple(f"{prefix}{x}_{i}" for i in range(size)))
         objects[x] = fiber
@@ -99,11 +99,11 @@ def random_nattrans(rng: random.Random, shape: FinPoset, max_fiber: int) -> NatT
         target = random_diagram(rng, shape, max_fiber, prefix="y")
         if _estimated_cost_ok(shape, {x: len(target.at(x)) for x in shape.elements}):
             break
-    objects: dict[str, BaseObject] = {}
-    arrows: dict[tuple[str, str], BaseMorphism] = {}
+    built, target_limits = PartialDiagram(shape), PartialDiagram.of(target)
+    objects, arrows = built.objects, built.arrows
     components: dict[str, BaseMorphism] = {}
     for x in shape.in_degree_order():
-        src_limit, comp_map, fiber_map = matching_object(shape, objects, arrows, target, components, x)
+        src_limit, comp_map, fiber_map = matching_object(built, target_limits, components, x)
         # the fiber leg goes first: the draws below index the pullback's carrier
         carrier, proj_fiber, proj_limit = pullback(fiber_map, comp_map)
         size = rng.randint(1, max_fiber) if carrier.carrier else 0
@@ -139,11 +139,11 @@ def junk_extend(
     fiber is the source fiber plus freshly chosen junk mapped into the
     limit of the part below."""
     shape = source.shape
-    objects: dict[str, BaseObject] = {}
-    arrows: dict[tuple[str, str], BaseMorphism] = {}
+    built = PartialDiagram(shape)
+    objects, arrows = built.objects, built.arrows
     components: dict[str, BaseMorphism] = {}
     for b in shape.in_degree_order():
-        lim_obj, lim_proj = matching_limit(shape, objects, arrows, b)
+        lim_obj, lim_proj = built.matching_limit(b)
         junk_size = rng.randint(0, max_junk) if lim_obj.carrier else 0
         originals = tuple("o:" + x for x in source.at(b).carrier)
         junk = tuple(f"{prefix}:{i}" for i in range(junk_size))

@@ -118,8 +118,11 @@ def diagram_from_json(data: Any, path: str = "$") -> Diagram:
         x: object_from_json(_require(raw_objects, x, path + ".objects"), f"{path}.objects.{x}")
         for x in shape.elements
     }
+    raw_arrows = data.get("arrows", [])
+    if not isinstance(raw_arrows, list):
+        raise ParseError("expected a list of arrows", path + ".arrows")
     arrows: dict[tuple[str, str], BaseMorphism] = {}
-    for i, entry in enumerate(data.get("arrows", [])):
+    for i, entry in enumerate(raw_arrows):
         apath = f"{path}.arrows[{i}]"
         x, y = _require(entry, "from", apath), _require(entry, "to", apath)
         if not (_is_element(shape, x) and _is_element(shape, y) and shape.lt(y, x)):
@@ -244,6 +247,8 @@ def cone_lift_to_json(cone: ConeLift, verification: dict[str, bool]) -> dict:
 def pro_object_from_json(data: Any, path: str = "$") -> ProObject:
     diagram = diagram_from_json(_require(data, "diagram", path), path + ".diagram")
     cap = data.get("height_cap", diagram.shape.max_degree() + 1)
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise ParseError("expected an integer height cap", path + ".height_cap")
     try:
         return ProObject(diagram.shape, diagram, cap)
     except ValueError as exc:
@@ -263,7 +268,7 @@ def pre_morphism_from_json(data: Any, F: ProObject, G: ProObject, path: str = "$
 
 
 def pre_morphism_to_json(pm: PreMorphism) -> dict:
-    return {"alpha": dict(pm.alpha), "phi": {b: morphism_to_json(m) for b, m in pm.phi.items()}}
+    return {"alpha": dict(pm.alpha), "phi": {b: dict(m.mapping) for b, m in pm.phi.items()}}
 
 
 def tower_to_json(tower: CofinalTower, reports: list[OverCategoryReport], directed: bool) -> dict:

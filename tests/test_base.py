@@ -29,6 +29,8 @@ def test_morphism_totality_enforced():
         BaseMorphism(ab, ab, {"a": "a"})
     with pytest.raises(BaseError):
         BaseMorphism(ab, ab, {"a": "a", "b": "z"})
+    with pytest.raises(BaseError):
+        BaseMorphism(ab, ab, {"a": "a", "b": "b", "c": "a"})
 
 
 def test_classes():

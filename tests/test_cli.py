@@ -112,6 +112,19 @@ def test_merge_same_premorphism(runner):
     assert payload["report"] == {"dominates_first": True, "dominates_second": True}
 
 
+def test_merge_result_reads_back_as_a_pre_morphism(runner, tmp_path):
+    towers = ["-F", fixture("merge_tower_F.json"), "-G", fixture("merge_tower_G.json")]
+    merged = runner.invoke(
+        main, ["merge", *towers, "-p", fixture("merge_p.json"), "-q", fixture("merge_p.json")]
+    )
+    assert merged.exit_code == 0
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(json.loads(merged.output)["result"]))
+    checked = runner.invoke(main, ["check", "pm-valid", str(result), *towers])
+    assert checked.exit_code == 0
+    assert json.loads(checked.output)["valid"] is True
+
+
 def test_merge_different_components_fails(runner):
     result = runner.invoke(
         main,

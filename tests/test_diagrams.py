@@ -8,6 +8,7 @@ from profact.diagrams import (
     Diagram,
     DiagramError,
     NatTrans,
+    PartialDiagram,
     is_levelwise,
     is_special,
     limit_map,
@@ -165,3 +166,22 @@ def test_matching_data_over_random_transformations():
             assert relative.source == nt.source.at(x)
             for e in nt.source.at(x).carrier:
                 assert proj_fiber(relative(e)) == nt.at(x)(e)
+
+
+def test_elements_with_one_strict_downset_share_one_matching_limit(monkeypatch):
+    from profact import diagrams
+
+    # x0 < t1 and x0 < t2: the two tops have the strict downset (x0,)
+    shape = FinPoset.make(("x0", "t1", "t2"), [("x0", "t1"), ("x0", "t2")])
+    diagram = random_diagram(random.Random(3), shape, 3)
+    calls = []
+    monkeypatch.setattr(diagrams, "limit_over_poset", lambda d: calls.append(d) or limit_over_poset(d))
+    limits = PartialDiagram.of(diagram)
+    first = limits.matching_limit("t1")
+    assert limits.matching_limit("t2") is first
+    assert len(calls) == 1
+    below = diagram.restrict(Reysha(shape, ("x0",)))
+    assert first == limit_over_poset(below)
+    # a fresh owner computes its own
+    assert PartialDiagram.of(diagram).matching_limit("t2") is not first
+    assert len(calls) == 2

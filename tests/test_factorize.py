@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from profact.base import BaseObject, compose, factorize_base, identity, morphism
+from profact.base import TARGET_TAG, BaseMorphism, BaseObject, compose, factorize_base, identity, morphism
 from profact.diagrams import Diagram, NatTrans, is_levelwise, is_special
 from profact.factorize import (
     ArrowPreMorphism,
     ChiMap,
     FactorizeError,
+    ReedyFactorization,
     chi_construct,
     extend_step,
     functorial_factorization_pro,
@@ -257,3 +258,87 @@ def test_functorial_factorization_with_morphism():
     )
     rf_f, rf_t, chim = functorial_factorization_pro(f, f, pm)
     assert all(chim.verify(pm, rf_f, rf_t).values())
+
+
+def _reassigned(m, x, value):
+    """m with x sent to value instead, through the checked constructor."""
+    return BaseMorphism(m.source, m.target, {**m.mapping, x: value})
+
+
+def _corruptions(seed, find):
+    """Factorizations of random inputs and a corruption find() locates in
+    each, until 20 have one."""
+    rng = random.Random(seed)
+    found = 0
+    while found < 20:
+        f = random_nattrans(rng, random_poset(rng, 4), 3)
+        rf = reedy(f)
+        where = find(f, rf)
+        if where is not None:
+            found += 1
+            yield f, rf, where
+
+
+def _breaks_right(f, rf):
+    # a middle element outside the left map's image, sent to another value
+    # that some arrow of the target tells apart, so composites still agree
+    for x in f.shape.elements:
+        right = rf.right.at(x)
+        for s in f.shape.strict_downset(x):
+            arrow = f.target.arrow(x, s)
+            for e in rf.mid.at(x).carrier:
+                if not e.startswith(TARGET_TAG):
+                    continue
+                for y in f.target.at(x).carrier:
+                    if arrow(y) != arrow(right(e)):
+                        return x, e, y
+    return None
+
+
+def _breaks_mid(f, rf):
+    # one value of a middle arrow moved to an element the right map tells apart
+    for x in f.shape.elements:
+        for s in f.shape.strict_downset(x):
+            arrow, right = rf.mid.arrow(x, s), rf.right.at(s)
+            for e in rf.mid.at(x).carrier:
+                for v in rf.mid.at(s).carrier:
+                    if right(v) != right(arrow(e)):
+                        return x, s, e, v
+    return None
+
+
+def test_verify_rejects_a_corrupted_right_component():
+    for f, rf, (x, e, y) in _corruptions(41, _breaks_right):
+        corrupted = dict(rf.right.components)
+        corrupted[x] = _reassigned(rf.right.at(x), e, y)
+        right = NatTrans(rf.mid, f.target, corrupted)
+        # the constructor's StepData rides along; verify must not read it
+        report = ReedyFactorization(f, rf.mid, rf.left, right, rf.details).verify()
+        assert report["composite_equals_input"] and report["left_levelwise_injective"]
+        assert not report["right_special_surjective"]
+
+
+def test_verify_rejects_a_corrupted_mid_arrow():
+    for f, rf, (x, s, e, v) in _corruptions(43, _breaks_mid):
+        arrows = dict(rf.mid.arrows)
+        arrows[(x, s)] = _reassigned(rf.mid.arrow(x, s), e, v)
+        mid = Diagram(f.shape, rf.mid.objects, arrows)
+        left = NatTrans(f.source, mid, rf.left.components)
+        right = NatTrans(mid, f.target, rf.right.components)
+        report = ReedyFactorization(f, mid, left, right, rf.details).verify()
+        assert not all(report.values())
+
+
+def test_constructed_maps_pass_the_public_checks():
+    # compose, pullback and the limit maps build their results unchecked;
+    # every map they put into a factorization must pass the checked
+    # constructor all the same
+    rng = random.Random(47)
+    for _ in range(30):
+        f = random_nattrans(rng, random_poset(rng, 5), 3)
+        rf = reedy(f)
+        maps = [*rf.mid.arrows.values(), *rf.left.components.values(), *rf.right.components.values()]
+        for step in rf.details.values():
+            maps += [step.to_fiber, step.into_pullback, step.right, *step.to_lower.values()]
+        for m in maps:
+            assert BaseMorphism(m.source, m.target, dict(m.mapping)) == m

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -70,6 +71,59 @@ def test_bruteforce_cap():
     f = morphism(big, one, {c: "y" for c in big.carrier})
     with pytest.raises(SearchExhausted):
         has_lift_bruteforce(g, f, morphism(g.source, big, {}), morphism(b, one, {c: "y" for c in b.carrier}), cap=10**6)
+
+
+def _first_lift_over_all_maps(g, f, top, bottom):
+    """The first lift among all maps B -> X in product order, or None."""
+    domain = g.target.carrier
+    for values in itertools.product(f.source.carrier, repeat=len(domain)):
+        lift = dict(zip(domain, values))
+        if all(lift[g(a)] == top(a) for a in g.source.carrier) and all(
+            f(lift[b]) == bottom(b) for b in domain
+        ):
+            return lift
+    return None
+
+
+def _random_square(rng):
+    """A commuting square g: A -> B, f: X -> Y of small random maps, or
+    None when no top map A -> X makes the drawn maps commute."""
+
+    def carrier(name, size):
+        return BaseObject(tuple(f"{name}{i}" for i in range(size)))
+
+    def drawn(source, target):
+        return morphism(source, target, {e: rng.choice(target.carrier) for e in source.carrier})
+
+    b, x, y = carrier("b", rng.randint(0, 3)), carrier("x", rng.randint(1, 4)), carrier("y", rng.randint(1, 3))
+    a = carrier("a", rng.randint(0, min(2, len(b))))
+    g, f, bottom = drawn(a, b), drawn(x, y), drawn(b, y)
+    top = {}
+    for e in a.carrier:
+        over = [c for c in x.carrier if f(c) == bottom(g(e))]
+        if not over:
+            return None
+        top[e] = rng.choice(over)
+    return g, f, morphism(a, x, top), bottom
+
+
+def test_bruteforce_witness_is_the_first_over_all_maps():
+    # the oracle walks only the preimages f^-1(bottom(b)); its answer must
+    # be the first lift of the walk over every map B -> X
+    rng = random.Random(29)
+    checked = solvable = 0
+    while checked < 300:
+        square = _random_square(rng)
+        if square is None:
+            continue
+        checked += 1
+        expected = _first_lift_over_all_maps(*square)
+        found, witness = has_lift_bruteforce(*square)
+        assert found == (expected is not None)
+        if found:
+            solvable += 1
+            assert witness.mapping == expected
+    assert 0 < solvable < checked
 
 
 def single_point_problem():

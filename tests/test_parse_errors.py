@@ -47,12 +47,17 @@ def _component_value_list(doc):
     doc["components"]["t"]["a"] = ["z"]
 
 
+def _arrows_not_a_list(doc):
+    doc["source"]["arrows"] = 5
+
+
 @pytest.mark.parametrize(
     "corrupt, path",
     [
         (_arrow_from_list, ".source.arrows[0]"),
         (_carrier_element_list, ".source.objects.t"),
         (_component_value_list, ".components.t"),
+        (_arrows_not_a_list, ".source.arrows"),
     ],
 )
 def test_malformed_reedy_input_is_parse_error(tmp_path, corrupt, path):
@@ -71,6 +76,17 @@ def test_chi_index_outside_source_poset_is_parse_error(tmp_path):
     result = run(["chi", "-f", fixture("chi_f.json"), "-t", fixture("chi_t.json"), "-p", bad])
     assert result.exit_code == 3
     assert f"{bad}.alpha: unknown index 'zz'" in result.output
+
+
+@pytest.mark.parametrize("cap", ["x", 1.5, True, None, [1]])
+def test_non_integer_height_cap_is_parse_error(tmp_path, cap):
+    tower = load("merge_tower_F.json")
+    tower["height_cap"] = cap
+    bad = _write(tmp_path, "F.json", tower)
+    pm = fixture("merge_p.json")
+    result = run(["merge", "-F", bad, "-G", fixture("merge_tower_G.json"), "-p", pm, "-q", pm])
+    assert result.exit_code == 3
+    assert f"{bad}.height_cap: expected an integer height cap" in result.output
 
 
 def _id_positions(node, trail=()):

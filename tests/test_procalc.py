@@ -27,6 +27,7 @@ from profact.randgen import (
     random_raw_morphism,
     refine_pre_morphism,
 )
+from profact.serialize import pre_morphism_from_json, pre_morphism_to_json
 
 
 def chain_tower():
@@ -263,3 +264,11 @@ def test_connected_component_check():
     p2 = PreMorphism({"b": "2"}, {"b": morphism(F.at("2"), two, {"u": "z1", "v": "z2"})})
     q2 = PreMorphism({"b": "2"}, {"b": morphism(F.at("2"), two, {"u": "z2", "v": "z1"})})
     assert not connected_component_directed_check(F, G2, [p2, q2])
+
+
+def test_pre_morphism_json_round_trip():
+    rng = random.Random(61)
+    for _ in range(40):
+        F = random_pro_object(rng, 4, 3)
+        G, pm = random_pre_morphism(rng, F)
+        assert pre_morphism_from_json(pre_morphism_to_json(pm), F, G) == pm
