@@ -3,7 +3,9 @@ command-line calls.
 
 The stored outputs in tests/golden/ were produced before the matching-object
 routine replaced its six hand-written copies; every refactor must keep them
-byte for byte.  The suite call pins the random generators' draws, since
+byte for byte.  merge_p_p.stdout was regenerated on purpose when `merge`
+began writing its result's `phi` entries as plain assignments, the shape
+`check pm-valid` reads.  The suite call pins the random generators' draws, since
 any change in what they draw changes its report.
 """
 
