@@ -14,7 +14,7 @@ class BaseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseObject:
     """A finite set with a canonical carrier order."""
 
@@ -37,7 +37,7 @@ class BaseObject:
 TERMINAL = BaseObject(("*",))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseMorphism:
     source: BaseObject
     target: BaseObject
