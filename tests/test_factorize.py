@@ -326,7 +326,8 @@ def test_verify_rejects_a_corrupted_mid_arrow():
         left = NatTrans(f.source, mid, rf.left.components)
         right = NatTrans(mid, f.target, rf.right.components)
         report = ReedyFactorization(f, mid, left, right, rf.details).verify()
-        assert not all(report.values())
+        assert report["composite_equals_input"] and report["left_levelwise_injective"]
+        assert not report["right_special_surjective"]
 
 
 def test_constructed_maps_pass_the_public_checks():
