@@ -1,87 +1,4 @@
 """Computable Reedy factorizations over finite posets, with the lifting,
 pre-morphism and cofinal-tower calculus around them."""
 
-from .base import (
-    BaseError,
-    BaseMorphism,
-    BaseObject,
-    FactorizationTriple,
-    compose,
-    factorize_base,
-    factorize_mid_map,
-    identity,
-    is_in_m,
-    is_in_n,
-    lift_base,
-    morphism,
-    pullback,
-)
-from .category import (
-    CategoryError,
-    DirectednessWitness,
-    FinCategory,
-    cone_extend,
-    is_directed_category,
-    parallel_pair_category,
-    poset_as_category,
-)
-from .cofinalize import (
-    BudgetExceeded,
-    CofinalTower,
-    CofinalizeError,
-    OverCategoryReport,
-    build_tower,
-    check_cofinality,
-    check_tower_directedness,
-)
-from .diagrams import (
-    Diagram,
-    DiagramError,
-    NatTrans,
-    is_levelwise,
-    is_special,
-    limit_over_poset,
-    relative_matching_map,
-)
-from .factorize import (
-    ArrowPreMorphism,
-    ChiMap,
-    FactorizeError,
-    ReedyFactorization,
-    chi_construct,
-    extend_step,
-    functorial_factorization_pro,
-    reedy,
-)
-from .lifting import (
-    ConeLift,
-    LiftingError,
-    LiftingProblem,
-    RetractDiagram,
-    SearchExhausted,
-    has_lift_bruteforce,
-    lift_against_special,
-    retract_exhibitor,
-    solve_square_levelwise,
-)
-from .poset import FinPoset, PosetError, Reysha, is_directed_poset, is_reysha, principal_downset
-from .procalc import (
-    PreMorphism,
-    ProCalcError,
-    ProObject,
-    RawMorphism,
-    TruncationExhausted,
-    connected_component_directed_check,
-    dominate,
-    eq_in_colim,
-    is_pre_morphism,
-    is_raw_morphism,
-    pm_compose,
-    pm_identity,
-    pm_leq,
-    straighten,
-)
-from .report import property_suite
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -59,13 +59,15 @@ class FinCategory:
                 raise CategoryError(f"morphism {m!r} has unknown source or target")
         for x in self.objects:
             i = self.identities.get(x)
-            if i is None or self.src[i] != x or self.tgt[i] != x:
+            if i not in self._index or self.src[i] != x or self.tgt[i] != x:
                 raise CategoryError(f"missing or ill-typed identity on {x!r}")
         for g, f in itertools.product(self.morphisms, repeat=2):
             if self.tgt[f] == self.src[g]:
                 h = self.compose_table.get((g, f))
                 if h is None:
                     raise CategoryError(f"composition table missing entry for ({g!r}, {f!r})")
+                if h not in self._index:
+                    raise CategoryError(f"composite {h!r} of ({g!r}, {f!r}) is not a morphism")
                 if self.src[h] != self.src[f] or self.tgt[h] != self.tgt[g]:
                     raise CategoryError(f"ill-typed composite {h!r} of ({g!r}, {f!r})")
             elif (g, f) in self.compose_table:

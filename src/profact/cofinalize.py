@@ -51,27 +51,18 @@ class CofinalTower:
     def top(self) -> FinPoset:
         return self.levels[-1]
 
-    def project_object(self, c: str) -> str:
-        return self.obj_map[c]
-
-    def project_morphism(self, c: str, c2: str) -> str:
-        return self.mor_map[(c, c2)]
-
     def verify(self) -> dict[str, bool]:
         top = self.top
         typed = all(
             self.source.src[self.mor_map[(c, c2)]] == self.obj_map[c]
             and self.source.tgt[self.mor_map[(c, c2)]] == self.obj_map[c2]
             for c in top.elements
-            for c2 in top.elements
-            if top.le(c2, c)
+            for c2 in top.downset(c)
         )
         functorial = all(
             self.source.compose(self.mor_map[(c2, c3)], self.mor_map[(c, c2)])
             == self.mor_map[(c, c3)]
-            for c in top.elements
-            for c2 in top.downset(c)
-            for c3 in top.downset(c2)
+            for c, c2, c3 in top.chains()
         )
         coherent = all(
             set(small.elements) <= set(big.elements)
@@ -109,8 +100,7 @@ def build_tower(
                     if not all(
                         I.compose(mor_map[(c, c2)], legs_by[c]) == legs_by[c2]
                         for c in members
-                        for c2 in members
-                        if prev.lt(c2, c)
+                        for c2 in prev.strict_downset(c)
                     ):
                         continue
                     name = f"c{n}_{counter}"
@@ -149,10 +139,6 @@ class OverCategoryReport:
     verdict: str  # "true" or "inconclusive"
     components: int
     zigzag: tuple[tuple[tuple[str, str], tuple[str, str]], ...]
-
-    @property
-    def connected(self) -> bool:
-        return self.verdict == "true"
 
 
 def _over_category(tower: CofinalTower, i: str):

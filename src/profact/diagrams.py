@@ -7,7 +7,6 @@ stored for all comparable pairs and functoriality is checked exhaustively.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .base import (
@@ -51,6 +50,8 @@ class Diagram:
         return diagram
 
     def _validate(self) -> None:
+        # every pair, not only the comparable ones: an arrow on a
+        # non-comparable pair is a fault too
         for x in self.shape.elements:
             for y in self.shape.elements:
                 if self.shape.le(y, x):
@@ -61,10 +62,9 @@ class Diagram:
                         raise DiagramError(f"ill-typed arrow for pair {x!r} >= {y!r}")
                 elif (x, y) in self.arrows:
                     raise DiagramError(f"arrow present for non-comparable pair ({x!r}, {y!r})")
-        for x, y, z in itertools.product(self.shape.elements, repeat=3):
-            if self.shape.le(z, y) and self.shape.le(y, x):
-                if compose(self.arrows[(y, z)], self.arrows[(x, y)]) != self.arrows[(x, z)]:
-                    raise DiagramError(f"functoriality fails along {x!r} >= {y!r} >= {z!r}")
+        for x, y, z in self.shape.chains():
+            if compose(self.arrows[(y, z)], self.arrows[(x, y)]) != self.arrows[(x, z)]:
+                raise DiagramError(f"functoriality fails along {x!r} >= {y!r} >= {z!r}")
 
     def at(self, x: str) -> BaseObject:
         return self.objects[x]
@@ -75,12 +75,22 @@ class Diagram:
     def restrict(self, reysha: Reysha) -> "Diagram":
         if reysha.parent != self.shape:
             raise DiagramError("Reysha belongs to a different poset")
-        members = set(reysha.members)
-        return Diagram.make(
-            self.shape.restrict(reysha.members),
-            {x: self.objects[x] for x in reysha.members},
-            {p: a for p, a in self.arrows.items() if p[0] in members and p[1] in members},
-        )
+        return _restriction(self, self.shape.restrict(reysha.members))
+
+
+def _restriction(diagram: Diagram | PartialDiagram, shape: FinPoset) -> Diagram:
+    """The part of a Diagram or PartialDiagram over shape, which is its own
+    shape restricted to a downward closed subset.
+
+    The restriction of a functor is a functor, so it is built without
+    Diagram.make's checks.
+    """
+    members = set(shape.elements)
+    return Diagram(
+        shape,
+        {x: diagram.objects[x] for x in shape.elements},
+        {p: a for p, a in diagram.arrows.items() if p[0] in members and p[1] in members},
+    )
 
 
 @dataclass(frozen=True)
@@ -102,13 +112,11 @@ class NatTrans:
             comp = self.components.get(x)
             if comp is None or comp.source != self.source.at(x) or comp.target != self.target.at(x):
                 raise DiagramError(f"missing or ill-typed component at {x!r}")
-        for x in self.source.shape.elements:
-            for y in self.source.shape.elements:
-                if self.source.shape.lt(y, x):
-                    left = compose(self.components[y], self.source.arrow(x, y))
-                    right = compose(self.target.arrow(x, y), self.components[x])
-                    if left != right:
-                        raise DiagramError(f"naturality fails on {x!r} >= {y!r}")
+        for x, y in self.source.shape.strict_pairs():
+            left = compose(self.components[y], self.source.arrow(x, y))
+            right = compose(self.target.arrow(x, y), self.components[x])
+            if left != right:
+                raise DiagramError(f"naturality fails on {x!r} >= {y!r}")
 
     def at(self, x: str) -> BaseMorphism:
         return self.components[x]
@@ -118,9 +126,12 @@ class NatTrans:
         return self.source.shape
 
     def restrict(self, reysha: Reysha) -> "NatTrans":
-        return NatTrans.make(
-            self.source.restrict(reysha),
-            self.target.restrict(reysha),
+        """The restriction of a natural transformation is natural, so it is
+        built without NatTrans.make's checks."""
+        source = self.source.restrict(reysha)
+        return NatTrans(
+            source,
+            _restriction(self.target, source.shape),
             {x: self.components[x] for x in reysha.members},
         )
 
@@ -146,7 +157,7 @@ def limit_over_poset(diagram: Diagram) -> tuple[BaseObject, dict[str, BaseMorphi
     families: list[dict[str, str]] = [{}]
     fixed: set[str] = set()
     for m in maximal:
-        below = [(y, diagram.arrow(m, y).mapping) for y in shape.elements if shape.le(y, m)]
+        below = [(y, diagram.arrow(m, y).mapping) for y in shape.downset(m)]
         joined = [(y, mapping) for y, mapping in below if y in fixed]
         buckets: dict[tuple[str, ...], list[dict[str, str]]] = {}
         for v in diagram.at(m).carrier:
@@ -224,20 +235,11 @@ class PartialDiagram:
         return PartialDiagram(diagram.shape, diagram.objects, diagram.arrows)
 
     def matching_limit(self, x: str) -> tuple[BaseObject, dict[str, BaseMorphism]]:
-        """The limit of the diagram restricted to the strict downset of x.
-
-        The restriction of a functor is a functor, so the sub-diagram is
-        built without Diagram.make's checks.
-        """
+        """The limit of the diagram restricted to the strict downset of x."""
         strict = self.shape.strict_downset(x)
         limit = self._limits.get(strict)
         if limit is None:
-            members = set(strict)
-            below = Diagram(
-                self.shape.restrict(strict),
-                {s: self.objects[s] for s in strict},
-                {p: a for p, a in self.arrows.items() if p[0] in members and p[1] in members},
-            )
+            below = _restriction(self, self.shape.restrict(strict))
             limit = self._limits[strict] = limit_over_poset(below)
         return limit
 

@@ -31,7 +31,7 @@ from .diagrams import (
     is_special,
     matching_object,
 )
-from .poset import FinPoset, Reysha
+from .poset import Reysha
 
 
 class FactorizeError(ValueError):
@@ -123,8 +123,8 @@ def _construct(f: NatTrans, partial: ReedyFactorization | None, elements: tuple[
     return mid.objects, mid.arrows, left, right, details
 
 
-def _assemble(f: NatTrans, shape: FinPoset, mid_objects, mid_arrows, left, right, details) -> ReedyFactorization:
-    mid = Diagram.make(shape, dict(mid_objects), dict(mid_arrows))
+def _assemble(f: NatTrans, mid_objects, mid_arrows, left, right, details) -> ReedyFactorization:
+    mid = Diagram.make(f.shape, dict(mid_objects), dict(mid_arrows))
     left_nt = NatTrans.make(f.source, mid, dict(left))
     right_nt = NatTrans.make(mid, f.target, dict(right))
     rf = ReedyFactorization(f, mid, left_nt, right_nt, dict(details))
@@ -135,7 +135,7 @@ def _assemble(f: NatTrans, shape: FinPoset, mid_objects, mid_arrows, left, right
 def reedy(f: NatTrans) -> ReedyFactorization:
     """Factor f into a levelwise-injective map followed by a special
     surjective map, processing elements in (degree, canonical) order."""
-    return _assemble(f, f.shape, *_construct(f, None, f.shape.in_degree_order()))
+    return _assemble(f, *_construct(f, None, f.shape.in_degree_order()))
 
 
 def extend_step(f: NatTrans, partial: ReedyFactorization, x: str) -> ReedyFactorization:
@@ -150,10 +150,7 @@ def extend_step(f: NatTrans, partial: ReedyFactorization, x: str) -> ReedyFactor
             f"expected the strict downset {strict} of {x!r}"
         )
     built = _construct(f, partial, (x,))
-    members = strict + (x,)
-    sub = f.shape.restrict(members)
-    f_sub = f.restrict(Reysha(f.shape, members))
-    return _assemble(f_sub, sub, *built)
+    return _assemble(f.restrict(Reysha(f.shape, strict + (x,))), *built)
 
 
 def check_pre_morphism(
@@ -170,8 +167,7 @@ def check_pre_morphism(
     for b in b_shape.elements:
         if alpha.get(b) not in a_shape:
             raise FactorizeError(f"index map undefined or out of range at {b!r}")
-    below = [(b, b2) for b in b_shape.elements for b2 in b_shape.strict_downset(b)]
-    for b, b2 in below:
+    for b, b2 in b_shape.strict_pairs():
         if not a_shape.lt(alpha[b2], alpha[b]):
             raise FactorizeError(f"index map is not strictly increasing on {b2!r} < {b!r}")
     for b in b_shape.elements:
@@ -179,7 +175,7 @@ def check_pre_morphism(
             comp = components.get(b)
             if comp is None or comp.source != source.at(alpha[b]) or comp.target != target.at(b):
                 raise FactorizeError(f"ill-typed {name} component at {b!r}")
-    for b, b2 in below:
+    for b, b2 in b_shape.strict_pairs():
         for name, source, target, components in families:
             if compose(components[b2], source.arrow(alpha[b], alpha[b2])) != compose(
                 target.arrow(b, b2), components[b]
@@ -224,14 +220,11 @@ class ChiMap:
             compose(pm.psi[b], rf_f.right.at(self.alpha[b])) == compose(rf_t.right.at(b), self.chi[b])
             for b in self.chi
         )
-        natural = True
-        b_shape = rf_t.input.shape
-        for b in b_shape.elements:
-            for b2 in b_shape.elements:
-                if b_shape.lt(b2, b):
-                    lhs = compose(self.chi[b2], rf_f.mid.arrow(self.alpha[b], self.alpha[b2]))
-                    rhs = compose(rf_t.mid.arrow(b, b2), self.chi[b])
-                    natural = natural and lhs == rhs
+        natural = all(
+            compose(self.chi[b2], rf_f.mid.arrow(self.alpha[b], self.alpha[b2]))
+            == compose(rf_t.mid.arrow(b, b2), self.chi[b])
+            for b, b2 in rf_t.input.shape.strict_pairs()
+        )
         return {"left_rectangle": top, "right_rectangle": bottom, "natural": natural}
 
 

@@ -54,13 +54,11 @@ class LiftingProblem:
                 raise LiftingError(f"missing or ill-typed bottom cone component at {t!r}")
             if compose(self.right.at(t), top) != compose(bottom, self.left):
                 raise LiftingError(f"lifting square does not commute at {t!r}")
-        for t in shape.elements:
-            for s in shape.elements:
-                if shape.lt(s, t):
-                    if compose(self.right.source.arrow(t, s), self.top[t]) != self.top[s]:
-                        raise LiftingError(f"top cone incompatible on {t!r} >= {s!r}")
-                    if compose(self.right.target.arrow(t, s), self.bottom[t]) != self.bottom[s]:
-                        raise LiftingError(f"bottom cone incompatible on {t!r} >= {s!r}")
+        for t, s in shape.strict_pairs():
+            if compose(self.right.source.arrow(t, s), self.top[t]) != self.top[s]:
+                raise LiftingError(f"top cone incompatible on {t!r} >= {s!r}")
+            if compose(self.right.target.arrow(t, s), self.bottom[t]) != self.bottom[s]:
+                raise LiftingError(f"bottom cone incompatible on {t!r} >= {s!r}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,7 @@ class ConeLift:
         )
         compatible = all(
             compose(problem.right.source.arrow(t, s), self.components[t]) == self.components[s]
-            for t in shape.elements
-            for s in shape.elements
-            if shape.lt(s, t)
+            for t, s in shape.strict_pairs()
         )
         return {"upper_triangles": upper, "lower_triangles": lower, "cone_compatible": compatible}
 

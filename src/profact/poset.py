@@ -46,36 +46,40 @@ class FinPoset:
     le_pairs: frozenset[tuple[str, str]]
     _index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     _degree: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+    _down: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False, repr=False)
+    _strict: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def make(elements: Sequence[str], pairs: Iterable[tuple[str, str]] = ()) -> "FinPoset":
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise PosetError("duplicate element ids")
-        closed = _transitive_closure(elements, pairs)
+        return FinPoset._closed(elements, _transitive_closure(elements, pairs))
+
+    @staticmethod
+    def _closed(elements: tuple[str, ...], closed: Iterable[tuple[str, str]]) -> "FinPoset":
+        """The poset on distinct elements whose le relation closed is
+        already reflexive and transitive over them."""
+        closed = frozenset(closed)
+        index = {x: i for i, x in enumerate(elements)}
+        below: dict[str, list[str]] = {x: [] for x in elements}
         for x, y in closed:
             if x != y and (y, x) in closed:
                 raise PosetError(f"antisymmetry failure: cycle through {x!r} and {y!r}")
-        poset = FinPoset(elements, frozenset(closed))
-        object.__setattr__(poset, "_index", {x: i for i, x in enumerate(elements)})
-        object.__setattr__(poset, "_degree", poset._compute_degrees())
+            below[y].append(x)
+        down = {x: tuple(sorted(below[x], key=index.__getitem__)) for x in elements}
+        strict = {x: tuple(y for y in down[x] if y != x) for x in elements}
+        # Longest chain ending at x; y < x has the smaller downset, so it
+        # comes first in this order.
+        degree: dict[str, int] = {}
+        for x in sorted(elements, key=lambda x: len(down[x])):
+            degree[x] = 1 + max((degree[y] for y in strict[x]), default=-1)
+        poset = FinPoset(elements, closed)
+        object.__setattr__(poset, "_index", index)
+        object.__setattr__(poset, "_degree", degree)
+        object.__setattr__(poset, "_down", down)
+        object.__setattr__(poset, "_strict", strict)
         return poset
-
-    def _compute_degrees(self) -> dict[str, int]:
-        deg: dict[str, int] = {}
-        # Longest chain ending at x; computed in an order compatible with <.
-        remaining = list(self.elements)
-        while remaining:
-            progressed = False
-            for x in list(remaining):
-                preds = [y for y in self.elements if self.lt(y, x)]
-                if all(p in deg for p in preds):
-                    deg[x] = 1 + max((deg[p] for p in preds), default=-1)
-                    remaining.remove(x)
-                    progressed = True
-            if not progressed:  # pragma: no cover - closure already acyclic
-                raise PosetError("degree computation stalled")
-        return deg
 
     def __contains__(self, x: str) -> bool:
         return x in self._index
@@ -103,10 +107,24 @@ class FinPoset:
         return Reysha(self, tuple(x for x in self.elements if self._degree[x] <= n))
 
     def downset(self, x: str) -> tuple[str, ...]:
-        return tuple(y for y in self.elements if self.le(y, x))
+        return self._down.get(x, ())
 
     def strict_downset(self, x: str) -> tuple[str, ...]:
-        return tuple(y for y in self.elements if self.lt(y, x))
+        return self._strict.get(x, ())
+
+    def strict_pairs(self) -> Iterator[tuple[str, str]]:
+        """Every pair x > y: x in canonical order, then y in canonical order."""
+        for x in self.elements:
+            for y in self._strict[x]:
+                yield x, y
+
+    def chains(self) -> Iterator[tuple[str, str, str]]:
+        """Every chain x >= y >= z: x in canonical order, then y through
+        the downset of x, then z through the downset of y."""
+        for x in self.elements:
+            for y in self._down[x]:
+                for z in self._down[y]:
+                    yield x, y, z
 
     def upper_bounds(self, members: Iterable[str]) -> tuple[str, ...]:
         members = tuple(members)
@@ -116,7 +134,7 @@ class FinPoset:
         member_set = set(members)
         if not member_set <= set(self.elements):
             raise PosetError("subset mentions unknown elements")
-        return all(y in member_set for x in member_set for y in self.elements if self.lt(y, x))
+        return all(y in member_set for x in member_set for y in self._strict[x])
 
     def reyshas(self, max_size: int | None = None) -> Iterator["Reysha"]:
         """All downward closed subsets, in canonical subset order."""
@@ -130,8 +148,9 @@ class FinPoset:
     def restrict(self, members: Iterable[str]) -> "FinPoset":
         member_set = set(members)
         elems = tuple(x for x in self.elements if x in member_set)
+        # a restriction of a closed relation is closed
         pairs = [(x, y) for (x, y) in self.le_pairs if x in member_set and y in member_set]
-        return FinPoset.make(elems, pairs)
+        return FinPoset._closed(elems, pairs)
 
     def in_degree_order(self) -> tuple[str, ...]:
         """Elements sorted by (degree, canonical position)."""

@@ -118,14 +118,12 @@ def is_raw_morphism(F: ProObject, G: ProObject, raw: RawMorphism) -> bool:
         a, m = entry
         if a not in F.shape or m.source != F.at(a) or m.target != G.at(b):
             return False
-    for b in G.shape.elements:
-        for b2 in G.shape.elements:
-            if G.shape.lt(b2, b):
-                a, m = raw.rep[b]
-                a2, m2 = raw.rep[b2]
-                ok, _ = eq_in_colim(F.diagram, a, compose(G.arrow(b, b2), m), a2, m2)
-                if not ok:
-                    return False
+    for b, b2 in G.shape.strict_pairs():
+        a, m = raw.rep[b]
+        a2, m2 = raw.rep[b2]
+        ok, _ = eq_in_colim(F.diagram, a, compose(G.arrow(b, b2), m), a2, m2)
+        if not ok:
+            return False
     return True
 
 

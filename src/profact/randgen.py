@@ -123,12 +123,7 @@ def reindex(diagram: Diagram, alpha: dict[str, str], shape: FinPoset) -> Diagram
     return Diagram.make(
         shape,
         {b: diagram.at(alpha[b]) for b in shape.elements},
-        {
-            (b, b2): diagram.arrow(alpha[b], alpha[b2])
-            for b in shape.elements
-            for b2 in shape.elements
-            if shape.le(b2, b)
-        },
+        {(b, b2): diagram.arrow(alpha[b], alpha[b2]) for b, b2 in shape.strict_pairs()},
     )
 
 
@@ -199,16 +194,14 @@ def pushout_diagram(
         objects[b] = BaseObject(tuple(dict.fromkeys(classes[b][t] for t in tagged)))
     legs = (("l:", left), ("r:", right))
     arrows: dict[tuple[str, str], BaseMorphism] = {}
-    for b in shape.elements:
-        for b2 in shape.elements:
-            if shape.le(b2, b):
-                mapping: dict[str, str] = {}
-                for tag, leg in legs:
-                    for x in leg.at(b).carrier:
-                        value = classes[b2][tag + leg.arrow(b, b2)(x)]
-                        if mapping.setdefault(classes[b][tag + x], value) != value:
-                            raise ValueError("pushout arrow ill-defined")
-                arrows[(b, b2)] = BaseMorphism(objects[b], objects[b2], mapping)
+    for b, b2 in shape.strict_pairs():
+        mapping: dict[str, str] = {}
+        for tag, leg in legs:
+            for x in leg.at(b).carrier:
+                value = classes[b2][tag + leg.arrow(b, b2)(x)]
+                if mapping.setdefault(classes[b][tag + x], value) != value:
+                    raise ValueError("pushout arrow ill-defined")
+        arrows[(b, b2)] = BaseMorphism(objects[b], objects[b2], mapping)
     pushout = Diagram.make(shape, objects, arrows)
     in_left, in_right = (
         NatTrans.make(

@@ -41,6 +41,12 @@ def _require(data: Any, key: str, path: str) -> Any:
     return data[key]
 
 
+def _require_list(value: Any, what: str, path: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"expected a list of {what}", path)
+    return value
+
+
 def poset_to_json(poset: FinPoset) -> dict:
     return {
         "elements": list(poset.elements),
@@ -49,8 +55,8 @@ def poset_to_json(poset: FinPoset) -> dict:
 
 
 def poset_from_json(data: Any, path: str = "$") -> FinPoset:
-    elements = _require(data, "elements", path)
-    pairs = data.get("le", [])
+    elements = _require_list(_require(data, "elements", path), "element ids", path + ".elements")
+    pairs = _require_list(data.get("le", []), "pairs", path + ".le")
     try:
         return FinPoset.make(elements, [tuple(p) for p in pairs])
     except (ValueError, TypeError) as exc:
@@ -104,9 +110,7 @@ def diagram_to_json(diagram: Diagram) -> dict:
         "objects": {x: list(diagram.at(x).carrier) for x in diagram.shape.elements},
         "arrows": [
             {"from": x, "to": y, "map": dict(diagram.arrow(x, y).mapping)}
-            for x in diagram.shape.elements
-            for y in diagram.shape.elements
-            if diagram.shape.lt(y, x)
+            for x, y in diagram.shape.strict_pairs()
         ],
     }
 
@@ -118,9 +122,7 @@ def diagram_from_json(data: Any, path: str = "$") -> Diagram:
         x: object_from_json(_require(raw_objects, x, path + ".objects"), f"{path}.objects.{x}")
         for x in shape.elements
     }
-    raw_arrows = data.get("arrows", [])
-    if not isinstance(raw_arrows, list):
-        raise ParseError("expected a list of arrows", path + ".arrows")
+    raw_arrows = _require_list(data.get("arrows", []), "arrows", path + ".arrows")
     arrows: dict[tuple[str, str], BaseMorphism] = {}
     for i, entry in enumerate(raw_arrows):
         apath = f"{path}.arrows[{i}]"
@@ -132,14 +134,13 @@ def diagram_from_json(data: Any, path: str = "$") -> Diagram:
     changed = True
     while changed:
         changed = False
-        for x in shape.elements:
-            for y in shape.elements:
-                if shape.lt(y, x) and (x, y) not in arrows:
-                    for z in shape.elements:
-                        if shape.lt(z, x) and shape.lt(y, z) and (x, z) in arrows and (z, y) in arrows:
-                            arrows[(x, y)] = compose(arrows[(z, y)], arrows[(x, z)])
-                            changed = True
-                            break
+        for x, y in shape.strict_pairs():
+            if (x, y) not in arrows:
+                for z in shape.strict_downset(x):
+                    if shape.lt(y, z) and (x, z) in arrows and (z, y) in arrows:
+                        arrows[(x, y)] = compose(arrows[(z, y)], arrows[(x, z)])
+                        changed = True
+                        break
     try:
         return Diagram.make(shape, objects, arrows)
     except ValueError as exc:
@@ -171,8 +172,8 @@ def nattrans_from_json(data: Any, path: str = "$") -> NatTrans:
 def category_from_json(data: Any, path: str = "$") -> FinCategory:
     try:
         return FinCategory.make(
-            _require(data, "objects", path),
-            _require(data, "morphisms", path),
+            _require_list(_require(data, "objects", path), "object ids", path + ".objects"),
+            _require_list(_require(data, "morphisms", path), "morphism ids", path + ".morphisms"),
             _require(data, "src", path),
             _require(data, "tgt", path),
             {(g, f): h for g, f, h in data.get("compose", [])},

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from profact.base import BaseObject, identity, is_in_m, is_in_n, morphism
 from profact.diagrams import (
@@ -18,6 +20,7 @@ from profact.diagrams import (
 )
 from profact.poset import FinPoset, Reysha
 from profact.randgen import random_diagram, random_nattrans, random_poset
+from profact.serialize import nattrans_from_json, nattrans_to_json
 
 
 def vee():
@@ -185,3 +188,11 @@ def test_elements_with_one_strict_downset_share_one_matching_limit(monkeypatch):
     # a fresh owner computes its own
     assert PartialDiagram.of(diagram).matching_limit("t2") is not first
     assert len(calls) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_nattrans_json_round_trip(seed):
+    rng = random.Random(seed)
+    nt = random_nattrans(rng, random_poset(rng, 4), 3)
+    assert nattrans_from_json(nattrans_to_json(nt)) == nt

@@ -119,3 +119,43 @@ def test_non_string_id_is_parse_error(tmp_path_factory, position, value):
     node[position[-1]] = value
     bad = _write(tmp_path_factory.mktemp("doc"), "bad.json", doc)
     assert run(["reedy", bad]).exit_code == 3
+
+
+def _unknown_identity(doc):
+    doc["identities"]["x"] = "nope"
+
+
+def _unknown_composite(doc):
+    doc["compose"][1][2] = "nope"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_unknown_identity, "missing or ill-typed identity on 'x'"),
+        (_unknown_composite, "composite 'nope' of ('x>=y', 'x>=x') is not a morphism"),
+    ],
+)
+def test_unknown_morphism_in_category_is_parse_error(tmp_path, corrupt, message):
+    doc = load("chain2.json")
+    corrupt(doc)
+    bad = _write(tmp_path, "bad.json", doc)
+    result = run(["cofinalize", bad])
+    assert result.exit_code == 3
+    assert f"{bad}: {message}" in result.output
+
+
+@pytest.mark.parametrize(
+    "what, doc, path",
+    [
+        ("directed-poset", {"elements": "ab"}, ".elements"),
+        ("directed-poset", {"elements": ["a", "b"], "le": "ab"}, ".le"),
+        ("directed-category", {**load("chain2.json"), "objects": "xy"}, ".objects"),
+        ("directed-category", {**load("chain2.json"), "morphisms": "x>=x"}, ".morphisms"),
+    ],
+)
+def test_string_for_a_list_of_ids_is_parse_error(tmp_path, what, doc, path):
+    bad = _write(tmp_path, "bad.json", doc)
+    result = run(["check", what, bad])
+    assert result.exit_code == 3
+    assert f"{bad}{path}: expected a list of" in result.output

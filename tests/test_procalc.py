@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from profact.base import BaseObject, compose, identity, morphism
 from profact.diagrams import Diagram
@@ -27,7 +29,7 @@ from profact.randgen import (
     random_raw_morphism,
     refine_pre_morphism,
 )
-from profact.serialize import pre_morphism_from_json, pre_morphism_to_json
+from profact.serialize import diagram_to_json, pre_morphism_from_json, pre_morphism_to_json, pro_object_from_json
 
 
 def chain_tower():
@@ -272,3 +274,11 @@ def test_pre_morphism_json_round_trip():
         F = random_pro_object(rng, 4, 3)
         G, pm = random_pre_morphism(rng, F)
         assert pre_morphism_from_json(pre_morphism_to_json(pm), F, G) == pm
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_pro_object_json_round_trip(seed):
+    F = random_pro_object(random.Random(seed), 4, 3)
+    document = {"diagram": diagram_to_json(F.diagram), "height_cap": F.height_cap}
+    assert pro_object_from_json(document) == F
