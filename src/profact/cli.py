@@ -15,7 +15,14 @@ import sys
 import click
 
 from .category import is_directed_category
-from .cofinalize import BudgetExceeded, CofinalizeError, build_tower, check_cofinality, check_tower_directedness
+from .cofinalize import (
+    ELEMENT_CAP,
+    BudgetExceeded,
+    CofinalizeError,
+    build_tower,
+    check_cofinality,
+    check_tower_directedness,
+)
 from .diagrams import is_levelwise, is_special
 from .factorize import FactorizeError, chi_construct, reedy
 from .lifting import LiftingError, SearchExhausted, lift_against_special
@@ -69,6 +76,20 @@ def _emit(payload: dict, output: str | None, fmt: str) -> None:
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _element_cap() -> int:
+    """PROFACT_ELEMENT_CAP, a positive integer, or the default cap."""
+    raw = os.environ.get("PROFACT_ELEMENT_CAP")
+    if raw is None:
+        return ELEMENT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        _fail(f"PROFACT_ELEMENT_CAP must be a positive integer, got {raw!r}", EXIT_PARSE)
+    return cap
 
 
 fmt_option = click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
@@ -148,11 +169,15 @@ def lift_cmd(input_path: str, output: str | None, fmt: str) -> None:
 @fmt_option
 def cofinalize_cmd(input_path: str, levels: int, reysha_cap: int, output: str | None, fmt: str) -> None:
     """Build the level tower over a directed category and verify it."""
+    # click.IntRange would exit 2, the code kept for resource blow-ups
+    for option, value in (("--levels", levels), ("--reysha-cap", reysha_cap)):
+        if value < 0:
+            _fail(f"{option} must be a non-negative integer, got {value}", EXIT_PARSE)
+    element_cap = _element_cap()
     try:
         cat = serialize.category_from_json(_load(input_path), input_path)
     except ParseError as exc:
         _fail(str(exc), EXIT_PARSE)
-    element_cap = int(os.environ.get("PROFACT_ELEMENT_CAP", 10**4))
     try:
         tower = build_tower(cat, levels=levels, reysha_cap=reysha_cap, element_cap=element_cap)
     except BudgetExceeded as exc:

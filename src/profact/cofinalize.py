@@ -65,9 +65,7 @@ class CofinalTower:
             for c, c2, c3 in top.chains()
         )
         coherent = all(
-            set(small.elements) <= set(big.elements)
-            and {p for p in big.le_pairs if p[0] in set(small.elements) and p[1] in set(small.elements)}
-            == set(small.le_pairs)
+            set(small.elements) <= set(big.elements) and big.restrict(small.elements).le_pairs == small.le_pairs
             for small, big in zip(self.levels, self.levels[1:])
         )
         return {"projection_typed": typed, "projection_functorial": functorial, "levels_coherent": coherent}
@@ -88,13 +86,14 @@ def build_tower(
     mor_map = {(o, o): I.identity(o) for o in I.objects}
     cones: dict[str, ConeElement] = {}
     level_posets = [FinPoset.make(tuple(elements), pairs)]
+    homs = {(x, y): I.hom(x, y) for x in I.objects for y in I.objects}
     for n in range(1, levels + 1):
         prev = level_posets[-1]
         counter = 0
         for reysha in prev.reyshas(max_size=reysha_cap):
             members = reysha.members
             for apex in I.objects:
-                leg_choices = [I.hom(apex, obj_map[c]) for c in members]
+                leg_choices = [homs[(apex, obj_map[c])] for c in members]
                 for legs in itertools.product(*leg_choices):
                     legs_by = dict(zip(members, legs))
                     if not all(
@@ -142,17 +141,22 @@ class OverCategoryReport:
 
 
 def _over_category(tower: CofinalTower, i: str):
-    objects = [
-        (c, m)
-        for c in tower.top.elements
-        for m in tower.source.morphisms
-        if tower.source.src[m] == tower.obj_map[c] and tower.source.tgt[m] == i
-    ]
+    """The objects (c, m), m: obj(c) -> i, c-major in canonical order then
+    m in morphism order, and the edges (c2, m2) -> (c, m) for c <= c2 with
+    m after the projection of c2 >= c equal to m2, (c2, m2)-major in
+    object order."""
+    top, source, mor_map = tower.top, tower.source, tower.mor_map
+    into_i = {x: source.hom(x, i) for x in source.objects}
+    over = {c: into_i[tower.obj_map[c]] for c in top.elements}
+    objects = [(c, m) for c in top.elements for m in over[c]]
     edges = []
     for c2, m2 in objects:
-        for c, m in objects:
-            if tower.top.le(c, c2) and (c2, c) in tower.mor_map:
-                if tower.source.compose(m, tower.mor_map[(c2, c)]) == m2:
+        for c in top.downset(c2):
+            leg = mor_map.get((c2, c))
+            if leg is None:
+                continue
+            for m in over[c]:
+                if source.compose(m, leg) == m2:
                     edges.append(((c2, m2), (c, m)))
     return objects, edges
 

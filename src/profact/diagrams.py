@@ -51,7 +51,7 @@ class Diagram:
 
     def _validate(self) -> None:
         # every pair, not only the comparable ones: an arrow on a
-        # non-comparable pair is a fault too
+        # non-comparable pair, or on a pair outside the shape, is a fault too
         for x in self.shape.elements:
             for y in self.shape.elements:
                 if self.shape.le(y, x):
@@ -62,6 +62,9 @@ class Diagram:
                         raise DiagramError(f"ill-typed arrow for pair {x!r} >= {y!r}")
                 elif (x, y) in self.arrows:
                     raise DiagramError(f"arrow present for non-comparable pair ({x!r}, {y!r})")
+        for x, y in self.arrows:
+            if x not in self.shape or y not in self.shape:
+                raise DiagramError(f"arrow present for pair ({x!r}, {y!r}) outside the shape")
         for x, y, z in self.shape.chains():
             if compose(self.arrows[(y, z)], self.arrows[(x, y)]) != self.arrows[(x, z)]:
                 raise DiagramError(f"functoriality fails along {x!r} >= {y!r} >= {z!r}")

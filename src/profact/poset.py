@@ -48,6 +48,8 @@ class FinPoset:
     _degree: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     _down: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False, repr=False)
     _strict: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False, repr=False)
+    # built on first use: most posets never ask for an upper bound
+    _up: dict[str, tuple[str, ...]] | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def make(elements: Sequence[str], pairs: Iterable[tuple[str, str]] = ()) -> "FinPoset":
@@ -126,24 +128,57 @@ class FinPoset:
                 for z in self._down[y]:
                     yield x, y, z
 
+    def upset(self, x: str) -> tuple[str, ...]:
+        """Every y >= x, in canonical order."""
+        if self._up is None:
+            up: dict[str, list[str]] = {y: [] for y in self.elements}
+            for y in self.elements:
+                for z in self._down[y]:
+                    up[z].append(y)
+            object.__setattr__(self, "_up", {z: tuple(ys) for z, ys in up.items()})
+        return self._up.get(x, ())
+
     def upper_bounds(self, members: Iterable[str]) -> tuple[str, ...]:
+        """Every element above all members, in canonical order: the
+        members' upsets intersected."""
         members = tuple(members)
-        return tuple(c for c in self.elements if all(self.le(m, c) for m in members))
+        if not members:
+            return self.elements
+        smallest = min((self.upset(m) for m in members), key=len)
+        le_pairs = self.le_pairs
+        return tuple(c for c in smallest if all((m, c) in le_pairs for m in members))
 
     def is_downward_closed(self, members: Iterable[str]) -> bool:
         member_set = set(members)
-        if not member_set <= set(self.elements):
+        if not all(x in self._index for x in member_set):
             raise PosetError("subset mentions unknown elements")
         return all(y in member_set for x in member_set for y in self._strict[x])
 
     def reyshas(self, max_size: int | None = None) -> Iterator["Reysha"]:
-        """All downward closed subsets, in canonical subset order."""
-        for r in range(len(self.elements) + 1):
-            if max_size is not None and r > max_size:
+        """All downward closed subsets, in canonical subset order: by size,
+        then by canonical positions, as itertools.combinations lists them.
+
+        The sets of size r + 1 are those of size r with one element added
+        whose strict downset is already inside: removing a maximal element
+        from a downward closed set leaves one.
+        """
+        elements = self.elements
+        largest = len(elements) if max_size is None else min(len(elements), max_size)
+        # bit i stands for elements[i]
+        below = [sum(1 << self._index[y] for y in self._strict[x]) for x in elements]
+        level: list[tuple[int, ...]] = [()]
+        for r in range(largest + 1):
+            for combo in level:
+                yield Reysha._trusted(self, tuple(elements[i] for i in combo))
+            if r == largest:
                 return
-            for combo in itertools.combinations(self.elements, r):
-                if self.is_downward_closed(combo):
-                    yield Reysha(self, combo)
+            grown: set[tuple[int, ...]] = set()
+            for combo in level:
+                mask = sum(1 << i for i in combo)
+                for i, strict in enumerate(below):
+                    if not mask & (1 << i) and not strict & ~mask:
+                        grown.add(tuple(sorted(combo + (i,))))
+            level = sorted(grown)
 
     def restrict(self, members: Iterable[str]) -> "FinPoset":
         member_set = set(members)
@@ -165,12 +200,23 @@ class Reysha:
     members: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(x for x in self.parent.elements if x in set(self.members))
-        if len(set(self.members)) != len(self.members):
+        member_set = set(self.members)
+        ordered = tuple(x for x in self.parent.elements if x in member_set)
+        if len(member_set) != len(self.members):
             raise PosetError("duplicate members in Reysha")
         object.__setattr__(self, "members", ordered)
         if not self.parent.is_downward_closed(ordered):
             raise PosetError(f"subset {self.members} is not downward closed")
+
+    @classmethod
+    def _trusted(cls, parent: FinPoset, members: tuple[str, ...]) -> "Reysha":
+        """A Reysha whose members are downward closed and in canonical
+        order by construction, as FinPoset.reyshas builds them.  It skips
+        the checks; the public constructor keeps them."""
+        reysha = object.__new__(cls)
+        object.__setattr__(reysha, "parent", parent)
+        object.__setattr__(reysha, "members", members)
+        return reysha
 
     def __contains__(self, x: str) -> bool:
         return x in set(self.members)

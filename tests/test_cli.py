@@ -96,6 +96,21 @@ def test_cofinalize_budget_exit(runner, monkeypatch):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "", "0", "-3", "1.5"])
+def test_cofinalize_bad_element_cap_is_parse_error(runner, monkeypatch, value):
+    monkeypatch.setenv("PROFACT_ELEMENT_CAP", value)
+    result = runner.invoke(main, ["cofinalize", fixture("chain2.json")])
+    assert result.exit_code == 3
+    assert f"PROFACT_ELEMENT_CAP must be a positive integer, got {value!r}" in result.output
+
+
+@pytest.mark.parametrize("option", ["--levels", "--reysha-cap"])
+def test_cofinalize_negative_option_is_parse_error(runner, option):
+    result = runner.invoke(main, ["cofinalize", fixture("chain2.json"), option, "-1"])
+    assert result.exit_code == 3
+    assert f"{option} must be a non-negative integer, got -1" in result.output
+
+
 def test_merge_same_premorphism(runner):
     result = runner.invoke(
         main,

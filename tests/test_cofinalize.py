@@ -1,17 +1,20 @@
 import dataclasses
 import json
+import random
 from importlib import resources
 
 import pytest
 
-from profact.category import FinCategory, parallel_pair_category
+from profact.category import FinCategory, parallel_pair_category, poset_as_category
 from profact.cofinalize import (
     BudgetExceeded,
     CofinalizeError,
+    _over_category,
     build_tower,
     check_cofinality,
     check_tower_directedness,
 )
+from profact.randgen import random_directed_poset
 from profact.serialize import category_from_json
 
 
@@ -151,3 +154,42 @@ def test_non_directed_category_rejected():
 def test_budget_cap():
     with pytest.raises(BudgetExceeded):
         build_tower(one_object(), levels=2, reysha_cap=2, element_cap=5)
+
+
+def pairwise_over_category(tower, i):
+    """The over-category of i as a scan of every pair of its objects."""
+    objects = [
+        (c, m)
+        for c in tower.top.elements
+        for m in tower.source.morphisms
+        if tower.source.src[m] == tower.obj_map[c] and tower.source.tgt[m] == i
+    ]
+    edges = [
+        ((c2, m2), (c, m))
+        for c2, m2 in objects
+        for c, m in objects
+        if tower.top.le(c, c2)
+        and (c2, c) in tower.mor_map
+        and tower.source.compose(m, tower.mor_map[(c2, c)]) == m2
+    ]
+    return objects, edges
+
+
+DIRECTED = ("one_object.json", "chain2.json", "chain3.json", "vee.json")
+
+
+def random_directed_categories(count):
+    rng = random.Random(2024)
+    return [poset_as_category(random_directed_poset(rng, 4)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "category, cap",
+    [pytest.param(load_category(name), cap, id=f"{name}-{cap}") for name in DIRECTED for cap in (2, 3)]
+    + [pytest.param(idempotent_monoid(), cap, id=f"idempotent_monoid-{cap}") for cap in (2, 3)]
+    + [pytest.param(cat, 2, id=f"random{k}-2") for k, cat in enumerate(random_directed_categories(12))],
+)
+def test_over_category_matches_the_pairwise_scan(category, cap):
+    tower = build_tower(category, levels=2, reysha_cap=cap)
+    for i in category.objects:
+        assert _over_category(tower, i) == pairwise_over_category(tower, i)

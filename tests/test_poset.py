@@ -1,8 +1,12 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from profact.poset import FinPoset, PosetError, Reysha, is_directed_poset, is_reysha, principal_downset
+from profact.randgen import random_poset
 
 
 def vee():
@@ -99,3 +103,53 @@ def test_directedness():
 def test_in_degree_order():
     v = vee()
     assert v.in_degree_order() == ("x0", "x1", "t")
+
+
+def shuffled_poset(seed):
+    """A random poset whose canonical order is shuffled, so that it is
+    seldom a linear extension of the order."""
+    rng = random.Random(seed)
+    poset = random_poset(rng, 7)
+    elements = list(poset.elements)
+    rng.shuffle(elements)
+    return rng, FinPoset.make(elements, poset.le_pairs)
+
+
+def filtered_combinations(poset, max_size):
+    """The downward closed subsets as itertools.combinations lists them."""
+    largest = len(poset.elements) if max_size is None else min(len(poset.elements), max_size)
+    return [
+        combo
+        for r in range(largest + 1)
+        for combo in itertools.combinations(poset.elements, r)
+        if all(y in combo for x in combo for y in poset.elements if poset.lt(y, x))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), max_size=st.none() | st.integers(min_value=-1, max_value=8))
+def test_reyshas_match_filtered_combinations(seed, max_size):
+    _, poset = shuffled_poset(seed)
+    reyshas = list(poset.reyshas(max_size=max_size))
+    assert [r.members for r in reyshas] == filtered_combinations(poset, max_size)
+    # the unchecked path builds what the checked constructor builds
+    assert reyshas == [Reysha(poset, r.members) for r in reyshas]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_upper_bounds_match_the_pairwise_scan(seed):
+    rng, poset = shuffled_poset(seed)
+    for _ in range(10):
+        members = rng.sample(poset.elements, rng.randint(0, len(poset.elements)))
+        if rng.random() < 0.1:
+            members.append("unknown")
+        expected = tuple(c for c in poset.elements if all(poset.le(m, c) for m in members))
+        assert poset.upper_bounds(members) == expected
+
+
+def test_upsets():
+    v = vee()
+    assert v.upset("x0") == ("x0", "t")
+    assert v.upset("t") == ("t",)
+    assert v.upset("unknown") == ()

@@ -103,6 +103,17 @@ CASES = {
         lambda: raised(lambda: flat(CHAIN, {("a", "c"): SWAP})),
         "DiagramError: functoriality fails along 'a' >= 'b' >= 'c'",
     ),
+    "diagram_arrow_outside_shape": (
+        lambda: raised(lambda: Diagram.make(FinPoset.make(("x",)), {"x": TWO}, {("zz", "x"): identity(TWO)})),
+        "DiagramError: arrow present for pair ('zz', 'x') outside the shape",
+    ),
+    # the scan of the shape's pairs still reports its faults first
+    "diagram_non_comparable_before_outside": (
+        lambda: raised(
+            lambda: flat(TWO_CHAINS, {("zz", "a"): identity(TWO), ("a", "c"): identity(TWO)})
+        ),
+        "DiagramError: arrow present for non-comparable pair ('a', 'c')",
+    ),
     # a fails against both c and b; c comes first in the canonical order
     "nattrans_naturality": (
         lambda: raised(lambda: NatTrans.make(flat(CHAIN), flat(CHAIN), identities(CHAIN, "a"))),
