@@ -293,6 +293,11 @@ def check_cmd(
 @fmt_option
 def suite_cmd(seed: int, cases: int, poset_max: int, set_max: int, output: str | None, fmt: str) -> None:
     """Run the randomized law suite across all modules."""
+    if cases < 0:
+        _fail(f"--cases must be a non-negative integer, got {cases}", EXIT_PARSE)
+    for option, value in (("--poset-max", poset_max), ("--set-max", set_max)):
+        if value < 1:
+            _fail(f"{option} must be a positive integer, got {value}", EXIT_PARSE)
     report = property_suite(seed=seed, cases=cases, poset_max=poset_max, set_max=set_max)
     _emit(report, output, fmt)
     sys.exit(EXIT_OK if report["all_pass"] else EXIT_VERIFICATION)

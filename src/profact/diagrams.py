@@ -139,7 +139,14 @@ class NatTrans:
         )
 
 
-def limit_over_poset(diagram: Diagram) -> tuple[BaseObject, dict[str, BaseMorphism]]:
+# a limit's carrier and its projections
+Limit = tuple[BaseObject, dict[str, BaseMorphism]]
+# the elements of a limit's shape, and the carrier element of each
+# compatible family of values on them
+LimitIndex = tuple[tuple[str, ...], dict[tuple[str, ...], str]]
+
+
+def limit_over_poset(diagram: Diagram) -> Limit:
     """The limit of a diagram over a finite poset: all compatible families.
 
     The empty shape yields the terminal one-point object.  Carrier ids are
@@ -156,7 +163,9 @@ def limit_over_poset(diagram: Diagram) -> tuple[BaseObject, dict[str, BaseMorphi
     shape = diagram.shape
     if not shape.elements:
         return TERMINAL, {}
-    maximal = [x for x in shape.elements if not any(shape.lt(x, y) for y in shape.elements)]
+    # an element is maximal iff it lies in no strict downset
+    covered = {y for x in shape.elements for y in shape.strict_downset(x)}
+    maximal = [x for x in shape.elements if x not in covered]
     families: list[dict[str, str]] = [{}]
     fixed: set[str] = set()
     for m in maximal:
@@ -181,34 +190,44 @@ def limit_over_poset(diagram: Diagram) -> tuple[BaseObject, dict[str, BaseMorphi
     return carrier, projections
 
 
-def cone_into_limit(
-    apex: BaseObject,
-    legs: dict[str, BaseMorphism],
-    limit: tuple[BaseObject, dict[str, BaseMorphism]],
-) -> BaseMorphism:
-    """The map into a limit induced by a cone of legs apex -> D(s)."""
+def limit_index(limit: Limit) -> LimitIndex:
+    """What cone_into_limit looks a cone's legs up in."""
     lim_obj, lim_proj = limit
-    order = sorted(lim_proj)
-    index = {tuple(lim_proj[x].mapping[e] for x in order): e for e in lim_obj.carrier}
+    order = tuple(lim_proj)
+    columns = [lim_proj[x].mapping for x in order]
+    return order, {tuple(column[e] for column in columns): e for e in lim_obj.carrier}
+
+
+def cone_into_limit(
+    apex: BaseObject, legs: dict[str, BaseMorphism], limit: Limit, index: LimitIndex | None = None
+) -> BaseMorphism:
+    """The map into a limit induced by a cone of legs apex -> D(s).
+
+    index, when given, is limit_index(limit), kept by a caller that maps
+    into the same limit more than once.
+    """
+    order, families = limit_index(limit) if index is None else index
     leg_maps = [legs[x].mapping for x in order]
     mapping = {}
     for e in apex.carrier:
         key = tuple(leg[e] for leg in leg_maps)
-        if key not in index:
+        if key not in families:
             raise DiagramError("the legs do not form a cone over the limit's diagram")
-        mapping[e] = index[key]
-    return BaseMorphism._trusted(apex, lim_obj, mapping)
+        mapping[e] = families[key]
+    return BaseMorphism._trusted(apex, limit[0], mapping)
 
 
 def limit_map(
-    source_limit: tuple[BaseObject, dict[str, BaseMorphism]],
-    target_limit: tuple[BaseObject, dict[str, BaseMorphism]],
+    source_limit: Limit,
+    target_limit: Limit,
     components: dict[str, BaseMorphism],
+    target_index: LimitIndex | None = None,
 ) -> BaseMorphism:
-    """The map of limits induced by levelwise maps commuting with the arrows."""
+    """The map of limits induced by levelwise maps commuting with the
+    arrows; target_index is as for cone_into_limit."""
     src_obj, src_proj = source_limit
     legs = {x: compose(components[x], src_proj[x]) for x in target_limit[1]}
-    return cone_into_limit(src_obj, legs, target_limit)
+    return cone_into_limit(src_obj, legs, target_limit, target_index)
 
 
 class PartialDiagram:
@@ -218,8 +237,9 @@ class PartialDiagram:
     objects and arrows are the caller's dicts and are read as they grow.
     An element is added only after its whole strict downset, and nothing
     added earlier changes, so a limit over a strict downset stays valid and
-    two elements with the same strict downset share it.  The memo lives as
-    long as this object: a construction builds one and drops it when done.
+    two elements with the same strict downset share it, together with its
+    limit_index.  The memo lives as long as this object: a construction
+    builds one and drops it when done.
     """
 
     def __init__(
@@ -231,13 +251,14 @@ class PartialDiagram:
         self.shape = shape
         self.objects = {} if objects is None else objects
         self.arrows = {} if arrows is None else arrows
-        self._limits: dict[tuple[str, ...], tuple[BaseObject, dict[str, BaseMorphism]]] = {}
+        self._limits: dict[tuple[str, ...], Limit] = {}
+        self._indexes: dict[tuple[str, ...], LimitIndex] = {}
 
     @staticmethod
     def of(diagram: Diagram) -> "PartialDiagram":
         return PartialDiagram(diagram.shape, diagram.objects, diagram.arrows)
 
-    def matching_limit(self, x: str) -> tuple[BaseObject, dict[str, BaseMorphism]]:
+    def matching_limit(self, x: str) -> Limit:
         """The limit of the diagram restricted to the strict downset of x."""
         strict = self.shape.strict_downset(x)
         limit = self._limits.get(strict)
@@ -246,13 +267,22 @@ class PartialDiagram:
             limit = self._limits[strict] = limit_over_poset(below)
         return limit
 
+    def matching_index(self, x: str) -> LimitIndex:
+        """limit_index of the matching limit at x, built on first use: the
+        random generators take limits they never map into."""
+        strict = self.shape.strict_downset(x)
+        index = self._indexes.get(strict)
+        if index is None:
+            index = self._indexes[strict] = limit_index(self.matching_limit(x))
+        return index
+
 
 def matching_object(
     source: PartialDiagram,
     target: PartialDiagram,
     components: dict[str, BaseMorphism],
     x: str,
-) -> tuple[tuple[BaseObject, dict[str, BaseMorphism]], BaseMorphism, BaseMorphism]:
+) -> tuple[Limit, BaseMorphism, BaseMorphism]:
     """The source matching limit at x and the cospan whose pullback is the
     matching object of a transformation into target.
 
@@ -264,10 +294,10 @@ def matching_object(
     ids follow that order.
     """
     src_limit = source.matching_limit(x)
-    tgt_limit = target.matching_limit(x)
-    limit_of_components = limit_map(src_limit, tgt_limit, components)
+    tgt_limit, tgt_index = target.matching_limit(x), target.matching_index(x)
+    limit_of_components = limit_map(src_limit, tgt_limit, components, tgt_index)
     fiber_legs = {s: target.arrows[(x, s)] for s in target.shape.strict_downset(x)}
-    return src_limit, limit_of_components, cone_into_limit(target.objects[x], fiber_legs, tgt_limit)
+    return src_limit, limit_of_components, cone_into_limit(target.objects[x], fiber_legs, tgt_limit, tgt_index)
 
 
 def is_levelwise(nt: NatTrans, cls: str) -> bool:
@@ -282,7 +312,7 @@ def matching_data(
     """The matching pullback at x and the relative map into it.
 
     source and target, when given, are PartialDiagram.of(nt.source) and
-    PartialDiagram.of(nt.target) kept across the elements of one check, so
+    PartialDiagram.of(nt.target) kept across the elements of one walk, so
     their matching limits are computed once.  Returns (source matching
     limit, pullback as (carrier, projection to target fiber, projection to
     the source matching limit), relative map source.at(x) -> pullback).
@@ -292,7 +322,8 @@ def matching_data(
     src_limit, limit_of_components, fiber_to_limit = matching_object(source, target, nt.components, x)
     pb = pullback(fiber_to_limit, limit_of_components)
     legs = {s: nt.source.arrow(x, s) for s in nt.shape.strict_downset(x)}
-    relative = induced_into_pullback(pb, nt.at(x), cone_into_limit(nt.source.at(x), legs, src_limit))
+    into_limit = cone_into_limit(nt.source.at(x), legs, src_limit, source.matching_index(x))
+    relative = induced_into_pullback(pb, nt.at(x), into_limit)
     return src_limit, pb, relative
 
 
@@ -301,16 +332,44 @@ def relative_matching_map(nt: NatTrans, x: str) -> BaseMorphism:
     return matching_data(nt, x)[2]
 
 
-def is_special(nt: NatTrans, cls: str = "M") -> bool:
+class NotSpecial(DiagramError):
+    """A relative matching map lies outside the class, or the family has
+    none because its squares do not commute."""
+
+
+def special_matching_data(
+    nt: NatTrans, cls: str = "M", source: PartialDiagram | None = None, target: PartialDiagram | None = None
+):
+    """The one walk that checks specialness: (x, matching_data at x) for
+    each element in degree order, over one pair of memos (source and target
+    as for matching_data).  Raises NotSpecial at the first element whose
+    relative matching map is outside the class or does not exist, as for a
+    family built without NatTrans.make whose squares do not commute.
+    """
+    pred = {"N": is_in_n, "M": is_in_m}[cls]
+    source = PartialDiagram.of(nt.source) if source is None else source
+    target = PartialDiagram.of(nt.target) if target is None else target
+    for x in nt.shape.in_degree_order():
+        try:
+            data = matching_data(nt, x, source, target)
+        except (BaseError, DiagramError) as exc:
+            raise NotSpecial(f"no relative matching map at {x!r}") from exc
+        if not pred(data[2]):
+            raise NotSpecial(f"the relative matching map at {x!r} is not in {cls}")
+        yield x, data
+
+
+def is_special(nt: NatTrans, cls: str = "M", target: PartialDiagram | None = None) -> bool:
     """True iff the relative matching map lies in the class at every element.
 
     A family whose squares do not commute, which only a structure built
     without NatTrans.make can be, has no relative matching maps and is not
-    special.
+    special.  target is as for matching_data; nt.source's limits are
+    always taken here.
     """
-    pred = {"N": is_in_n, "M": is_in_m}[cls]
-    source, target = PartialDiagram.of(nt.source), PartialDiagram.of(nt.target)
     try:
-        return all(pred(matching_data(nt, x, source, target)[2]) for x in nt.shape.elements)
-    except (BaseError, DiagramError):
+        for _ in special_matching_data(nt, cls, target=target):
+            pass
+    except NotSpecial:
         return False
+    return True

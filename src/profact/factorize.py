@@ -58,7 +58,10 @@ class ReedyFactorization:
     details: dict[str, StepData] = field(compare=False, repr=False, default_factory=dict)
     report: dict[str, bool] = field(compare=False, default_factory=dict)
 
-    def verify(self) -> dict[str, bool]:
+    def verify(self, target: PartialDiagram | None = None) -> dict[str, bool]:
+        """target, when given, is the construction's memo of the input
+        diagram self.input.target; every limit of the middle diagram is
+        taken here."""
         shape = self.input.shape
         composite = all(
             compose(self.right.at(x), self.left.at(x)) == self.input.at(x) for x in shape.elements
@@ -66,7 +69,7 @@ class ReedyFactorization:
         return {
             "composite_equals_input": composite,
             "left_levelwise_injective": is_levelwise(self.left, "N"),
-            "right_special_surjective": is_special(self.right, "M"),
+            "right_special_surjective": is_special(self.right, "M", target),
         }
 
 
@@ -87,9 +90,8 @@ def _step(
     # the limit leg goes first: the middle fibers' carrier ids follow it
     pb = pullback(mid_to_tgt, fiber_to_tgt)
     carrier, proj_lim, proj_fiber = pb
-    into_lim = cone_into_limit(
-        f.source.at(x), {s: compose(left[s], f.source.arrow(x, s)) for s in strict}, lim_mid
-    )
+    legs = {s: compose(left[s], f.source.arrow(x, s)) for s in strict}
+    into_lim = cone_into_limit(f.source.at(x), legs, lim_mid, mid.matching_index(x))
     u = induced_into_pullback(pb, into_lim, f.at(x))
     triple = factorize_base(u)
     lim_proj = lim_mid[1]
@@ -103,10 +105,11 @@ def _step(
     details[x] = StepData(carrier, proj_fiber, to_lower, u, triple.right)
 
 
-def _construct(f: NatTrans, partial: ReedyFactorization | None, elements: tuple[str, ...]):
+def _construct(f: NatTrans, target: PartialDiagram, partial: ReedyFactorization | None, elements: tuple[str, ...]):
     """Run _step over elements, starting from a partial factorization or
-    from nothing.  The matching-limit memos are local to this call, so they
-    are gone before the result is assembled and verified."""
+    from nothing; target is PartialDiagram.of(f.target).  The middle
+    diagram's memo is local to this call, so it is gone before the result
+    is assembled and verified."""
     if partial is None:
         mid = PartialDiagram(f.shape)
         left: dict[str, BaseMorphism] = {}
@@ -117,25 +120,27 @@ def _construct(f: NatTrans, partial: ReedyFactorization | None, elements: tuple[
         left = dict(partial.left.components)
         right = dict(partial.right.components)
         details = dict(partial.details)
-    target = PartialDiagram.of(f.target)
     for x in elements:
         _step(f, target, mid, left, right, details, x)
     return mid.objects, mid.arrows, left, right, details
 
 
-def _assemble(f: NatTrans, mid_objects, mid_arrows, left, right, details) -> ReedyFactorization:
+def _assemble(f: NatTrans, mid_objects, mid_arrows, left, right, details, target=None) -> ReedyFactorization:
     mid = Diagram.make(f.shape, dict(mid_objects), dict(mid_arrows))
     left_nt = NatTrans.make(f.source, mid, dict(left))
     right_nt = NatTrans.make(mid, f.target, dict(right))
     rf = ReedyFactorization(f, mid, left_nt, right_nt, dict(details))
-    object.__setattr__(rf, "report", rf.verify())
+    object.__setattr__(rf, "report", rf.verify(target))
     return rf
 
 
 def reedy(f: NatTrans) -> ReedyFactorization:
     """Factor f into a levelwise-injective map followed by a special
-    surjective map, processing elements in (degree, canonical) order."""
-    return _assemble(f, *_construct(f, None, f.shape.in_degree_order()))
+    surjective map, processing elements in (degree, canonical) order.  The
+    limits of f.target are taken once, for the construction and its
+    verification alike."""
+    target = PartialDiagram.of(f.target)
+    return _assemble(f, *_construct(f, target, None, f.shape.in_degree_order()), target)
 
 
 def extend_step(f: NatTrans, partial: ReedyFactorization, x: str) -> ReedyFactorization:
@@ -149,7 +154,9 @@ def extend_step(f: NatTrans, partial: ReedyFactorization, x: str) -> ReedyFactor
             f"partial factorization covers {partial.input.shape.elements}, "
             f"expected the strict downset {strict} of {x!r}"
         )
-    built = _construct(f, partial, (x,))
+    # the result is over the restricted shape, so its check takes its own
+    # limits rather than this memo over f.shape
+    built = _construct(f, PartialDiagram.of(f.target), partial, (x,))
     return _assemble(f.restrict(Reysha(f.shape, strict + (x,))), *built)
 
 

@@ -16,7 +16,14 @@ from .base import (
     is_in_n,
     lift_base,
 )
-from .diagrams import NatTrans, PartialDiagram, cone_into_limit, is_levelwise, is_special, matching_data
+from .diagrams import (
+    NatTrans,
+    NotSpecial,
+    PartialDiagram,
+    cone_into_limit,
+    is_levelwise,
+    special_matching_data,
+)
 
 
 class LiftingError(ValueError):
@@ -117,23 +124,26 @@ def lift_against_special(problem: LiftingProblem) -> ConeLift:
 
     At each element the already-built lifts assemble into a map to the
     matching limit, the bottom component supplies the fiber coordinate, and
-    the base lift against the relative matching map fills the square.
+    the base lift against the relative matching map fills the square.  The
+    one matching walk both checks that the right map is special and
+    supplies the data: an element's lift needs only the elements below it,
+    all already found special.
     """
     problem.validate()
     if not is_in_n(problem.left):
         raise LiftingError("left map is not injective")
-    if not is_special(problem.right, "M"):
-        raise LiftingError("right transformation is not special surjective")
     f = problem.right
     shape = f.shape
     source, target = PartialDiagram.of(f.source), PartialDiagram.of(f.target)
     lifts: dict[str, BaseMorphism] = {}
-    for t in shape.in_degree_order():
-        src_limit, pb, relative = matching_data(f, t, source, target)
-        lift_legs = {s: lifts[s] for s in shape.strict_downset(t)}
-        into_limit = cone_into_limit(problem.left.target, lift_legs, src_limit)
-        into_pb = induced_into_pullback(pb, problem.bottom[t], into_limit)
-        lifts[t] = lift_base(problem.left, relative, problem.top[t], into_pb)
+    try:
+        for t, (src_limit, pb, relative) in special_matching_data(f, "M", source, target):
+            lift_legs = {s: lifts[s] for s in shape.strict_downset(t)}
+            into_limit = cone_into_limit(problem.left.target, lift_legs, src_limit, source.matching_index(t))
+            into_pb = induced_into_pullback(pb, problem.bottom[t], into_limit)
+            lifts[t] = lift_base(problem.left, relative, problem.top[t], into_pb)
+    except NotSpecial as exc:
+        raise LiftingError("right transformation is not special surjective") from exc
     return ConeLift(lifts)
 
 

@@ -111,6 +111,27 @@ def test_cofinalize_negative_option_is_parse_error(runner, option):
     assert f"{option} must be a non-negative integer, got -1" in result.output
 
 
+@pytest.mark.parametrize(
+    "option, value, expected",
+    [
+        ("--cases", "-1", "--cases must be a non-negative integer, got -1"),
+        ("--poset-max", "-2", "--poset-max must be a positive integer, got -2"),
+        ("--set-max", "0", "--set-max must be a positive integer, got 0"),
+    ],
+)
+def test_suite_out_of_range_option_is_parse_error(runner, option, value, expected):
+    result = runner.invoke(main, ["suite", "--cases", "2", option, value])
+    assert result.exit_code == 3
+    assert f"error: {expected}" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("cases", ["0", "2"])
+def test_suite_smallest_sizes_pass(runner, cases):
+    result = runner.invoke(main, ["suite", "--cases", cases, "--poset-max", "1", "--set-max", "1"])
+    assert result.exit_code == 0, result.output
+
+
 def test_merge_same_premorphism(runner):
     result = runner.invoke(
         main,

@@ -10,13 +10,16 @@ from profact.diagrams import (
     Diagram,
     DiagramError,
     NatTrans,
+    NotSpecial,
     PartialDiagram,
+    cone_into_limit,
     is_levelwise,
     is_special,
     limit_map,
     limit_over_poset,
     matching_data,
     relative_matching_map,
+    special_matching_data,
 )
 from profact.poset import FinPoset, Reysha
 from profact.randgen import random_diagram, random_nattrans, random_poset
@@ -188,6 +191,48 @@ def test_elements_with_one_strict_downset_share_one_matching_limit(monkeypatch):
     # a fresh owner computes its own
     assert PartialDiagram.of(diagram).matching_limit("t2") is not first
     assert len(calls) == 2
+
+
+def test_limit_follows_the_maximal_elements_in_canonical_order():
+    # the maximal elements t and u come first and last, x0 < t between
+    shape = FinPoset.make(("t", "x0", "u"), [("x0", "t")])
+    ab, p, cd = BaseObject(("a", "b")), BaseObject(("p",)), BaseObject(("c", "d"))
+    diagram = Diagram.make(
+        shape, {"t": ab, "x0": p, "u": cd}, {("t", "x0"): morphism(ab, p, {"a": "p", "b": "p"})}
+    )
+    lim, proj = limit_over_poset(diagram)
+    assert lim.carrier == ("l0", "l1", "l2", "l3")
+    assert [(proj["t"](e), proj["u"](e)) for e in lim.carrier] == [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+
+
+def test_matching_index_is_shared_and_its_cone_check_stays_exact():
+    # 0 < 1 < t and 0 < 1 < u: t and u share the strict downset (0, 1)
+    shape = FinPoset.make(("0", "1", "t", "u"), [("0", "1"), ("1", "t"), ("1", "u")])
+    ab = BaseObject(("a", "b"))
+    limits = PartialDiagram.of(constant_diagram(shape, ab))
+    index = limits.matching_index("t")
+    assert limits.matching_index("u") is index
+    limit = limits.matching_limit("t")
+    cone = {"0": identity(ab), "1": identity(ab)}
+    assert cone_into_limit(ab, cone, limit, index) == cone_into_limit(ab, cone, limit)
+    # the legs disagree along 1 >= 0
+    swapped = {"0": identity(ab), "1": morphism(ab, ab, {"a": "b", "b": "a"})}
+    with pytest.raises(DiagramError, match="the legs do not form a cone"):
+        cone_into_limit(ab, swapped, limit, index)
+
+
+def test_special_walk_stops_at_a_square_that_does_not_commute():
+    # built without NatTrans.make: the square on 1 >= 0 does not commute
+    chain = FinPoset.make(("0", "1"), [("0", "1")])
+    ab = BaseObject(("a", "b"))
+    const = Diagram.make(chain, {"0": ab, "1": ab}, {("1", "0"): identity(ab)})
+    swap = morphism(ab, ab, {"a": "b", "b": "a"})
+    nt = NatTrans(const, const, {"0": swap, "1": identity(ab)})
+    walk = special_matching_data(nt, "M")
+    assert next(walk)[0] == "0"
+    with pytest.raises(NotSpecial, match="no relative matching map at '1'"):
+        next(walk)
+    assert not is_special(nt, "M")
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from profact.base import TARGET_TAG, BaseMorphism, BaseObject, compose, factorize_base, identity, morphism
+from profact import diagrams
 from profact.diagrams import Diagram, NatTrans, is_levelwise, is_special
 from profact.factorize import (
     ArrowPreMorphism,
@@ -343,3 +345,26 @@ def test_constructed_maps_pass_the_public_checks():
             maps += [step.to_fiber, step.into_pullback, step.right, *step.to_lower.values()]
         for m in maps:
             assert BaseMorphism(m.source, m.target, dict(m.mapping)) == m
+
+
+def test_verify_shares_only_the_input_target_limits(monkeypatch):
+    # the construction takes every limit of the middle diagram and of
+    # f.target; verify takes the middle ones again and reuses f.target's
+    rng = random.Random(59)
+    inputs = [random_nattrans(rng, random_poset(rng, 5), 3) for _ in range(10)]
+    limit_over_poset = diagrams.limit_over_poset
+    calls = []
+    monkeypatch.setattr(diagrams, "limit_over_poset", lambda d: calls.append(d) or limit_over_poset(d))
+    for f in inputs:
+        calls.clear()
+        rf = reedy(f)
+        assert all(rf.report.values())
+        strict = {f.shape.strict_downset(x) for x in f.shape.elements}
+        # the empty strict downset has no fiber to tell the diagrams apart
+        assert sum(1 for d in calls if not d.shape.elements) == 3
+        layers = Counter(
+            (d.shape.elements, "target" if d.at(d.shape.elements[0]) is f.target.at(d.shape.elements[0]) else "mid")
+            for d in calls
+            if d.shape.elements
+        )
+        assert layers == Counter({(s, "mid"): 2 for s in strict if s} | {(s, "target"): 1 for s in strict if s})

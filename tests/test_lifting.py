@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from profact.base import BaseObject, compose, identity, is_in_m, morphism
+from profact import diagrams
 from profact.diagrams import Diagram, NatTrans
 from profact.lifting import (
     ConeLift,
@@ -198,6 +200,50 @@ def test_lift_rejects_non_special_right():
         {t: morphism(empty, one, {}) for t in ch.elements},
     )
     with pytest.raises(LiftingError):
+        lift_against_special(problem)
+
+
+def test_lift_takes_each_matching_limit_once(monkeypatch):
+    # the specialness check and the lift share one walk, so each distinct
+    # strict downset's limit is taken once per layer of the right map
+    rng = random.Random(53)
+    problems = [random_special_problem(rng, 5, 3) for _ in range(10)]
+    limit_over_poset = diagrams.limit_over_poset
+    calls = []
+    monkeypatch.setattr(diagrams, "limit_over_poset", lambda d: calls.append(d) or limit_over_poset(d))
+    for problem in problems:
+        calls.clear()
+        cone = lift_against_special(problem)
+        assert all(cone.verify(problem).values())
+        f = problem.right
+        strict = {f.shape.strict_downset(x) for x in f.shape.elements}
+        # the empty strict downset has no fiber to tell the layers apart
+        assert sum(1 for d in calls if not d.shape.elements) == 2
+        layers = Counter(
+            (d.shape.elements, "source" if d.at(d.shape.elements[0]) is f.source.at(d.shape.elements[0]) else "target")
+            for d in calls
+            if d.shape.elements
+        )
+        assert layers == Counter({(s, layer): 1 for s in strict if s for layer in ("source", "target")})
+
+
+def test_lift_rejects_right_family_whose_squares_do_not_commute():
+    # built without NatTrans.make: every component is a bijection, but the
+    # square on 1 >= 0 does not commute, so there are no relative
+    # matching maps
+    ch = FinPoset.make(("0", "1"), [("0", "1")])
+    ab = BaseObject(("a", "b"))
+    const = Diagram.make(ch, {"0": ab, "1": ab}, {("1", "0"): identity(ab)})
+    swap = morphism(ab, ab, {"a": "b", "b": "a"})
+    right = NatTrans(const, const, {"0": swap, "1": identity(ab)})
+    empty = BaseObject(())
+    problem = LiftingProblem(
+        morphism(empty, empty, {}),
+        right,
+        {t: morphism(empty, ab, {}) for t in ch.elements},
+        {t: morphism(empty, ab, {}) for t in ch.elements},
+    )
+    with pytest.raises(LiftingError, match="^right transformation is not special surjective$"):
         lift_against_special(problem)
 
 
