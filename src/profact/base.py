@@ -84,6 +84,15 @@ def compose(g: BaseMorphism, f: BaseMorphism) -> BaseMorphism:
     return BaseMorphism._trusted(f.source, g.target, {x: g_map[f_map[x]] for x in f.source.carrier})
 
 
+def composite_values(g: BaseMorphism, f: BaseMorphism) -> list[str]:
+    """The values of compose(g, f) in the carrier order of f's source,
+    without building the composite."""
+    if f.target != g.source:
+        raise BaseError("composition mismatch: target of inner differs from source of outer")
+    f_map, g_map = f.mapping, g.mapping
+    return [g_map[f_map[x]] for x in f.source.carrier]
+
+
 def is_in_n(f: BaseMorphism) -> bool:
     """Left class membership: injectivity."""
     values = list(f.mapping.values())
@@ -107,13 +116,22 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> tuple[BaseObject, BaseMorphism
     """
     if f.target != g.target:
         raise BaseError("pullback legs must share a target")
+    g_map, f_map = g.mapping, f.mapping
     fiber: dict[str, list[str]] = {}
     for y in g.source.carrier:
-        fiber.setdefault(g.mapping[y], []).append(y)
-    pairs = [(x, y) for x in f.source.carrier for y in fiber.get(f.mapping[x], ())]
-    carrier = BaseObject(tuple(f"p{i}" for i in range(len(pairs))))
-    proj_f = BaseMorphism._trusted(carrier, f.source, {f"p{i}": x for i, (x, _) in enumerate(pairs)})
-    proj_g = BaseMorphism._trusted(carrier, g.source, {f"p{i}": y for i, (_, y) in enumerate(pairs)})
+        fiber.setdefault(g_map[y], []).append(y)
+    # the two coordinate columns of the pairs
+    xs: list[str] = []
+    ys: list[str] = []
+    for x in f.source.carrier:
+        matches = fiber.get(f_map[x])
+        if matches:
+            xs += [x] * len(matches)
+            ys += matches
+    ids = tuple([f"p{i}" for i in range(len(xs))])
+    carrier = BaseObject(ids)
+    proj_f = BaseMorphism._trusted(carrier, f.source, dict(zip(ids, xs)))
+    proj_g = BaseMorphism._trusted(carrier, g.source, dict(zip(ids, ys)))
     return carrier, proj_f, proj_g
 
 
@@ -124,13 +142,15 @@ def induced_into_pullback(
 ) -> BaseMorphism:
     """The canonical map into a pullback from a compatible span."""
     carrier, proj_f, proj_g = pb
-    lookup = {(proj_f(p), proj_g(p)): p for p in carrier.carrier}
-    mapping = {}
-    for w in to_f_source.source.carrier:
-        key = (to_f_source(w), to_g_source(w))
-        if key not in lookup:
-            raise BaseError("span does not commute with the pullback legs")
-        mapping[w] = lookup[key]
+    f_map, g_map = proj_f.mapping, proj_g.mapping
+    lookup = {(f_map[p], g_map[p]): p for p in carrier.carrier}
+    domain = to_f_source.source.carrier
+    a_map, b_map = to_f_source.mapping, to_g_source.mapping
+    keys = [(a_map[w], b_map[w]) for w in domain]
+    try:
+        mapping = dict(zip(domain, map(lookup.__getitem__, keys)))
+    except KeyError:
+        raise BaseError("span does not commute with the pullback legs") from None
     return BaseMorphism._trusted(to_f_source.source, carrier, mapping)
 
 

@@ -81,14 +81,16 @@ def build_tower(
     if not directed:
         raise CofinalizeError(f"category is not directed (axiom {witness.axiom}, {witness.detail})")
     elements = list(I.objects)
-    pairs: list[tuple[str, str]] = []
     obj_map = {o: o for o in I.objects}
     mor_map = {(o, o): I.identity(o) for o in I.objects}
     cones: dict[str, ConeElement] = {}
-    level_posets = [FinPoset.make(tuple(elements), pairs)]
+    # each level's relation is closed as built: a new cone lies above the
+    # members of its Reysha, which is downward closed in the previous level
+    level_posets = [FinPoset._closed(tuple(elements), {(o, o) for o in I.objects})]
     homs = {(x, y): I.hom(x, y) for x in I.objects for y in I.objects}
     for n in range(1, levels + 1):
         prev = level_posets[-1]
+        le_pairs = set(prev.le_pairs)
         counter = 0
         for reysha in prev.reyshas(max_size=reysha_cap):
             members = reysha.members
@@ -111,11 +113,12 @@ def build_tower(
                         )
                     obj_map[name] = apex
                     mor_map[(name, name)] = I.identity(apex)
+                    le_pairs.add((name, name))
                     for c in members:
-                        pairs.append((c, name))
+                        le_pairs.add((c, name))
                         mor_map[(name, c)] = legs_by[c]
                     cones[name] = ConeElement(n, members, apex, legs_by)
-        level_posets.append(FinPoset.make(tuple(elements), pairs))
+        level_posets.append(FinPoset._closed(tuple(elements), le_pairs))
     return CofinalTower(I, tuple(level_posets), obj_map, mor_map, cones, reysha_cap)
 
 

@@ -7,6 +7,7 @@ stored for all comparable pairs and functoriality is checked exhaustively.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .base import (
@@ -15,6 +16,7 @@ from .base import (
     BaseObject,
     TERMINAL,
     compose,
+    composite_values,
     identity,
     induced_into_pullback,
     is_in_m,
@@ -78,7 +80,7 @@ class Diagram:
     def restrict(self, reysha: Reysha) -> "Diagram":
         if reysha.parent != self.shape:
             raise DiagramError("Reysha belongs to a different poset")
-        return _restriction(self, self.shape.restrict(reysha.members))
+        return _restriction(self, self.shape._restrict_downward(reysha.members))
 
 
 def _restriction(diagram: Diagram | PartialDiagram, shape: FinPoset) -> Diagram:
@@ -86,13 +88,13 @@ def _restriction(diagram: Diagram | PartialDiagram, shape: FinPoset) -> Diagram:
     shape restricted to a downward closed subset.
 
     The restriction of a functor is a functor, so it is built without
-    Diagram.make's checks.
+    Diagram.make's checks; its arrows are read off the downsets of shape.
     """
-    members = set(shape.elements)
+    objects, arrows = diagram.objects, diagram.arrows
     return Diagram(
         shape,
-        {x: diagram.objects[x] for x in shape.elements},
-        {p: a for p, a in diagram.arrows.items() if p[0] in members and p[1] in members},
+        {x: objects[x] for x in shape.elements},
+        {(x, y): arrows[(x, y)] for x in shape.elements for y in shape.downset(x)},
     )
 
 
@@ -158,7 +160,9 @@ def limit_over_poset(diagram: Diagram) -> Limit:
     one at a time, each bucketed by its values on the elements that earlier
     maximals already fix, so only compatible extensions are ever visited.
     Extending each partial family by its bucket in carrier order keeps the
-    lexicographic order.
+    lexicographic order.  A family is the tuple of its values at the
+    maximal elements; every element reads its value through the first
+    maximal element above it.
     """
     shape = diagram.shape
     if not shape.elements:
@@ -166,36 +170,65 @@ def limit_over_poset(diagram: Diagram) -> Limit:
     # an element is maximal iff it lies in no strict downset
     covered = {y for x in shape.elements for y in shape.strict_downset(x)}
     maximal = [x for x in shape.elements if x not in covered]
-    families: list[dict[str, str]] = [{}]
-    fixed: set[str] = set()
-    for m in maximal:
+    # element -> (position of the first maximal element above it, the
+    # arrow's mapping from that maximal fiber)
+    through: dict[str, tuple[int, dict[str, str]]] = {}
+    families: list[tuple[str, ...]] = [()]
+    for i, m in enumerate(maximal):
+        fiber = diagram.at(m).carrier
         below = [(y, diagram.arrow(m, y).mapping) for y in shape.downset(m)]
-        joined = [(y, mapping) for y, mapping in below if y in fixed]
-        buckets: dict[tuple[str, ...], list[dict[str, str]]] = {}
-        for v in diagram.at(m).carrier:
-            buckets.setdefault(tuple(mapping[v] for _, mapping in joined), []).append(
-                {y: mapping[v] for y, mapping in below}
-            )
-        families = [
-            {**family, **values}
-            for family in families
-            for values in buckets.get(tuple(family[y] for y, _ in joined), ())
-        ]
-        fixed.update(y for y, _ in below)
-    carrier = BaseObject(tuple(f"l{i}" for i in range(len(families))))
+        joined = [(y, mapping) for y, mapping in below if y in through]
+        if joined:
+            buckets: dict[tuple[str, ...], list[str]] = {}
+            for key, v in zip(zip(*[_column(mapping, fiber) for _, mapping in joined]), fiber):
+                buckets.setdefault(key, []).append(v)
+            fixed = zip(*[_values_through(through[y], families) for y, _ in joined])
+            families = [family + (v,) for family, key in zip(families, fixed) for v in buckets.get(key, ())]
+        else:
+            families = [family + (v,) for family in families for v in fiber]
+        for y, mapping in below:
+            through.setdefault(y, (i, mapping))
+    ids = tuple([f"l{i}" for i in range(len(families))])
+    carrier = BaseObject(ids)
     projections = {
-        x: BaseMorphism._trusted(carrier, diagram.at(x), {f"l{i}": fam[x] for i, fam in enumerate(families)})
+        x: BaseMorphism._trusted(carrier, diagram.at(x), dict(zip(ids, _values_through(through[x], families))))
         for x in shape.elements
     }
     return carrier, projections
+
+
+def _column(mapping: dict[str, str], keys) -> list[str]:
+    """The values of mapping at keys, in their order."""
+    return [mapping[k] for k in keys]
+
+
+def _values_through(through: tuple[int, dict[str, str]], families: list[tuple[str, ...]]) -> list[str]:
+    """Each family's value at an element, read through the maximal value
+    at position through[0] and the arrow mapping through[1]."""
+    position, mapping = through
+    return [mapping[family[position]] for family in families]
 
 
 def limit_index(limit: Limit) -> LimitIndex:
     """What cone_into_limit looks a cone's legs up in."""
     lim_obj, lim_proj = limit
     order = tuple(lim_proj)
-    columns = [lim_proj[x].mapping for x in order]
-    return order, {tuple(column[e] for column in columns): e for e in lim_obj.carrier}
+    carrier = lim_obj.carrier
+    if not order:
+        return order, {(): e for e in carrier}
+    return order, dict(zip(zip(*[_column(lim_proj[x].mapping, carrier) for x in order]), carrier))
+
+
+def _into_limit(apex: BaseObject, columns: list[list[str]], limit: Limit, families: dict) -> BaseMorphism:
+    """The map apex -> limit sending each apex element to the family of its
+    entries in columns, one column per element of the index's order.  With
+    no columns (the terminal limit) every key is ()."""
+    keys = zip(*columns) if columns else itertools.repeat((), len(apex.carrier))
+    try:
+        mapping = {e: families[key] for e, key in zip(apex.carrier, keys)}
+    except KeyError:
+        raise DiagramError("the legs do not form a cone over the limit's diagram") from None
+    return BaseMorphism._trusted(apex, limit[0], mapping)
 
 
 def cone_into_limit(
@@ -207,14 +240,7 @@ def cone_into_limit(
     into the same limit more than once.
     """
     order, families = limit_index(limit) if index is None else index
-    leg_maps = [legs[x].mapping for x in order]
-    mapping = {}
-    for e in apex.carrier:
-        key = tuple(leg[e] for leg in leg_maps)
-        if key not in families:
-            raise DiagramError("the legs do not form a cone over the limit's diagram")
-        mapping[e] = families[key]
-    return BaseMorphism._trusted(apex, limit[0], mapping)
+    return _into_limit(apex, [_column(legs[x].mapping, apex.carrier) for x in order], limit, families)
 
 
 def limit_map(
@@ -224,10 +250,12 @@ def limit_map(
     target_index: LimitIndex | None = None,
 ) -> BaseMorphism:
     """The map of limits induced by levelwise maps commuting with the
-    arrows; target_index is as for cone_into_limit."""
+    arrows; target_index is as for cone_into_limit.  Each leg is the
+    component after the source projection, read as a column."""
     src_obj, src_proj = source_limit
-    legs = {x: compose(components[x], src_proj[x]) for x in target_limit[1]}
-    return cone_into_limit(src_obj, legs, target_limit, target_index)
+    order, families = limit_index(target_limit) if target_index is None else target_index
+    columns = [composite_values(components[x], src_proj[x]) for x in order]
+    return _into_limit(src_obj, columns, target_limit, families)
 
 
 class PartialDiagram:
@@ -263,7 +291,7 @@ class PartialDiagram:
         strict = self.shape.strict_downset(x)
         limit = self._limits.get(strict)
         if limit is None:
-            below = _restriction(self, self.shape.restrict(strict))
+            below = _restriction(self, self.shape._restrict_downward(strict))
             limit = self._limits[strict] = limit_over_poset(below)
         return limit
 

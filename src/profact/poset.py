@@ -76,11 +76,19 @@ class FinPoset:
         degree: dict[str, int] = {}
         for x in sorted(elements, key=lambda x: len(down[x])):
             degree[x] = 1 + max((degree[y] for y in strict[x]), default=-1)
-        poset = FinPoset(elements, closed)
+        return FinPoset._stored(elements, closed, index, degree, down, strict)
+
+    @staticmethod
+    def _stored(elements, le_pairs, index, degree, down, strict) -> "FinPoset":
+        """The poset with the given relation and derived tables, unchecked."""
+        poset = object.__new__(FinPoset)
+        object.__setattr__(poset, "elements", elements)
+        object.__setattr__(poset, "le_pairs", le_pairs)
         object.__setattr__(poset, "_index", index)
         object.__setattr__(poset, "_degree", degree)
         object.__setattr__(poset, "_down", down)
         object.__setattr__(poset, "_strict", strict)
+        object.__setattr__(poset, "_up", None)
         return poset
 
     def __contains__(self, x: str) -> bool:
@@ -187,6 +195,22 @@ class FinPoset:
         pairs = [(x, y) for (x, y) in self.le_pairs if x in member_set and y in member_set]
         return FinPoset._closed(elems, pairs)
 
+    def _restrict_downward(self, members: tuple[str, ...]) -> "FinPoset":
+        """restrict for members that are downward closed and in canonical
+        order, as a Reysha's are.  A member's downset, strict downset and
+        degree lie inside such a set, so each is copied, not recomputed,
+        and the relation is not re-closed."""
+        down, strict, degree = self._down, self._strict, self._degree
+        le_pairs: list[tuple[str, str]] = []
+        index, sub_degree, sub_down, sub_strict = {}, {}, {}, {}
+        for i, x in enumerate(members):
+            index[x] = i
+            sub_degree[x] = degree[x]
+            below = sub_down[x] = down[x]
+            sub_strict[x] = strict[x]
+            le_pairs += [(y, x) for y in below]
+        return FinPoset._stored(members, frozenset(le_pairs), index, sub_degree, sub_down, sub_strict)
+
     def in_degree_order(self) -> tuple[str, ...]:
         """Elements sorted by (degree, canonical position)."""
         return tuple(sorted(self.elements, key=lambda x: (self._degree[x], self._index[x])))
@@ -225,7 +249,7 @@ class Reysha:
         return len(self.members)
 
     def as_poset(self) -> FinPoset:
-        return self.parent.restrict(self.members)
+        return self.parent._restrict_downward(self.members)
 
 
 def is_reysha(poset: FinPoset, members: Iterable[str]) -> bool:

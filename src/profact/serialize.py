@@ -170,17 +170,26 @@ def nattrans_from_json(data: Any, path: str = "$") -> NatTrans:
 
 
 def category_from_json(data: Any, path: str = "$") -> FinCategory:
+    objects = _require_list(_require(data, "objects", path), "object ids", path + ".objects")
+    morphisms = _require_list(_require(data, "morphisms", path), "morphism ids", path + ".morphisms")
+    src, tgt = _require(data, "src", path), _require(data, "tgt", path)
+    compose_table = _compose_table(data.get("compose", []), path + ".compose")
+    identities = _require(data, "identities", path)
     try:
-        return FinCategory.make(
-            _require_list(_require(data, "objects", path), "object ids", path + ".objects"),
-            _require_list(_require(data, "morphisms", path), "morphism ids", path + ".morphisms"),
-            _require(data, "src", path),
-            _require(data, "tgt", path),
-            {(g, f): h for g, f, h in data.get("compose", [])},
-            _require(data, "identities", path),
-        )
+        return FinCategory.make(objects, morphisms, src, tgt, compose_table, identities)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc), path) from exc
+
+
+def _compose_table(rows: Any, path: str) -> dict[tuple[str, str], str]:
+    """The composition table of rows [g, f, g∘f] of morphism ids."""
+    table = {}
+    for i, row in enumerate(_require_list(rows, "rows of three morphism ids", path)):
+        if not (isinstance(row, list) and len(row) == 3 and all(isinstance(m, str) for m in row)):
+            raise ParseError("a row must be three morphism ids", f"{path}[{i}]")
+        g, f, h = row
+        table[(g, f)] = h
+    return table
 
 
 def arrow_pre_morphism_from_json(data: Any, f: NatTrans, t: NatTrans, path: str = "$") -> ArrowPreMorphism:

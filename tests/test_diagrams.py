@@ -15,6 +15,7 @@ from profact.diagrams import (
     cone_into_limit,
     is_levelwise,
     is_special,
+    limit_index,
     limit_map,
     limit_over_poset,
     matching_data,
@@ -233,6 +234,87 @@ def test_special_walk_stops_at_a_square_that_does_not_commute():
     with pytest.raises(NotSpecial, match="no relative matching map at '1'"):
         next(walk)
     assert not is_special(nt, "M")
+
+
+def limit_reference(diagram):
+    """Every compatible family over the maximal fibers, in lexicographic
+    order of their values there: the carrier ids and, per element, the
+    projection's (id, value) list that limit_over_poset should give."""
+    shape = diagram.shape
+    if not shape.elements:
+        return ("*",), {}
+    maximal = [m for m in shape.elements if not any(shape.lt(m, y) for y in shape.elements)]
+    families = []
+    for values in itertools.product(*(diagram.at(m).carrier for m in maximal)):
+        family = {}
+        for m, v in zip(maximal, values):
+            for y in shape.elements:
+                if shape.le(y, m):
+                    family.setdefault(y, set()).add(diagram.arrow(m, y)(v))
+        if all(len(seen) == 1 for seen in family.values()):
+            families.append({y: seen.pop() for y, seen in family.items()})
+    carrier = tuple(f"l{i}" for i in range(len(families)))
+    return carrier, {x: [(e, family[x]) for e, family in zip(carrier, families)] for x in shape.elements}
+
+
+@st.composite
+def shaped_diagrams(draw):
+    """Diagrams over the empty shape, antichains (with empty fibers too),
+    chains and random posets."""
+    kind = draw(st.sampled_from(["empty", "antichain", "chain", "random"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    elements = tuple(f"e{i}" for i in range(draw(st.integers(min_value=1, max_value=5))))
+    if kind == "empty":
+        return Diagram.make(FinPoset.make(()), {})
+    if kind == "antichain":
+        sizes = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=len(elements), max_size=len(elements)))
+        fibers = {x: BaseObject(tuple(f"{x}_{i}" for i in range(k))) for x, k in zip(elements, sizes)}
+        return Diagram.make(FinPoset.make(elements), fibers)
+    if kind == "chain":
+        shape = FinPoset.make(elements, list(zip(elements, elements[1:])))
+    else:
+        shape = random_poset(rng, 5)
+    return random_diagram(rng, shape, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagram=shaped_diagrams())
+def test_limit_equals_the_lexicographic_reference(diagram):
+    lim, proj = limit_over_poset(diagram)
+    carrier, columns = limit_reference(diagram)
+    assert lim.carrier == carrier
+    assert list(proj) == list(diagram.shape.elements)
+    for x, column in columns.items():
+        assert proj[x].source == lim and proj[x].target == diagram.at(x)
+        assert list(proj[x].mapping.items()) == column
+
+
+def test_legs_that_are_not_a_cone_are_rejected_with_and_without_an_index():
+    ab = BaseObject(("a", "b"))
+    limit = limit_over_poset(constant_diagram(vee(), ab))
+    swap = morphism(ab, ab, {"a": "b", "b": "a"})
+    # the legs at x0 and t agree along t >= x0, the leg at x1 does not
+    legs = {"x0": identity(ab), "x1": swap, "t": identity(ab)}
+    for index in (None, limit_index(limit)):
+        with pytest.raises(DiagramError, match="the legs do not form a cone"):
+            cone_into_limit(ab, legs, limit, index)
+        with pytest.raises(DiagramError, match="the legs do not form a cone"):
+            limit_map(limit, limit, legs, index)
+
+
+@pytest.mark.parametrize("size", [0, 1, 3])
+def test_every_apex_element_maps_into_the_terminal_limit(size):
+    apex = BaseObject(tuple(f"w{i}" for i in range(size)))
+    limits = PartialDiagram.of(constant_diagram(vee(), apex))
+    # x0 is minimal: its matching limit is over the empty shape
+    terminal = limits.matching_limit("x0")
+    assert terminal == limit_over_poset(Diagram.make(FinPoset.make(()), {}))
+    for index in (None, limits.matching_index("x0")):
+        into = cone_into_limit(apex, {}, terminal, index)
+        assert into.target == terminal[0]
+        assert into.mapping == {w: "*" for w in apex.carrier}
+    source = limits.matching_limit("t")
+    assert limit_map(source, terminal, {}).mapping == {e: "*" for e in source[0].carrier}
 
 
 @settings(max_examples=200, deadline=None)

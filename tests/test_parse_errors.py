@@ -159,3 +159,18 @@ def test_string_for_a_list_of_ids_is_parse_error(tmp_path, what, doc, path):
     result = run(["check", what, bad])
     assert result.exit_code == 3
     assert f"{bad}{path}: expected a list of" in result.output
+
+
+@pytest.mark.parametrize(
+    "table, path, message",
+    [
+        ({"a": 1}, ".compose", "expected a list of rows of three morphism ids"),
+        ([["x>=x", ["a"], "x>=x"]], ".compose[0]", "a row must be three morphism ids"),
+        ([None], ".compose[0]", "a row must be three morphism ids"),
+    ],
+)
+def test_malformed_composition_table_is_parse_error(tmp_path, table, path, message):
+    bad = _write(tmp_path, "bad.json", {**load("chain2.json"), "compose": table})
+    result = run(["cofinalize", bad])
+    assert result.exit_code == 3
+    assert f"{bad}{path}: {message}" in result.output

@@ -153,3 +153,20 @@ def test_upsets():
     assert v.upset("x0") == ("x0", "t")
     assert v.upset("t") == ("t",)
     assert v.upset("unknown") == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_downward_restriction_equals_restrict_for_every_reysha(seed):
+    poset = random_poset(random.Random(seed), 6)
+    for reysha in poset.reyshas():
+        fast = poset._restrict_downward(reysha.members)
+        slow = poset.restrict(reysha.members)
+        assert fast.elements == slow.elements
+        assert fast.le_pairs == slow.le_pairs
+        for x in slow.elements:
+            assert fast.downset(x) == slow.downset(x)
+            assert fast.strict_downset(x) == slow.strict_downset(x)
+            assert fast.degree(x) == slow.degree(x)
+        assert fast.in_degree_order() == slow.in_degree_order()
+        assert fast == slow
