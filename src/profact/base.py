@@ -78,19 +78,17 @@ def morphism(source: BaseObject, target: BaseObject, mapping: dict[str, str]) ->
 
 
 def compose(g: BaseMorphism, f: BaseMorphism) -> BaseMorphism:
-    if f.target != g.source:
-        raise BaseError("composition mismatch: target of inner differs from source of outer")
-    f_map, g_map = f.mapping, g.mapping
-    return BaseMorphism._trusted(f.source, g.target, {x: g_map[f_map[x]] for x in f.source.carrier})
+    return BaseMorphism._trusted(f.source, g.target, composite_mapping(g, f))
 
 
-def composite_values(g: BaseMorphism, f: BaseMorphism) -> list[str]:
-    """The values of compose(g, f) in the carrier order of f's source,
+def composite_mapping(g: BaseMorphism, f: BaseMorphism) -> dict[str, str]:
+    """The mapping of compose(g, f), in the carrier order of f's source,
     without building the composite."""
-    if f.target != g.source:
+    # the same object is the common case, and skips the carrier comparison
+    if f.target is not g.source and f.target != g.source:
         raise BaseError("composition mismatch: target of inner differs from source of outer")
     f_map, g_map = f.mapping, g.mapping
-    return [g_map[f_map[x]] for x in f.source.carrier]
+    return {x: g_map[f_map[x]] for x in f.source.carrier}
 
 
 def is_in_n(f: BaseMorphism) -> bool:

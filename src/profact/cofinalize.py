@@ -106,6 +106,9 @@ def build_tower(
                         continue
                     name = f"c{n}_{counter}"
                     counter += 1
+                    if name in obj_map:
+                        # _closed takes the element ids as given
+                        raise CofinalizeError(f"object id {name!r} clashes with a cone element's name")
                     elements.append(name)
                     if len(elements) > element_cap:
                         raise BudgetExceeded(

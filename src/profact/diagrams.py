@@ -8,6 +8,7 @@ stored for all comparable pairs and functoriality is checked exhaustively.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .base import (
@@ -16,7 +17,7 @@ from .base import (
     BaseObject,
     TERMINAL,
     compose,
-    composite_values,
+    composite_mapping,
     identity,
     induced_into_pullback,
     is_in_m,
@@ -180,7 +181,7 @@ def limit_over_poset(diagram: Diagram) -> Limit:
         joined = [(y, mapping) for y, mapping in below if y in through]
         if joined:
             buckets: dict[tuple[str, ...], list[str]] = {}
-            for key, v in zip(zip(*[_column(mapping, fiber) for _, mapping in joined]), fiber):
+            for key, v in zip(zip(*[[mapping[e] for e in fiber] for _, mapping in joined]), fiber):
                 buckets.setdefault(key, []).append(v)
             fixed = zip(*[_values_through(through[y], families) for y, _ in joined])
             families = [family + (v,) for family, key in zip(families, fixed) for v in buckets.get(key, ())]
@@ -197,11 +198,6 @@ def limit_over_poset(diagram: Diagram) -> Limit:
     return carrier, projections
 
 
-def _column(mapping: dict[str, str], keys) -> list[str]:
-    """The values of mapping at keys, in their order."""
-    return [mapping[k] for k in keys]
-
-
 def _values_through(through: tuple[int, dict[str, str]], families: list[tuple[str, ...]]) -> list[str]:
     """Each family's value at an element, read through the maximal value
     at position through[0] and the arrow mapping through[1]."""
@@ -216,10 +212,10 @@ def limit_index(limit: Limit) -> LimitIndex:
     carrier = lim_obj.carrier
     if not order:
         return order, {(): e for e in carrier}
-    return order, dict(zip(zip(*[_column(lim_proj[x].mapping, carrier) for x in order]), carrier))
+    return order, dict(zip(zip(*[[lim_proj[x].mapping[e] for e in carrier] for x in order]), carrier))
 
 
-def _into_limit(apex: BaseObject, columns: list[list[str]], limit: Limit, families: dict) -> BaseMorphism:
+def _into_limit(apex: BaseObject, columns: list[Iterable[str]], limit: Limit, families: dict) -> BaseMorphism:
     """The map apex -> limit sending each apex element to the family of its
     entries in columns, one column per element of the index's order.  With
     no columns (the terminal limit) every key is ()."""
@@ -240,7 +236,7 @@ def cone_into_limit(
     into the same limit more than once.
     """
     order, families = limit_index(limit) if index is None else index
-    return _into_limit(apex, [_column(legs[x].mapping, apex.carrier) for x in order], limit, families)
+    return _into_limit(apex, [[legs[x].mapping[e] for e in apex.carrier] for x in order], limit, families)
 
 
 def limit_map(
@@ -254,7 +250,7 @@ def limit_map(
     component after the source projection, read as a column."""
     src_obj, src_proj = source_limit
     order, families = limit_index(target_limit) if target_index is None else target_index
-    columns = [composite_values(components[x], src_proj[x]) for x in order]
+    columns = [composite_mapping(components[x], src_proj[x]).values() for x in order]
     return _into_limit(src_obj, columns, target_limit, families)
 
 

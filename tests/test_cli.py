@@ -90,6 +90,17 @@ def test_cofinalize_rejects_non_directed(runner):
     assert result.exit_code == 1
 
 
+def test_cofinalize_rejects_object_named_like_a_cone(runner, tmp_path):
+    data = json.loads(resources.files("profact").joinpath("fixtures", "one_object.json").read_text())
+    text = json.dumps(data).replace('"i"', '"c1_0"')
+    clash = tmp_path / "clash.json"
+    clash.write_text(text)
+    result = runner.invoke(main, ["cofinalize", str(clash), "--levels", "1"])
+    assert result.exit_code == 1
+    assert "'c1_0' clashes" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_cofinalize_budget_exit(runner, monkeypatch):
     monkeypatch.setenv("PROFACT_ELEMENT_CAP", "5")
     result = runner.invoke(main, ["cofinalize", fixture("one_object.json"), "--levels", "2"])

@@ -14,6 +14,7 @@ from profact.cofinalize import (
     check_cofinality,
     check_tower_directedness,
 )
+from profact.poset import FinPoset
 from profact.randgen import random_directed_poset
 from profact.serialize import category_from_json
 
@@ -149,6 +150,16 @@ def test_zigzag_witnesses_are_edges():
 def test_non_directed_category_rejected():
     with pytest.raises(CofinalizeError):
         build_tower(parallel_pair_category())
+
+
+def test_object_named_like_a_cone_rejected():
+    # level 1 names the cone over the empty Reysha c1_0
+    clash = poset_as_category(FinPoset.make(["c1_0"], []))
+    with pytest.raises(CofinalizeError, match="'c1_0' clashes"):
+        build_tower(clash, levels=1)
+    # a name no level reaches is fine
+    tower = build_tower(poset_as_category(FinPoset.make(["c2_0"], [])), levels=1)
+    assert tower.top.elements.count("c2_0") == 1
 
 
 def test_budget_cap():
