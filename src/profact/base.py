@@ -102,10 +102,6 @@ def is_in_m(f: BaseMorphism) -> bool:
     return set(f.mapping.values()) == set(f.target.carrier)
 
 
-def terminal_map(obj: BaseObject) -> BaseMorphism:
-    return BaseMorphism(obj, TERMINAL, {x: "*" for x in obj.carrier})
-
-
 def pullback(f: BaseMorphism, g: BaseMorphism) -> tuple[BaseObject, BaseMorphism, BaseMorphism]:
     """The fiber product of f: X -> Z and g: Y -> Z with coordinate projections.
 

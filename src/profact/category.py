@@ -1,4 +1,4 @@
-"""Small finite categories, directedness axioms and the initial-cone extension.
+"""Small finite categories and the directedness axioms.
 
 A poset is viewed as a category with a single morphism u -> v iff u >= v.
 """
@@ -8,14 +8,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .poset import FinPoset, Reysha
+from .poset import FinPoset
 
 
 class CategoryError(ValueError):
     pass
-
-
-CONE_POINT = "∞"
 
 
 @dataclass(frozen=True)
@@ -139,65 +136,3 @@ def poset_as_category(poset: FinPoset) -> FinCategory:
                 compose[(name(v, w), name(u, v))] = name(u, w)
     identities = {x: name(x, x) for x in poset.elements}
     return FinCategory.make(poset.elements, morphisms, src, tgt, compose, identities)
-
-
-def category_poset_elements(cat: FinCategory) -> FinPoset | None:
-    """Recover a poset presentation if every hom set has at most one arrow."""
-    pairs = []
-    for u in cat.objects:
-        for v in cat.objects:
-            homs = cat.hom(u, v)
-            if len(homs) > 1:
-                return None
-            if homs and u != v:
-                if cat.hom(v, u):
-                    return None
-                pairs.append((v, u))  # arrow u -> v means v <= u
-    return FinPoset.make(cat.objects, pairs)
-
-
-def cone_extend(reysha: Reysha) -> FinCategory:
-    """Adjoin a fresh initial object to a Reysha viewed as a category.
-
-    The new object has exactly one morphism to every other object; the
-    empty Reysha yields the one-object category on the cone point.
-    """
-    base = poset_as_category(reysha.as_poset())
-    if CONE_POINT in base.objects:
-        raise CategoryError(f"element id {CONE_POINT!r} is reserved for the cone point")
-    objects = (CONE_POINT,) + base.objects
-    cone_name = lambda c: f"{CONE_POINT}->{c}"
-    morphisms = tuple(cone_name(c) for c in objects) + base.morphisms
-    src = dict(base.src)
-    tgt = dict(base.tgt)
-    for c in objects:
-        src[cone_name(c)] = CONE_POINT
-        tgt[cone_name(c)] = c
-    compose = dict(base.compose_table)
-    identities = dict(base.identities)
-    identities[CONE_POINT] = cone_name(CONE_POINT)
-    for m in morphisms:
-        if src[m] == CONE_POINT:
-            compose[(m, cone_name(CONE_POINT))] = m
-    for m in base.morphisms:
-        compose[(m, cone_name(base.src[m]))] = cone_name(base.tgt[m])
-    return FinCategory.make(objects, morphisms, src, tgt, compose, identities)
-
-
-def parallel_pair_category() -> FinCategory:
-    """The category with two objects and two parallel non-identity arrows."""
-    return FinCategory.make(
-        objects=("x", "y"),
-        morphisms=("id_x", "id_y", "f", "g"),
-        src={"id_x": "x", "id_y": "y", "f": "x", "g": "x"},
-        tgt={"id_x": "x", "id_y": "y", "f": "y", "g": "y"},
-        compose_table={
-            ("id_x", "id_x"): "id_x",
-            ("id_y", "id_y"): "id_y",
-            ("f", "id_x"): "f",
-            ("g", "id_x"): "g",
-            ("id_y", "f"): "f",
-            ("id_y", "g"): "g",
-        },
-        identities={"x": "id_x", "y": "id_y"},
-    )

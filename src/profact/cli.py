@@ -25,7 +25,7 @@ from .cofinalize import (
 )
 from .diagrams import is_levelwise, is_special
 from .factorize import FactorizeError, chi_construct, reedy
-from .lifting import LiftingError, SearchExhausted, lift_against_special
+from .lifting import LiftingError, lift_against_special
 from .poset import is_directed_poset
 from .procalc import ProCalcError, TruncationExhausted, dominate, is_pre_morphism, pm_leq
 from .report import property_suite
@@ -96,7 +96,33 @@ fmt_option = click.option("--format", "fmt", type=click.Choice(["json", "text"])
 out_option = click.option("-o", "--output", default=None, help="Write the report to a file.")
 
 
-@click.group()
+# the one place a library error becomes an exit code, with its message as
+# the error line; SearchExhausted is not here, as no command reaches the
+# brute-force oracle
+_EXIT_CODES: dict[type[Exception], int] = {
+    ParseError: EXIT_PARSE,
+    BudgetExceeded: EXIT_EXHAUSTED,
+    TruncationExhausted: EXIT_EXHAUSTED,
+    FactorizeError: EXIT_VERIFICATION,
+    LiftingError: EXIT_VERIFICATION,
+    CofinalizeError: EXIT_VERIFICATION,
+    ProCalcError: EXIT_VERIFICATION,
+}
+
+
+class _Commands(click.Group):
+    """The command group: a command that raises an error in _EXIT_CODES
+    ends with that error's line and code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as exc:
+            code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+            _fail(str(exc), code)
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Reedy factorizations over finite posets and their pro-level calculus."""
 
@@ -107,10 +133,7 @@ def main() -> None:
 @fmt_option
 def reedy_cmd(input_path: str, output: str | None, fmt: str) -> None:
     """Factor a transformation into levelwise-injective then special-surjective."""
-    try:
-        nt = serialize.nattrans_from_json(_load(input_path), input_path)
-    except ParseError as exc:
-        _fail(str(exc), EXIT_PARSE)
+    nt = serialize.nattrans_from_json(_load(input_path), input_path)
     rf = reedy(nt)
     _emit(serialize.reedy_to_json(rf), output, fmt)
     sys.exit(EXIT_OK if all(rf.report.values()) else EXIT_VERIFICATION)
@@ -124,17 +147,11 @@ def reedy_cmd(input_path: str, output: str | None, fmt: str) -> None:
 @fmt_option
 def chi_cmd(f_path: str, t_path: str, pm_path: str, output: str | None, fmt: str) -> None:
     """Build the middle map induced by an arrow-level pre-morphism."""
-    try:
-        f = serialize.nattrans_from_json(_load(f_path), f_path)
-        t = serialize.nattrans_from_json(_load(t_path), t_path)
-        pm = serialize.arrow_pre_morphism_from_json(_load(pm_path), f, t, pm_path)
-    except ParseError as exc:
-        _fail(str(exc), EXIT_PARSE)
-    try:
-        rf_f, rf_t = reedy(f), reedy(t)
-        chim = chi_construct(f, t, pm, rf_f, rf_t)
-    except FactorizeError as exc:
-        _fail(str(exc), EXIT_VERIFICATION)
+    f = serialize.nattrans_from_json(_load(f_path), f_path)
+    t = serialize.nattrans_from_json(_load(t_path), t_path)
+    pm = serialize.arrow_pre_morphism_from_json(_load(pm_path), f, t, pm_path)
+    rf_f, rf_t = reedy(f), reedy(t)
+    chim = chi_construct(f, t, pm, rf_f, rf_t)
     verification = chim.verify(pm, rf_f, rf_t)
     _emit(serialize.chi_to_json(chim, verification), output, fmt)
     sys.exit(EXIT_OK if all(verification.values()) else EXIT_VERIFICATION)
@@ -146,16 +163,8 @@ def chi_cmd(f_path: str, t_path: str, pm_path: str, output: str | None, fmt: str
 @fmt_option
 def lift_cmd(input_path: str, output: str | None, fmt: str) -> None:
     """Solve a lifting problem against a special surjective transformation."""
-    try:
-        problem = serialize.lifting_problem_from_json(_load(input_path), input_path)
-    except ParseError as exc:
-        _fail(str(exc), EXIT_PARSE)
-    try:
-        cone = lift_against_special(problem)
-    except SearchExhausted as exc:
-        _fail(str(exc), EXIT_EXHAUSTED)
-    except LiftingError as exc:
-        _fail(str(exc), EXIT_VERIFICATION)
+    problem = serialize.lifting_problem_from_json(_load(input_path), input_path)
+    cone = lift_against_special(problem)
     verification = cone.verify(problem)
     _emit(serialize.cone_lift_to_json(cone, verification), output, fmt)
     sys.exit(EXIT_OK if all(verification.values()) else EXIT_VERIFICATION)
@@ -174,16 +183,8 @@ def cofinalize_cmd(input_path: str, levels: int, reysha_cap: int, output: str | 
         if value < 0:
             _fail(f"{option} must be a non-negative integer, got {value}", EXIT_PARSE)
     element_cap = _element_cap()
-    try:
-        cat = serialize.category_from_json(_load(input_path), input_path)
-    except ParseError as exc:
-        _fail(str(exc), EXIT_PARSE)
-    try:
-        tower = build_tower(cat, levels=levels, reysha_cap=reysha_cap, element_cap=element_cap)
-    except BudgetExceeded as exc:
-        _fail(str(exc), EXIT_EXHAUSTED)
-    except CofinalizeError as exc:
-        _fail(str(exc), EXIT_VERIFICATION)
+    cat = serialize.category_from_json(_load(input_path), input_path)
+    tower = build_tower(cat, levels=levels, reysha_cap=reysha_cap, element_cap=element_cap)
     directed = check_tower_directedness(tower)
     reports = check_cofinality(tower)
     payload = serialize.tower_to_json(tower, reports, directed)
@@ -201,19 +202,11 @@ def cofinalize_cmd(input_path: str, levels: int, reysha_cap: int, output: str | 
 @fmt_option
 def merge_cmd(f_path: str, g_path: str, p_path: str, q_path: str, output: str | None, fmt: str) -> None:
     """Merge two pre-morphisms presenting the same map into a common bound."""
-    try:
-        F = serialize.pro_object_from_json(_load(f_path), f_path)
-        G = serialize.pro_object_from_json(_load(g_path), g_path)
-        p = serialize.pre_morphism_from_json(_load(p_path), F, G, p_path)
-        q = serialize.pre_morphism_from_json(_load(q_path), F, G, q_path)
-    except ParseError as exc:
-        _fail(str(exc), EXIT_PARSE)
-    try:
-        r = dominate(F, G, p, q)
-    except ProCalcError as exc:
-        _fail(str(exc), EXIT_VERIFICATION)
-    except TruncationExhausted as exc:
-        _fail(str(exc), EXIT_EXHAUSTED)
+    F = serialize.pro_object_from_json(_load(f_path), f_path)
+    G = serialize.pro_object_from_json(_load(g_path), g_path)
+    p = serialize.pre_morphism_from_json(_load(p_path), F, G, p_path)
+    q = serialize.pre_morphism_from_json(_load(q_path), F, G, q_path)
+    r = dominate(F, G, p, q)
     payload = {
         "result": serialize.pre_morphism_to_json(r),
         "report": {
@@ -250,36 +243,33 @@ def check_cmd(
     fmt: str,
 ) -> None:
     """Report a structural verdict; queries always exit 0."""
-    try:
-        if what == "directed-category":
-            cat = serialize.category_from_json(_load(input_path), input_path)
-            directed, witness = is_directed_category(cat)
-            payload = {"directed": directed}
-            if witness is not None:
-                payload["witness"] = {"axiom": witness.axiom, "detail": list(witness.detail)}
-        elif what == "directed-poset":
-            poset = serialize.poset_from_json(_load(input_path), input_path)
-            payload = {"directed": is_directed_poset(poset)}
-        elif what in ("levelwise", "special"):
-            nt = serialize.nattrans_from_json(_load(input_path), input_path)
-            chosen = cls or ("N" if what == "levelwise" else "M")
-            verdict = is_levelwise(nt, chosen) if what == "levelwise" else is_special(nt, chosen)
-            payload = {what: verdict, "class": chosen}
+    if what == "directed-category":
+        cat = serialize.category_from_json(_load(input_path), input_path)
+        directed, witness = is_directed_category(cat)
+        payload = {"directed": directed}
+        if witness is not None:
+            payload["witness"] = {"axiom": witness.axiom, "detail": list(witness.detail)}
+    elif what == "directed-poset":
+        poset = serialize.poset_from_json(_load(input_path), input_path)
+        payload = {"directed": is_directed_poset(poset)}
+    elif what in ("levelwise", "special"):
+        nt = serialize.nattrans_from_json(_load(input_path), input_path)
+        chosen = cls or ("N" if what == "levelwise" else "M")
+        verdict = is_levelwise(nt, chosen) if what == "levelwise" else is_special(nt, chosen)
+        payload = {what: verdict, "class": chosen}
+    else:
+        if not f_path or not g_path:
+            _fail(f"{what} requires -F and -G tower files", EXIT_PARSE)
+        F = serialize.pro_object_from_json(_load(f_path), f_path)
+        G = serialize.pro_object_from_json(_load(g_path), g_path)
+        pm = serialize.pre_morphism_from_json(_load(input_path), F, G, input_path)
+        if what == "pm-valid":
+            payload = {"valid": is_pre_morphism(F, G, pm.alpha, pm.phi)}
         else:
-            if not f_path or not g_path:
-                _fail(f"{what} requires -F and -G tower files", EXIT_PARSE)
-            F = serialize.pro_object_from_json(_load(f_path), f_path)
-            G = serialize.pro_object_from_json(_load(g_path), g_path)
-            pm = serialize.pre_morphism_from_json(_load(input_path), F, G, input_path)
-            if what == "pm-valid":
-                payload = {"valid": is_pre_morphism(F, G, pm.alpha, pm.phi)}
-            else:
-                if not q_path:
-                    _fail("pm-leq requires a second pre-morphism via -q", EXIT_PARSE)
-                second = serialize.pre_morphism_from_json(_load(q_path), F, G, q_path)
-                payload = {"leq": pm_leq(F, G, pm, second)}
-    except ParseError as exc:
-        _fail(str(exc), EXIT_PARSE)
+            if not q_path:
+                _fail("pm-leq requires a second pre-morphism via -q", EXIT_PARSE)
+            second = serialize.pre_morphism_from_json(_load(q_path), F, G, q_path)
+            payload = {"leq": pm_leq(F, G, pm, second)}
     _emit(payload, output, fmt)
     sys.exit(EXIT_OK)
 

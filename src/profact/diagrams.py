@@ -351,11 +351,6 @@ def matching_data(
     return src_limit, pb, relative
 
 
-def relative_matching_map(nt: NatTrans, x: str) -> BaseMorphism:
-    """The canonical map from the source fiber into the matching pullback."""
-    return matching_data(nt, x)[2]
-
-
 class NotSpecial(DiagramError):
     """A relative matching map lies outside the class, or the family has
     none because its squares do not commute."""

@@ -31,7 +31,6 @@ from .diagrams import (
     is_special,
     matching_object,
 )
-from .poset import Reysha
 
 
 class FactorizeError(ValueError):
@@ -105,33 +104,17 @@ def _step(
     details[x] = StepData(carrier, proj_fiber, to_lower, u, triple.right)
 
 
-def _construct(f: NatTrans, target: PartialDiagram, partial: ReedyFactorization | None, elements: tuple[str, ...]):
-    """Run _step over elements, starting from a partial factorization or
-    from nothing; target is PartialDiagram.of(f.target).  The middle
-    diagram's memo is local to this call, so it is gone before the result
-    is assembled and verified."""
-    if partial is None:
-        mid = PartialDiagram(f.shape)
-        left: dict[str, BaseMorphism] = {}
-        right: dict[str, BaseMorphism] = {}
-        details: dict[str, StepData] = {}
-    else:
-        mid = PartialDiagram(f.shape, dict(partial.mid.objects), dict(partial.mid.arrows))
-        left = dict(partial.left.components)
-        right = dict(partial.right.components)
-        details = dict(partial.details)
-    for x in elements:
+def _construct(f: NatTrans, target: PartialDiagram):
+    """Run _step over every element in (degree, canonical) order; target is
+    PartialDiagram.of(f.target).  The middle diagram's memo is local to this
+    call, so it is gone before the result is assembled and verified."""
+    mid = PartialDiagram(f.shape)
+    left: dict[str, BaseMorphism] = {}
+    right: dict[str, BaseMorphism] = {}
+    details: dict[str, StepData] = {}
+    for x in f.shape.in_degree_order():
         _step(f, target, mid, left, right, details, x)
     return mid.objects, mid.arrows, left, right, details
-
-
-def _assemble(f: NatTrans, mid_objects, mid_arrows, left, right, details, target=None) -> ReedyFactorization:
-    mid = Diagram.make(f.shape, dict(mid_objects), dict(mid_arrows))
-    left_nt = NatTrans.make(f.source, mid, dict(left))
-    right_nt = NatTrans.make(mid, f.target, dict(right))
-    rf = ReedyFactorization(f, mid, left_nt, right_nt, dict(details))
-    object.__setattr__(rf, "report", rf.verify(target))
-    return rf
 
 
 def reedy(f: NatTrans) -> ReedyFactorization:
@@ -140,24 +123,13 @@ def reedy(f: NatTrans) -> ReedyFactorization:
     limits of f.target are taken once, for the construction and its
     verification alike."""
     target = PartialDiagram.of(f.target)
-    return _assemble(f, *_construct(f, target, None, f.shape.in_degree_order()), target)
-
-
-def extend_step(f: NatTrans, partial: ReedyFactorization, x: str) -> ReedyFactorization:
-    """One extension step: graft the factorization of the matching-pullback
-    map at x onto a partial factorization over the strict downset of x."""
-    if x not in f.shape:
-        raise FactorizeError(f"unknown element {x!r}")
-    strict = f.shape.strict_downset(x)
-    if tuple(partial.input.shape.elements) != strict:
-        raise FactorizeError(
-            f"partial factorization covers {partial.input.shape.elements}, "
-            f"expected the strict downset {strict} of {x!r}"
-        )
-    # the result is over the restricted shape, so its check takes its own
-    # limits rather than this memo over f.shape
-    built = _construct(f, PartialDiagram.of(f.target), partial, (x,))
-    return _assemble(f.restrict(Reysha(f.shape, strict + (x,))), *built)
+    mid_objects, mid_arrows, left, right, details = _construct(f, target)
+    mid = Diagram.make(f.shape, mid_objects, mid_arrows)
+    left_nt = NatTrans.make(f.source, mid, left)
+    right_nt = NatTrans.make(mid, f.target, right)
+    rf = ReedyFactorization(f, mid, left_nt, right_nt, details)
+    object.__setattr__(rf, "report", rf.verify(target))
+    return rf
 
 
 def check_pre_morphism(

@@ -1,18 +1,15 @@
-"""Lifting problems: a brute-force oracle, the degree-recursive lift against
-special surjective transformations, and the retract exhibitor."""
+"""Lifting problems: a brute-force oracle and the degree-recursive lift
+against special surjective transformations."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .base import (
     BaseMorphism,
     compose,
-    factorize_base,
-    identity,
     induced_into_pullback,
-    is_in_m,
     is_in_n,
     lift_base,
 )
@@ -21,7 +18,6 @@ from .diagrams import (
     NotSpecial,
     PartialDiagram,
     cone_into_limit,
-    is_levelwise,
     special_matching_data,
 )
 
@@ -145,65 +141,3 @@ def lift_against_special(problem: LiftingProblem) -> ConeLift:
     except NotSpecial as exc:
         raise LiftingError("right transformation is not special surjective") from exc
     return ConeLift(lifts)
-
-
-@dataclass(frozen=True)
-class RetractDiagram:
-    """h exhibited as a retract of the surjective part of its factorization."""
-
-    arrow: BaseMorphism  # h: X -> Y
-    surjection: BaseMorphism  # p: mid -> Y
-    section: BaseMorphism  # q: X -> mid
-    retraction: BaseMorphism  # k: mid -> X
-    report: dict[str, bool] = field(compare=False, default_factory=dict)
-
-    def verify(self) -> dict[str, bool]:
-        return {
-            "section_retracts": compose(self.retraction, self.section) == identity(self.arrow.source),
-            "left_square": compose(self.surjection, self.section) == self.arrow,
-            "right_square": compose(self.arrow, self.retraction) == self.surjection,
-        }
-
-
-def retract_exhibitor(h: BaseMorphism, cap: int = SEARCH_CAP) -> RetractDiagram:
-    """Exhibit h as a retract of the surjection in its canonical factorization.
-
-    Requires h to have the right lifting property against its own
-    factorization's injective part.
-    """
-    triple = factorize_base(h)
-    ok, k = has_lift_bruteforce(triple.left, h, identity(h.source), triple.right, cap)
-    if not ok:
-        raise LiftingError("arrow lacks the right lifting property against its injective part")
-    diagram = RetractDiagram(h, triple.right, triple.left, k)
-    object.__setattr__(diagram, "report", diagram.verify())
-    return diagram
-
-
-def solve_square_levelwise(
-    left: NatTrans,
-    right: BaseMorphism,
-    t0: str,
-    top: BaseMorphism,
-    bottom: BaseMorphism,
-) -> dict[str, BaseMorphism]:
-    """Lift a levelwise-injective tower against a surjection, given a level
-    through which the square factors.
-
-    Returns the base lift at the representative level composed with the
-    structural maps, one component per element above the representative.
-    """
-    if t0 not in left.shape:
-        raise LiftingError(f"unknown representative level {t0!r}")
-    if not is_levelwise(left, "N"):
-        raise LiftingError("tower is not levelwise injective")
-    if not is_in_m(right):
-        raise LiftingError("right map is not surjective")
-    if top.source != left.source.at(t0) or bottom.source != left.target.at(t0):
-        raise LiftingError("square components not typed at the representative level")
-    base = lift_base(left.at(t0), right, top, bottom)
-    return {
-        t: compose(base, left.target.arrow(t, t0))
-        for t in left.shape.elements
-        if left.shape.le(t0, t)
-    }

@@ -112,10 +112,6 @@ class FinPoset:
     def max_degree(self) -> int:
         return max(self._degree.values(), default=-1)
 
-    def level_set(self, n: int) -> "Reysha":
-        """All elements of degree at most n; n = -1 gives the empty Reysha."""
-        return Reysha(self, tuple(x for x in self.elements if self._degree[x] <= n))
-
     def downset(self, x: str) -> tuple[str, ...]:
         return self._down.get(x, ())
 
@@ -248,16 +244,6 @@ class Reysha:
     def __len__(self) -> int:
         return len(self.members)
 
-    def as_poset(self) -> FinPoset:
-        return self.parent._restrict_downward(self.members)
-
-
-def is_reysha(poset: FinPoset, members: Iterable[str]) -> bool:
-    return poset.is_downward_closed(members)
-
-
-def principal_downset(poset: FinPoset, x: str) -> Reysha:
-    return Reysha(poset, poset.downset(x))
 
 
 def is_directed_poset(poset: FinPoset) -> bool:

@@ -72,10 +72,9 @@ def eq_in_colim(
     shape = F.shape
     if u.target != v.target:
         return False, None
-    for a in shape.elements:
-        if shape.le(a1, a) and shape.le(a2, a):
-            if compose(u, F.arrow(a, a1)) == compose(v, F.arrow(a, a2)):
-                return True, a
+    for a in shape.upper_bounds((a1, a2)):
+        if compose(u, F.arrow(a, a1)) == compose(v, F.arrow(a, a2)):
+            return True, a
     return False, None
 
 
@@ -131,8 +130,8 @@ def _least_successor(a_shape: FinPoset, at_least: str, strictly_above: list[str]
     """The least index usable as the next value of a strictly increasing
     index map: at or above the accumulated bound, strictly above every
     already-assigned lower value."""
-    for a in a_shape.elements:
-        if a_shape.le(at_least, a) and all(a_shape.lt(s, a) for s in strictly_above):
+    for a in a_shape.upset(at_least):
+        if all(a_shape.lt(s, a) for s in strictly_above):
             return a
     raise TruncationExhausted(
         f"truncation exhausted: no index above {at_least!r} clears {strictly_above!r}"
@@ -196,19 +195,3 @@ def dominate(F: ProObject, G: ProObject, p: PreMorphism, q: PreMorphism) -> PreM
         merged = compose(p.phi[b], F.arrow(a0, p.alpha[b]))
         alpha[b], phi[b] = _build_component(F, G, b, a0, merged, alpha, phi)
     return PreMorphism(alpha, phi)
-
-
-def connected_component_directed_check(
-    F: ProObject, G: ProObject, sample: list[PreMorphism]
-) -> bool:
-    """True iff every pair in the sample admits a common upper bound
-    within the truncation."""
-    for i, p in enumerate(sample):
-        for q in sample[i + 1 :]:
-            try:
-                r = dominate(F, G, p, q)
-            except (ProCalcError, TruncationExhausted):
-                return False
-            if not (pm_leq(F, G, p, r) and pm_leq(F, G, q, r)):
-                return False
-    return True

@@ -258,9 +258,8 @@ def _refined_alpha(
         for b in b_shape.in_degree_order():
             eligible = [
                 a
-                for a in a_shape.elements
-                if a_shape.le(alpha[b], a)
-                and all(a_shape.lt(refined[b2], a) for b2 in b_shape.strict_downset(b))
+                for a in a_shape.upset(alpha[b])
+                if all(a_shape.lt(refined[b2], a) for b2 in b_shape.strict_downset(b))
             ]
             if not eligible:
                 break
@@ -367,7 +366,6 @@ def random_raw_morphism(
     re-indexing each component independently (no monotonicity kept)."""
     rep: dict[str, tuple[str, BaseMorphism]] = {}
     for b in G.shape.elements:
-        ups = [a for a in F.shape.elements if F.shape.le(pm.alpha[b], a)]
-        a = rng.choice(ups)
+        a = rng.choice(F.shape.upset(pm.alpha[b]))
         rep[b] = (a, compose(pm.phi[b], F.arrow(a, pm.alpha[b])))
     return RawMorphism(rep)

@@ -192,18 +192,27 @@ def _compose_table(rows: Any, path: str) -> dict[tuple[str, str], str]:
     return table
 
 
-def arrow_pre_morphism_from_json(data: Any, f: NatTrans, t: NatTrans, path: str = "$") -> ArrowPreMorphism:
+def _pre_morphism_components(data: Any, families: list[tuple[str, Any, Any]], path: str):
+    """The index map data["alpha"] and, for each family (key, X over A,
+    Y over B), the components data[key][b]: X(alpha(b)) -> Y(b), read per b
+    in B's order and family by family."""
     alpha = _require(data, "alpha", path)
-    phi_raw = _require(data, "phi", path)
-    psi_raw = _require(data, "psi", path)
-    phi, psi = {}, {}
-    for b in t.shape.elements:
+    raws = [_require(data, key, path) for key, _, _ in families]
+    a_shape, b_shape = families[0][1].shape, families[0][2].shape
+    components: list[dict[str, BaseMorphism]] = [{} for _ in families]
+    for b in b_shape.elements:
         a = _require(alpha, b, path + ".alpha")
-        if not _is_element(f.shape, a):
+        if not _is_element(a_shape, a):
             raise ParseError(f"unknown index {a!r}", path + ".alpha")
-        phi[b] = _component_morphism(f.source.at(a), t.source.at(b), phi_raw, b, path + ".phi")
-        psi[b] = _component_morphism(f.target.at(a), t.target.at(b), psi_raw, b, path + ".psi")
-    return ArrowPreMorphism(dict(alpha), phi, psi)
+        for (key, source, target), raw, comps in zip(families, raws, components):
+            comps[b] = _component_morphism(source.at(a), target.at(b), raw, b, f"{path}.{key}")
+    return dict(alpha), components
+
+
+def arrow_pre_morphism_from_json(data: Any, f: NatTrans, t: NatTrans, path: str = "$") -> ArrowPreMorphism:
+    families = [("phi", f.source, t.source), ("psi", f.target, t.target)]
+    alpha, (phi, psi) = _pre_morphism_components(data, families, path)
+    return ArrowPreMorphism(alpha, phi, psi)
 
 
 def reedy_to_json(rf: ReedyFactorization) -> dict:
@@ -266,15 +275,8 @@ def pro_object_from_json(data: Any, path: str = "$") -> ProObject:
 
 
 def pre_morphism_from_json(data: Any, F: ProObject, G: ProObject, path: str = "$") -> PreMorphism:
-    alpha = _require(data, "alpha", path)
-    phi_raw = _require(data, "phi", path)
-    phi = {}
-    for b in G.shape.elements:
-        a = _require(alpha, b, path + ".alpha")
-        if not _is_element(F.shape, a):
-            raise ParseError(f"unknown index {a!r}", path + ".alpha")
-        phi[b] = _component_morphism(F.at(a), G.at(b), phi_raw, b, path + ".phi")
-    return PreMorphism(dict(alpha), phi)
+    alpha, (phi,) = _pre_morphism_components(data, [("phi", F, G)], path)
+    return PreMorphism(alpha, phi)
 
 
 def pre_morphism_to_json(pm: PreMorphism) -> dict:

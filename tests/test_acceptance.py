@@ -12,12 +12,12 @@ import json
 import random
 import time
 
-from profact.base import BaseObject, compose, identity
+from profact.base import compose
 from profact.category import is_directed_category
 from profact.cofinalize import build_tower, check_cofinality, check_tower_directedness
-from profact.diagrams import Diagram, is_levelwise, is_special
-from profact.factorize import ArrowPreMorphism, ChiMap, chi_construct, reedy
-from profact.lifting import SearchExhausted, has_lift_bruteforce, lift_against_special
+from profact.diagrams import is_levelwise, is_special
+from profact.factorize import ChiMap, chi_construct, reedy
+from profact.lifting import has_lift_bruteforce, lift_against_special
 from profact.poset import FinPoset
 from profact.procalc import (
     PreMorphism,
@@ -45,7 +45,7 @@ from profact.randgen import (
     reindex,
     junk_extend,
 )
-from profact.report import property_suite
+from profact.report import PROPERTIES, property_suite
 from profact.serialize import category_from_json, dumps
 
 from importlib import resources
@@ -132,36 +132,16 @@ def test_acceptance_2_lifting():
 def test_acceptance_3_chi_identity():
     rng = random.Random(303)
     for _ in range(20):
-        f = random_nattrans(rng, random_poset(rng, 4), 3)
-        pm = ArrowPreMorphism(
-            {x: x for x in f.shape.elements},
-            {x: identity(f.source.at(x)) for x in f.shape.elements},
-            {x: identity(f.target.at(x)) for x in f.shape.elements},
-        )
-        rf = reedy(f)
-        chim = chi_construct(f, f, pm, rf, rf)
-        for x in f.shape.elements:
-            assert chim.chi[x] == identity(rf.mid.at(x))
+        ok, detail = PROPERTIES["chi_identity_law"](rng, 4, 3)
+        assert ok, detail
 
 
 @criterion(3, "middle-map composition law on 100 pairs")
 def test_acceptance_3_chi_composition():
     rng = random.Random(313)
     for _ in range(100):
-        f = random_nattrans(rng, random_poset(rng, 4), 3)
-        t, pm1 = random_arrow_pre_morphism(rng, f)
-        w, pm2 = random_arrow_pre_morphism(rng, t)
-        pm12 = ArrowPreMorphism(
-            {c: pm1.alpha[pm2.alpha[c]] for c in pm2.alpha},
-            {c: compose(pm2.phi[c], pm1.phi[pm2.alpha[c]]) for c in pm2.alpha},
-            {c: compose(pm2.psi[c], pm1.psi[pm2.alpha[c]]) for c in pm2.alpha},
-        )
-        rf_f, rf_t, rf_w = reedy(f), reedy(t), reedy(w)
-        c1 = chi_construct(f, t, pm1, rf_f, rf_t)
-        c2 = chi_construct(t, w, pm2, rf_t, rf_w)
-        c12 = chi_construct(f, w, pm12, rf_f, rf_w)
-        for c in pm2.alpha:
-            assert c12.chi[c] == compose(c2.chi[c], c1.chi[pm2.alpha[c]])
+        ok, detail = PROPERTIES["chi_composition_law"](rng, 4, 3)
+        assert ok, detail
 
 
 @criterion(3, "middle-map monotonicity law on 100 ordered pairs")

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from profact.base import (
@@ -8,7 +6,6 @@ from profact.base import (
     BaseObject,
     SOURCE_TAG,
     TARGET_TAG,
-    TERMINAL,
     compose,
     factorize_base,
     factorize_mid_map,
@@ -19,7 +16,6 @@ from profact.base import (
     lift_base,
     morphism,
     pullback,
-    terminal_map,
 )
 
 
@@ -41,11 +37,6 @@ def test_classes():
     assert is_in_n(inj) and not is_in_m(inj)
     assert is_in_m(surj) and not is_in_n(surj)
     assert is_in_n(identity(ab)) and is_in_m(identity(ab))
-
-
-def test_terminal_map():
-    ab = BaseObject(("a", "b"))
-    assert terminal_map(ab).target == TERMINAL
 
 
 def test_pullback_matches_bruteforce():

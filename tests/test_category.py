@@ -1,16 +1,67 @@
+import json
+from importlib import resources
+
 import pytest
 
 from profact.category import (
-    CONE_POINT,
     CategoryError,
     FinCategory,
-    category_poset_elements,
-    cone_extend,
     is_directed_category,
-    parallel_pair_category,
     poset_as_category,
 )
 from profact.poset import FinPoset, Reysha
+from profact.serialize import category_from_json
+
+CONE_POINT = "∞"
+
+
+def parallel_pair():
+    """The category with two objects and two parallel non-identity arrows."""
+    text = resources.files("profact").joinpath("fixtures", "parallel_pair.json").read_text()
+    return category_from_json(json.loads(text))
+
+
+def category_poset_elements(cat: FinCategory) -> FinPoset | None:
+    """Recover a poset presentation if every hom set has at most one arrow."""
+    pairs = []
+    for u in cat.objects:
+        for v in cat.objects:
+            homs = cat.hom(u, v)
+            if len(homs) > 1:
+                return None
+            if homs and u != v:
+                if cat.hom(v, u):
+                    return None
+                pairs.append((v, u))  # arrow u -> v means v <= u
+    return FinPoset.make(cat.objects, pairs)
+
+
+def cone_extend(reysha: Reysha) -> FinCategory:
+    """Adjoin a fresh initial object to a Reysha viewed as a category.
+
+    The new object has exactly one morphism to every other object; the
+    empty Reysha yields the one-object category on the cone point.
+    """
+    base = poset_as_category(reysha.parent.restrict(reysha.members))
+    if CONE_POINT in base.objects:
+        raise CategoryError(f"element id {CONE_POINT!r} is reserved for the cone point")
+    objects = (CONE_POINT,) + base.objects
+    cone_name = lambda c: f"{CONE_POINT}->{c}"
+    morphisms = tuple(cone_name(c) for c in objects) + base.morphisms
+    src = dict(base.src)
+    tgt = dict(base.tgt)
+    for c in objects:
+        src[cone_name(c)] = CONE_POINT
+        tgt[cone_name(c)] = c
+    compose = dict(base.compose_table)
+    identities = dict(base.identities)
+    identities[CONE_POINT] = cone_name(CONE_POINT)
+    for m in morphisms:
+        if src[m] == CONE_POINT:
+            compose[(m, cone_name(CONE_POINT))] = m
+    for m in base.morphisms:
+        compose[(m, cone_name(base.src[m]))] = cone_name(base.tgt[m])
+    return FinCategory.make(objects, morphisms, src, tgt, compose, identities)
 
 
 def test_construction_validates_units_and_associativity():
@@ -30,7 +81,7 @@ def test_poset_as_category_round_trip():
 
 
 def test_parallel_pair_not_a_poset_category():
-    assert category_poset_elements(parallel_pair_category()) is None
+    assert category_poset_elements(parallel_pair()) is None
 
 
 def test_directedness_of_poset_categories():
@@ -40,7 +91,7 @@ def test_directedness_of_poset_categories():
 
 
 def test_parallel_pair_fails_axiom_three():
-    directed, witness = is_directed_category(parallel_pair_category())
+    directed, witness = is_directed_category(parallel_pair())
     assert not directed
     assert witness.axiom == 3
     assert set(witness.detail) == {"f", "g"}

@@ -254,3 +254,70 @@ def test_suite_deterministic(runner):
     assert first.output == second.output
     payload = json.loads(first.output)
     assert payload["seed"] == 11 and payload["all_pass"] is True
+
+
+def write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def chain_diagram(lower, upper, objects, arrow):
+    """A diagram over the chain lower < upper."""
+    return {
+        "poset": {"elements": [lower, upper], "le": [[lower, upper]]},
+        "objects": objects,
+        "arrows": [{"from": upper, "to": lower, "map": arrow}],
+    }
+
+
+def test_chi_non_strict_index_map_is_verification_failure(runner, tmp_path):
+    arrow = {
+        "source": chain_diagram("0", "1", {"0": ["e0"], "1": ["e1"]}, {"e1": "e0"}),
+        "target": chain_diagram("0", "1", {"0": ["y0"], "1": ["y1"]}, {"y1": "y0"}),
+        "components": {"0": {"e0": "y0"}, "1": {"e1": "y1"}},
+    }
+    pm = {
+        "alpha": {"0": "1", "1": "1"},
+        "phi": {"0": {"e1": "e0"}, "1": {"e1": "e1"}},
+        "psi": {"0": {"y1": "y0"}, "1": {"y1": "y1"}},
+    }
+    f = write_json(tmp_path, "f.json", arrow)
+    result = runner.invoke(main, ["chi", "-f", f, "-t", f, "-p", write_json(tmp_path, "pm.json", pm)])
+    assert result.exit_code == 1
+    assert "error: index map is not strictly increasing on '0' < '1'" in result.output
+
+
+def test_lift_against_non_special_map_is_verification_failure(runner, tmp_path):
+    point = {"elements": ["p"]}
+    problem = {
+        "left": {"source": ["a"], "target": ["a"], "map": {"a": "a"}},
+        "right": {
+            "source": {"poset": point, "objects": {"p": ["x"]}},
+            "target": {"poset": point, "objects": {"p": ["y1", "y2"]}},
+            "components": {"p": {"x": "y1"}},
+        },
+        "top": {"p": {"a": "x"}},
+        "bottom": {"p": {"a": "y1"}},
+    }
+    result = runner.invoke(main, ["lift", write_json(tmp_path, "problem.json", problem)])
+    assert result.exit_code == 1
+    assert "error: right transformation is not special surjective" in result.output
+
+
+def test_merge_out_of_truncation_is_exhausted(runner, tmp_path):
+    # p and q differ on x at a0 and agree from a1 on, so b0 settles on a1,
+    # the top of F's truncation, and b1 finds no index strictly above it
+    F = {"diagram": chain_diagram("a0", "a1", {"a0": ["w", "x"], "a1": ["u"]}, {"u": "w"})}
+    G = {"diagram": chain_diagram("b0", "b1", {"b0": ["g", "h"], "b1": ["g1"]}, {"g1": "g"})}
+    alpha = {"b0": "a0", "b1": "a1"}
+    p = {"alpha": alpha, "phi": {"b0": {"w": "g", "x": "g"}, "b1": {"u": "g1"}}}
+    q = {"alpha": alpha, "phi": {"b0": {"w": "g", "x": "h"}, "b1": {"u": "g1"}}}
+    towers = ["-F", write_json(tmp_path, "F.json", F), "-G", write_json(tmp_path, "G.json", G)]
+    pms = ["-p", write_json(tmp_path, "p.json", p), "-q", write_json(tmp_path, "q.json", q)]
+    for path in pms[1::2]:
+        checked = runner.invoke(main, ["check", "pm-valid", path, *towers])
+        assert json.loads(checked.output)["valid"] is True
+    result = runner.invoke(main, ["merge", *towers, *pms])
+    assert result.exit_code == 2
+    assert "error: truncation exhausted: no index above 'a1' clears ['a1']" in result.output

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from profact.category import FinCategory, parallel_pair_category, poset_as_category
+from profact.category import FinCategory, poset_as_category
 from profact.cofinalize import (
     BudgetExceeded,
     CofinalizeError,
@@ -149,7 +149,7 @@ def test_zigzag_witnesses_are_edges():
 
 def test_non_directed_category_rejected():
     with pytest.raises(CofinalizeError):
-        build_tower(parallel_pair_category())
+        build_tower(load_category("parallel_pair.json"))
 
 
 def test_object_named_like_a_cone_rejected():

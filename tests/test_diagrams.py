@@ -19,7 +19,6 @@ from profact.diagrams import (
     limit_map,
     limit_over_poset,
     matching_data,
-    relative_matching_map,
     special_matching_data,
 )
 from profact.poset import FinPoset, Reysha
@@ -140,7 +139,7 @@ def test_relative_matching_map_at_minimal_element_is_component():
     ab = BaseObject(("a", "b"))
     const = constant_diagram(vee(), ab)
     ident = NatTrans.make(const, const, {x: identity(ab) for x in vee().elements})
-    rel = relative_matching_map(ident, "x0")
+    rel = matching_data(ident, "x0")[2]
     # the strict downset is empty, so the matching pullback is the fiber
     assert is_in_n(rel) and is_in_m(rel)
     assert len(rel.target) == len(ab)

@@ -12,7 +12,6 @@ from profact.factorize import (
     FactorizeError,
     ReedyFactorization,
     chi_construct,
-    extend_step,
     functorial_factorization_pro,
     reedy,
 )
@@ -23,6 +22,7 @@ from profact.randgen import (
     random_poset,
     refine_arrow_pre_morphism,
 )
+from profact.report import PROPERTIES
 
 
 def vee_identity():
@@ -107,30 +107,6 @@ def test_reedy_restriction_coherence_randomized():
                 assert full.right.at(x) == sub.right.at(x)
 
 
-def test_extend_step_matches_full_run():
-    nt = vee_identity()
-    partial = reedy(nt.restrict(Reysha(nt.shape, ("x0", "x1"))))
-    extended = extend_step(nt, partial, "t")
-    full = reedy(nt)
-    assert extended.mid.at("t") == full.mid.at("t")
-    assert extended.left.at("t") == full.left.at("t")
-    assert extended.right.at("t") == full.right.at("t")
-
-
-def test_extend_step_minimal_element_is_base_factorization():
-    nt = vee_identity()
-    empty = reedy(nt.restrict(Reysha(nt.shape, ())))
-    extended = extend_step(nt, empty, "x0")
-    assert extended.left.at("x0").mapping == factorize_base(nt.at("x0")).left.mapping
-
-
-def test_extend_step_rejects_wrong_reysha():
-    nt = vee_identity()
-    partial = reedy(nt.restrict(Reysha(nt.shape, ("x0",))))
-    with pytest.raises(FactorizeError):
-        extend_step(nt, partial, "t")
-
-
 def test_mid_object_cardinality_two_chain():
     f = chain_arrow()
     rf = reedy(f)
@@ -166,20 +142,8 @@ def test_chi_rectangles_randomized():
 def test_chi_composition_randomized():
     rng = random.Random(29)
     for _ in range(10):
-        f = random_nattrans(rng, random_poset(rng, 4), 3)
-        t, pm1 = random_arrow_pre_morphism(rng, f)
-        w, pm2 = random_arrow_pre_morphism(rng, t)
-        pm12 = ArrowPreMorphism(
-            {c: pm1.alpha[pm2.alpha[c]] for c in pm2.alpha},
-            {c: compose(pm2.phi[c], pm1.phi[pm2.alpha[c]]) for c in pm2.alpha},
-            {c: compose(pm2.psi[c], pm1.psi[pm2.alpha[c]]) for c in pm2.alpha},
-        )
-        rf_f, rf_t, rf_w = reedy(f), reedy(t), reedy(w)
-        c1 = chi_construct(f, t, pm1, rf_f, rf_t)
-        c2 = chi_construct(t, w, pm2, rf_t, rf_w)
-        c12 = chi_construct(f, w, pm12, rf_f, rf_w)
-        for c in pm2.alpha:
-            assert c12.chi[c] == compose(c2.chi[c], c1.chi[pm2.alpha[c]])
+        ok, detail = PROPERTIES["chi_composition_law"](rng, 4, 3)
+        assert ok, detail
 
 
 def test_chi_monotone_pair_agrees_after_right_leg():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profact.poset import FinPoset, PosetError, Reysha, is_directed_poset, is_reysha, principal_downset
+from profact.poset import FinPoset, PosetError, Reysha, is_directed_poset
 from profact.randgen import random_poset
 
 
@@ -37,9 +37,6 @@ def test_degrees_and_levels():
     assert v.degree("x1") == 0
     assert v.degree("t") == 1
     assert v.max_degree() == 1
-    assert v.level_set(0).members == ("x0", "x1")
-    assert v.level_set(-1).members == ()
-    assert v.level_set(1).members == ("x0", "x1", "t")
 
 
 def test_degree_longest_chain():
@@ -57,9 +54,9 @@ def test_downsets():
 
 def test_reysha_validation():
     v = vee()
-    assert is_reysha(v, ("x0",))
-    assert is_reysha(v, ())
-    assert not is_reysha(v, ("t",))
+    assert v.is_downward_closed(("x0",))
+    assert v.is_downward_closed(())
+    assert not v.is_downward_closed(("t",))
     with pytest.raises(PosetError):
         Reysha(v, ("t",))
 
@@ -83,7 +80,7 @@ def test_reyshas_enumeration_matches_bruteforce():
 
 def test_principal_downset():
     v = vee()
-    assert principal_downset(v, "t").members == ("x0", "x1", "t")
+    assert Reysha(v, v.downset("t")).members == ("x0", "x1", "t")
 
 
 def test_restrict():

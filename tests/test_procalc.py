@@ -13,11 +13,9 @@ from profact.procalc import (
     ProObject,
     RawMorphism,
     TruncationExhausted,
-    connected_component_directed_check,
     dominate,
     eq_in_colim,
     is_pre_morphism,
-    is_raw_morphism,
     pm_compose,
     pm_identity,
     pm_leq,
@@ -26,9 +24,9 @@ from profact.procalc import (
 from profact.randgen import (
     random_pre_morphism,
     random_pro_object,
-    random_raw_morphism,
     refine_pre_morphism,
 )
+from profact.report import PROPERTIES
 from profact.serialize import diagram_to_json, pre_morphism_from_json, pre_morphism_to_json, pro_object_from_json
 
 
@@ -47,6 +45,22 @@ def chain_tower():
                 else:
                     arrows[(x, y)] = identity(two)
     return ProObject(ch, Diagram.make(ch, fibers, arrows), 4)
+
+
+def connected_component_directed_check(
+    F: ProObject, G: ProObject, sample: list[PreMorphism]
+) -> bool:
+    """True iff every pair in the sample admits a common upper bound
+    within the truncation."""
+    for i, p in enumerate(sample):
+        for q in sample[i + 1 :]:
+            try:
+                r = dominate(F, G, p, q)
+            except (ProCalcError, TruncationExhausted):
+                return False
+            if not (pm_leq(F, G, p, r) and pm_leq(F, G, q, r)):
+                return False
+    return True
 
 
 def point_tower(fiber):
@@ -185,19 +199,8 @@ def test_straighten_constant_index_reindexes_upward():
 def test_straighten_randomized_round_trip():
     rng = random.Random(37)
     for _ in range(25):
-        F = random_pro_object(rng, 5, 3)
-        G, pm = random_pre_morphism(rng, F)
-        raw = random_raw_morphism(rng, F, G, pm)
-        assert is_raw_morphism(F, G, raw)
-        try:
-            st = straighten(F, G, raw)
-        except TruncationExhausted:
-            continue
-        assert is_pre_morphism(F, G, st.alpha, st.phi)
-        for b in G.shape.elements:
-            a, m = raw.rep[b]
-            equal, _ = eq_in_colim(F.diagram, st.alpha[b], st.phi[b], a, m)
-            assert equal
+        ok, detail = PROPERTIES["straighten_round_trip"](rng, 5, 3)
+        assert ok, detail
 
 
 def test_straighten_truncation_exhausted():
@@ -243,14 +246,8 @@ def test_dominate_not_colim_equal():
 def test_dominate_randomized_bounds():
     rng = random.Random(43)
     for _ in range(25):
-        F = random_pro_object(rng, 5, 3)
-        G, p = random_pre_morphism(rng, F)
-        q = refine_pre_morphism(rng, F, G, p)
-        try:
-            r = dominate(F, G, p, q)
-        except TruncationExhausted:
-            continue
-        assert pm_leq(F, G, p, r) and pm_leq(F, G, q, r)
+        ok, detail = PROPERTIES["dominate_bounds"](rng, 5, 3)
+        assert ok, detail
 
 
 def test_connected_component_check():
