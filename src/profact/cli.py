@@ -24,7 +24,7 @@ from .cofinalize import (
     check_tower_directedness,
 )
 from .diagrams import is_levelwise, is_special
-from .factorize import FactorizeError, chi_construct, reedy
+from .factorize import FactorizeError, check_pre_morphism, chi_construct, reedy
 from .lifting import LiftingError, lift_against_special
 from .poset import is_directed_poset
 from .procalc import ProCalcError, TruncationExhausted, dominate, is_pre_morphism, pm_leq
@@ -187,9 +187,9 @@ def cofinalize_cmd(input_path: str, levels: int, reysha_cap: int, output: str | 
     tower = build_tower(cat, levels=levels, reysha_cap=reysha_cap, element_cap=element_cap)
     directed = check_tower_directedness(tower)
     reports = check_cofinality(tower)
-    payload = serialize.tower_to_json(tower, reports, directed)
-    _emit(payload, output, fmt)
-    ok = all(tower.verify().values()) and all(r.nonempty for r in reports)
+    verification = tower.verify()
+    _emit(serialize.tower_to_json(tower, verification, reports, directed), output, fmt)
+    ok = all(verification.values()) and all(r.nonempty for r in reports)
     sys.exit(EXIT_OK if ok else EXIT_VERIFICATION)
 
 
@@ -206,6 +206,8 @@ def merge_cmd(f_path: str, g_path: str, p_path: str, q_path: str, output: str | 
     G = serialize.pro_object_from_json(_load(g_path), g_path)
     p = serialize.pre_morphism_from_json(_load(p_path), F, G, p_path)
     q = serialize.pre_morphism_from_json(_load(q_path), F, G, q_path)
+    for pm in (p, q):
+        check_pre_morphism(pm.alpha, [("tower", F.diagram, G.diagram, pm.phi)])
     r = dominate(F, G, p, q)
     payload = {
         "result": serialize.pre_morphism_to_json(r),

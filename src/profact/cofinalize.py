@@ -64,8 +64,10 @@ class CofinalTower:
             == self.mor_map[(c, c3)]
             for c, c2, c3 in top.chains()
         )
+        # the order big induces on small's elements, read off big's downsets
         coherent = all(
-            set(small.elements) <= set(big.elements) and big.restrict(small.elements).le_pairs == small.le_pairs
+            set(small.elements) <= set(big.elements)
+            and {(y, x) for x in small.elements for y in big.downset(x) if y in small} == small.le_pairs
             for small, big in zip(self.levels, self.levels[1:])
         )
         return {"projection_typed": typed, "projection_functorial": functorial, "levels_coherent": coherent}
@@ -84,13 +86,19 @@ def build_tower(
     obj_map = {o: o for o in I.objects}
     mor_map = {(o, o): I.identity(o) for o in I.objects}
     cones: dict[str, ConeElement] = {}
-    # each level's relation is closed as built: a new cone lies above the
-    # members of its Reysha, which is downward closed in the previous level
-    level_posets = [FinPoset._closed(tuple(elements), {(o, o) for o in I.objects})]
+    le_pairs = {(o, o) for o in I.objects}
+    index = {o: i for i, o in enumerate(elements)}
+    degree = {o: 0 for o in elements}
+    down = {o: (o,) for o in elements}
+    strict: dict[str, tuple[str, ...]] = {o: () for o in elements}
+    level_posets = [FinPoset._stored(tuple(elements), frozenset(le_pairs), index, degree, down, strict)]
     homs = {(x, y): I.hom(x, y) for x in I.objects for y in I.objects}
     for n in range(1, levels + 1):
         prev = level_posets[-1]
-        le_pairs = set(prev.le_pairs)
+        # each level extends the one before: a new cone lies above exactly
+        # the members of its Reysha, which is downward closed in prev, so
+        # an earlier element's downset, strict downset and degree stay
+        index, degree, down, strict = dict(index), dict(degree), dict(down), dict(strict)
         counter = 0
         for reysha in prev.reyshas(max_size=reysha_cap):
             members = reysha.members
@@ -107,7 +115,7 @@ def build_tower(
                     name = f"c{n}_{counter}"
                     counter += 1
                     if name in obj_map:
-                        # _closed takes the element ids as given
+                        # _stored takes the element ids as given
                         raise CofinalizeError(f"object id {name!r} clashes with a cone element's name")
                     elements.append(name)
                     if len(elements) > element_cap:
@@ -120,8 +128,12 @@ def build_tower(
                     for c in members:
                         le_pairs.add((c, name))
                         mor_map[(name, c)] = legs_by[c]
+                    index[name] = len(elements) - 1
+                    degree[name] = 1 + max((degree[c] for c in members), default=-1)
+                    down[name] = members + (name,)
+                    strict[name] = members
                     cones[name] = ConeElement(n, members, apex, legs_by)
-        level_posets.append(FinPoset._closed(tuple(elements), le_pairs))
+        level_posets.append(FinPoset._stored(tuple(elements), frozenset(le_pairs), index, degree, down, strict))
     return CofinalTower(I, tuple(level_posets), obj_map, mor_map, cones, reysha_cap)
 
 
@@ -131,8 +143,11 @@ def check_tower_directedness(tower: CofinalTower, reysha_cap: int | None = None)
     cap = tower.reysha_cap if reysha_cap is None else reysha_cap
     base = tower.levels[-2] if len(tower.levels) > 1 else tower.levels[-1]
     top = tower.top
+    # c bounds its own strict downset, so a Reysha equal to one has an
+    # upper bound without a search
+    bounded = {top.strict_downset(c) for c in top.elements}
     for reysha in base.reyshas(max_size=cap):
-        if not top.upper_bounds(reysha.members):
+        if reysha.members not in bounded and not top.upper_bounds(reysha.members):
             return False
     return True
 

@@ -283,7 +283,9 @@ def pre_morphism_to_json(pm: PreMorphism) -> dict:
     return {"alpha": dict(pm.alpha), "phi": {b: dict(m.mapping) for b, m in pm.phi.items()}}
 
 
-def tower_to_json(tower: CofinalTower, reports: list[OverCategoryReport], directed: bool) -> dict:
+def tower_to_json(
+    tower: CofinalTower, verification: dict[str, bool], reports: list[OverCategoryReport], directed: bool
+) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "levels": [poset_to_json(level) for level in tower.levels],
@@ -292,7 +294,7 @@ def tower_to_json(tower: CofinalTower, reports: list[OverCategoryReport], direct
             "morphisms": {f"{c}>{c2}": m for (c, c2), m in sorted(tower.mor_map.items())},
         },
         "report": {
-            "tower": dict(tower.verify()),
+            "tower": dict(verification),
             "directed": directed,
             "cofinality": [
                 {

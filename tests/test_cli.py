@@ -321,3 +321,16 @@ def test_merge_out_of_truncation_is_exhausted(runner, tmp_path):
     result = runner.invoke(main, ["merge", *towers, *pms])
     assert result.exit_code == 2
     assert "error: truncation exhausted: no index above 'a1' clears ['a1']" in result.output
+
+
+def test_merge_invalid_pre_morphism_is_verification_failure(runner, tmp_path):
+    # a natural family over an index map that is not strictly increasing
+    G = {"diagram": chain_diagram("b0", "b1", {"b0": ["g"], "b1": ["g1"]}, {"g1": "g"})}
+    pm = {"alpha": {"b0": "a0", "b1": "a0"}, "phi": {"b0": {"u": "g", "v": "g"}, "b1": {"u": "g1", "v": "g1"}}}
+    towers = ["-F", fixture("merge_tower_F.json"), "-G", write_json(tmp_path, "G.json", G)]
+    path = write_json(tmp_path, "pm.json", pm)
+    checked = runner.invoke(main, ["check", "pm-valid", path, *towers])
+    assert json.loads(checked.output)["valid"] is False
+    result = runner.invoke(main, ["merge", *towers, "-p", path, "-q", path])
+    assert result.exit_code == 1
+    assert "error: index map is not strictly increasing on 'b0' < 'b1'" in result.output

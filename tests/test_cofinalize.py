@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from importlib import resources
@@ -204,3 +205,85 @@ def test_over_category_matches_the_pairwise_scan(category, cap):
     tower = build_tower(category, levels=2, reysha_cap=cap)
     for i in category.objects:
         assert _over_category(tower, i) == pairwise_over_category(tower, i)
+
+
+def directed_towers():
+    """Towers over the directed fixtures at build caps 0-3 and over random
+    directed posets at caps 0-2, all two levels high."""
+    towers = [
+        pytest.param(build_tower(load_category(name), levels=2, reysha_cap=cap), id=f"{name}-{cap}")
+        for name in DIRECTED
+        for cap in range(4)
+    ]
+    towers += [
+        pytest.param(build_tower(cat, levels=2, reysha_cap=cap), id=f"random{k}-{cap}")
+        for k, cat in enumerate(random_directed_categories(12))
+        for cap in range(3)
+    ]
+    return towers
+
+
+@pytest.mark.parametrize("tower", directed_towers())
+def test_each_level_equals_the_poset_closed_from_scratch(tower):
+    for level in tower.levels:
+        closed = FinPoset.make(level.elements, level.le_pairs)
+        assert level.elements == closed.elements
+        assert level.le_pairs == closed.le_pairs
+        for x in level.elements:
+            assert level.index(x) == closed.index(x)
+            assert level.downset(x) == closed.downset(x)
+            assert level.strict_downset(x) == closed.strict_downset(x)
+            assert level.degree(x) == closed.degree(x)
+        assert level.in_degree_order() == closed.in_degree_order()
+        assert all((x in level) == (x in closed) for x in tower.top.elements)
+
+
+def has_upper_bounds_bruteforce(tower, cap):
+    """Some top element lies above every member of each Reysha of the
+    penultimate level, by a scan of the whole top level."""
+    base = tower.levels[-2] if len(tower.levels) > 1 else tower.levels[-1]
+    top = tower.top
+    return all(
+        any(all(top.le(m, c) for m in reysha.members) for c in top.elements)
+        for reysha in base.reyshas(max_size=cap)
+    )
+
+
+@pytest.mark.parametrize("tower", directed_towers())
+def test_directedness_matches_the_bruteforce_scan(tower):
+    # check caps below, at and above the build cap
+    for cap in range(5):
+        assert check_tower_directedness(tower, cap) == has_upper_bounds_bruteforce(tower, cap)
+
+
+def test_directedness_false_past_the_build_cap_on_vee():
+    tower = build_tower(load_category("vee.json"), levels=2, reysha_cap=1)
+    assert check_tower_directedness(tower)
+    assert not check_tower_directedness(tower, 2)
+    assert not has_upper_bounds_bruteforce(tower, 2)
+
+
+@pytest.mark.parametrize("change", ["gain", "lose"])
+def test_verify_catches_a_lower_level_with_another_order(change):
+    tower = build_tower(chain2(), levels=2, reysha_cap=2)
+    assert all(tower.verify().values())
+    level = tower.levels[1]
+    if change == "lose":
+        # a cone over a singleton covers its one member
+        cone = next(c for c in level.elements if len(level.strict_downset(c)) == 1)
+        pairs = level.le_pairs - {(level.strict_downset(cone)[0], cone)}
+    else:
+        x, y = next(
+            (x, y)
+            for x, y in itertools.combinations(level.elements, 2)
+            if not level.le(x, y) and not level.le(y, x)
+        )
+        pairs = level.le_pairs | {(x, y)}
+    changed = FinPoset.make(level.elements, pairs)
+    assert changed.le_pairs != level.le_pairs
+    corrupted = dataclasses.replace(tower, levels=(tower.levels[0], changed, tower.levels[2]))
+    assert corrupted.verify() == {
+        "projection_typed": True,
+        "projection_functorial": True,
+        "levels_coherent": False,
+    }
