@@ -163,16 +163,17 @@ class OverCategoryReport:
 
 def _over_category(tower: CofinalTower, i: str):
     """The objects (c, m), m: obj(c) -> i, c-major in canonical order then
-    m in morphism order, and the edges (c2, m2) -> (c, m) for c <= c2 with
-    m after the projection of c2 >= c equal to m2, (c2, m2)-major in
-    object order."""
+    m in morphism order, and the edges (c2, m2) -> (c, m) for c < c2 with
+    m after the projection of c2 > c equal to m2, (c2, m2)-major in
+    object order.  c = c2 is left out: through the identity leg it gives
+    only the self-edge (c2, m2) -> (c2, m2), which joins no components."""
     top, source, mor_map = tower.top, tower.source, tower.mor_map
     into_i = {x: source.hom(x, i) for x in source.objects}
     over = {c: into_i[tower.obj_map[c]] for c in top.elements}
     objects = [(c, m) for c in top.elements for m in over[c]]
     edges = []
     for c2, m2 in objects:
-        for c in top.downset(c2):
+        for c in top.strict_downset(c2):
             leg = mor_map.get((c2, c))
             if leg is None:
                 continue

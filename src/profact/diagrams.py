@@ -142,11 +142,30 @@ class NatTrans:
         )
 
 
-# a limit's carrier and its projections
-Limit = tuple[BaseObject, dict[str, BaseMorphism]]
-# the elements of a limit's shape, and the carrier element of each
-# compatible family of values on them
-LimitIndex = tuple[tuple[str, ...], dict[tuple[str, ...], str]]
+class Limit(tuple):
+    """A limit's carrier and its projections, read as that pair.
+
+    index is what cone_into_limit looks a cone's legs up in: the elements
+    of the limit's shape, and the carrier element of each compatible
+    family of values on them.  It is built on first use, since many limits
+    are never mapped into; a limit that a memo shares shares its index.
+    """
+
+    # a plain property: functools.cached_property takes a lock on first
+    # access on Python 3.11 and earlier
+    _index = None
+
+    @property
+    def index(self) -> tuple[tuple[str, ...], dict[tuple[str, ...], str]]:
+        if self._index is None:
+            carrier, projections = self
+            order = tuple(projections)
+            if not order:
+                self._index = order, {(): e for e in carrier.carrier}
+            else:
+                columns = [[projections[x].mapping[e] for e in carrier.carrier] for x in order]
+                self._index = order, dict(zip(zip(*columns), carrier.carrier))
+        return self._index
 
 
 def limit_over_poset(diagram: Diagram) -> Limit:
@@ -167,7 +186,7 @@ def limit_over_poset(diagram: Diagram) -> Limit:
     """
     shape = diagram.shape
     if not shape.elements:
-        return TERMINAL, {}
+        return Limit((TERMINAL, {}))
     # an element is maximal iff it lies in no strict downset
     covered = {y for x in shape.elements for y in shape.strict_downset(x)}
     maximal = [x for x in shape.elements if x not in covered]
@@ -195,7 +214,7 @@ def limit_over_poset(diagram: Diagram) -> Limit:
         x: BaseMorphism._trusted(carrier, diagram.at(x), dict(zip(ids, _values_through(through[x], families))))
         for x in shape.elements
     }
-    return carrier, projections
+    return Limit((carrier, projections))
 
 
 def _values_through(through: tuple[int, dict[str, str]], families: list[tuple[str, ...]]) -> list[str]:
@@ -203,16 +222,6 @@ def _values_through(through: tuple[int, dict[str, str]], families: list[tuple[st
     at position through[0] and the arrow mapping through[1]."""
     position, mapping = through
     return [mapping[family[position]] for family in families]
-
-
-def limit_index(limit: Limit) -> LimitIndex:
-    """What cone_into_limit looks a cone's legs up in."""
-    lim_obj, lim_proj = limit
-    order = tuple(lim_proj)
-    carrier = lim_obj.carrier
-    if not order:
-        return order, {(): e for e in carrier}
-    return order, dict(zip(zip(*[[lim_proj[x].mapping[e] for e in carrier] for x in order]), carrier))
 
 
 def _into_limit(apex: BaseObject, columns: list[Iterable[str]], limit: Limit, families: dict) -> BaseMorphism:
@@ -227,29 +236,18 @@ def _into_limit(apex: BaseObject, columns: list[Iterable[str]], limit: Limit, fa
     return BaseMorphism._trusted(apex, limit[0], mapping)
 
 
-def cone_into_limit(
-    apex: BaseObject, legs: dict[str, BaseMorphism], limit: Limit, index: LimitIndex | None = None
-) -> BaseMorphism:
-    """The map into a limit induced by a cone of legs apex -> D(s).
-
-    index, when given, is limit_index(limit), kept by a caller that maps
-    into the same limit more than once.
-    """
-    order, families = limit_index(limit) if index is None else index
+def cone_into_limit(apex: BaseObject, legs: dict[str, BaseMorphism], limit: Limit) -> BaseMorphism:
+    """The map into a limit induced by a cone of legs apex -> D(s)."""
+    order, families = limit.index
     return _into_limit(apex, [[legs[x].mapping[e] for e in apex.carrier] for x in order], limit, families)
 
 
-def limit_map(
-    source_limit: Limit,
-    target_limit: Limit,
-    components: dict[str, BaseMorphism],
-    target_index: LimitIndex | None = None,
-) -> BaseMorphism:
+def limit_map(source_limit: Limit, target_limit: Limit, components: dict[str, BaseMorphism]) -> BaseMorphism:
     """The map of limits induced by levelwise maps commuting with the
-    arrows; target_index is as for cone_into_limit.  Each leg is the
-    component after the source projection, read as a column."""
+    arrows.  Each leg is the component after the source projection, read
+    as a column."""
     src_obj, src_proj = source_limit
-    order, families = limit_index(target_limit) if target_index is None else target_index
+    order, families = target_limit.index
     columns = [composite_mapping(components[x], src_proj[x]).values() for x in order]
     return _into_limit(src_obj, columns, target_limit, families)
 
@@ -258,12 +256,12 @@ class PartialDiagram:
     """A diagram that may still be growing element by element, with each
     matching limit computed once per strict downset.
 
-    objects and arrows are the caller's dicts and are read as they grow.
-    An element is added only after its whole strict downset, and nothing
-    added earlier changes, so a limit over a strict downset stays valid and
-    two elements with the same strict downset share it, together with its
-    limit_index.  The memo lives as long as this object: a construction
-    builds one and drops it when done.
+    objects and arrows are the caller's dicts and are read as they grow;
+    attach adds an element.  An element is added only after its whole
+    strict downset, and nothing added earlier changes, so a limit over a
+    strict downset stays valid and two elements with the same strict
+    downset share it, together with its index.  The memo lives as long as
+    this object: a construction builds one and drops it when done.
     """
 
     def __init__(
@@ -276,7 +274,6 @@ class PartialDiagram:
         self.objects = {} if objects is None else objects
         self.arrows = {} if arrows is None else arrows
         self._limits: dict[tuple[str, ...], Limit] = {}
-        self._indexes: dict[tuple[str, ...], LimitIndex] = {}
 
     @staticmethod
     def of(diagram: Diagram) -> "PartialDiagram":
@@ -291,14 +288,15 @@ class PartialDiagram:
             limit = self._limits[strict] = limit_over_poset(below)
         return limit
 
-    def matching_index(self, x: str) -> LimitIndex:
-        """limit_index of the matching limit at x, built on first use: the
-        random generators take limits they never map into."""
-        strict = self.shape.strict_downset(x)
-        index = self._indexes.get(strict)
-        if index is None:
-            index = self._indexes[strict] = limit_index(self.matching_limit(x))
-        return index
+    def attach(self, x: str, fiber: BaseObject, into: BaseMorphism) -> None:
+        """Add x with its fiber and into: fiber -> matching_limit(x).  The
+        arrow to each s below x is the projection to s after into, which
+        keeps the grown diagram a functor."""
+        projections = self.matching_limit(x)[1]
+        self.objects[x] = fiber
+        self.arrows[(x, x)] = identity(fiber)
+        for s in self.shape.strict_downset(x):
+            self.arrows[(x, s)] = compose(projections[s], into)
 
 
 def matching_object(
@@ -318,10 +316,10 @@ def matching_object(
     ids follow that order.
     """
     src_limit = source.matching_limit(x)
-    tgt_limit, tgt_index = target.matching_limit(x), target.matching_index(x)
-    limit_of_components = limit_map(src_limit, tgt_limit, components, tgt_index)
+    tgt_limit = target.matching_limit(x)
+    limit_of_components = limit_map(src_limit, tgt_limit, components)
     fiber_legs = {s: target.arrows[(x, s)] for s in target.shape.strict_downset(x)}
-    return src_limit, limit_of_components, cone_into_limit(target.objects[x], fiber_legs, tgt_limit, tgt_index)
+    return src_limit, limit_of_components, cone_into_limit(target.objects[x], fiber_legs, tgt_limit)
 
 
 def is_levelwise(nt: NatTrans, cls: str) -> bool:
@@ -346,7 +344,7 @@ def matching_data(
     src_limit, limit_of_components, fiber_to_limit = matching_object(source, target, nt.components, x)
     pb = pullback(fiber_to_limit, limit_of_components)
     legs = {s: nt.source.arrow(x, s) for s in nt.shape.strict_downset(x)}
-    into_limit = cone_into_limit(nt.source.at(x), legs, src_limit, source.matching_index(x))
+    into_limit = cone_into_limit(nt.source.at(x), legs, src_limit)
     relative = induced_into_pullback(pb, nt.at(x), into_limit)
     return src_limit, pb, relative
 

@@ -13,17 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .base import (
+    BaseError,
     BaseMorphism,
     BaseObject,
     compose,
     factorize_base,
     factorize_mid_map,
-    identity,
     induced_into_pullback,
     pullback,
 )
 from .diagrams import (
     Diagram,
+    DiagramError,
+    Limit,
     NatTrans,
     PartialDiagram,
     cone_into_limit,
@@ -39,13 +41,12 @@ class FactorizeError(ValueError):
 
 @dataclass(frozen=True)
 class StepData:
-    """Per-element bookkeeping: the matching pullback and its projections."""
+    """Per-element bookkeeping: the middle diagram's matching limit, the
+    matching pullback and the map into it."""
 
-    pullback: BaseObject
-    to_fiber: BaseMorphism  # pullback -> D(x)
-    to_lower: dict[str, BaseMorphism]  # pullback -> H(s) for each s < x
+    limit: Limit  # of H over the strict downset of x
+    pullback: tuple[BaseObject, BaseMorphism, BaseMorphism]  # (carrier, to limit, to D(x))
     into_pullback: BaseMorphism  # C(x) -> pullback
-    right: BaseMorphism  # H(x) -> pullback
 
 
 @dataclass(frozen=True)
@@ -84,24 +85,17 @@ def _step(
     """Extend a partial factorization to one more element whose strict
     downset is already covered; target is f.target and mid the middle
     diagram built so far, each with its memo of matching limits."""
-    strict = f.shape.strict_downset(x)
     lim_mid, mid_to_tgt, fiber_to_tgt = matching_object(mid, target, right, x)
     # the limit leg goes first: the middle fibers' carrier ids follow it
     pb = pullback(mid_to_tgt, fiber_to_tgt)
-    carrier, proj_lim, proj_fiber = pb
-    legs = {s: compose(left[s], f.source.arrow(x, s)) for s in strict}
-    into_lim = cone_into_limit(f.source.at(x), legs, lim_mid, mid.matching_index(x))
-    u = induced_into_pullback(pb, into_lim, f.at(x))
+    _, proj_lim, proj_fiber = pb
+    legs = {s: compose(left[s], f.source.arrow(x, s)) for s in f.shape.strict_downset(x)}
+    u = induced_into_pullback(pb, cone_into_limit(f.source.at(x), legs, lim_mid), f.at(x))
     triple = factorize_base(u)
-    lim_proj = lim_mid[1]
-    to_lower = {s: compose(lim_proj[s], proj_lim) for s in strict}
-    mid.objects[x] = triple.mid
+    mid.attach(x, triple.mid, compose(proj_lim, triple.right))
     left[x] = triple.left
     right[x] = compose(proj_fiber, triple.right)
-    mid.arrows[(x, x)] = identity(triple.mid)
-    for s in strict:
-        mid.arrows[(x, s)] = compose(to_lower[s], triple.right)
-    details[x] = StepData(carrier, proj_fiber, to_lower, u, triple.right)
+    details[x] = StepData(lim_mid, pb, u)
 
 
 def _construct(f: NatTrans, target: PartialDiagram):
@@ -215,29 +209,29 @@ def chi_construct(
     rf_t: ReedyFactorization | None = None,
 ) -> ChiMap:
     """Build the middle component family by degree recursion over the
-    target index poset, using the strict base functoriality at each step."""
+    target index poset, using the strict base functoriality at each step.
+
+    At b over a = alpha(b), the map k between the matching pullbacks is
+    induced by chi below b after the limit leg and by psi after the fiber
+    leg; FactorizeError when that span does not commute."""
     pm.validate(f, t)
     rf_f = rf_f if rf_f is not None else reedy(f)
     rf_t = rf_t if rf_t is not None else reedy(t)
     b_shape = t.shape
     chi: dict[str, BaseMorphism] = {}
     for b in b_shape.in_degree_order():
-        a = pm.alpha[b]
-        sd_f = rf_f.details[a]
+        sd_f = rf_f.details[pm.alpha[b]]
         sd_t = rf_t.details[b]
-        strict_b = b_shape.strict_downset(b)
-        index: dict[tuple, str] = {}
-        for e in sd_t.pullback.carrier:
-            key = (tuple(sd_t.to_lower[b2](e) for b2 in strict_b), sd_t.to_fiber(e))
-            index[key] = e
-        mapping = {}
-        for e in sd_f.pullback.carrier:
-            fam = tuple(chi[b2](sd_f.to_lower[pm.alpha[b2]](e)) for b2 in strict_b)
-            key = (fam, pm.psi[b](sd_f.to_fiber(e)))
-            if key not in index:
-                raise FactorizeError(f"induced pullback map undefined at {b!r}")
-            mapping[e] = index[key]
-        k = BaseMorphism(sd_f.pullback, sd_t.pullback, mapping)
+        carrier_f, to_limit_f, to_fiber_f = sd_f.pullback
+        proj_f = sd_f.limit[1]
+        legs = {
+            b2: compose(chi[b2], compose(proj_f[pm.alpha[b2]], to_limit_f)) for b2 in b_shape.strict_downset(b)
+        }
+        try:
+            into_limit = cone_into_limit(carrier_f, legs, sd_t.limit)
+            k = induced_into_pullback(sd_t.pullback, into_limit, compose(pm.psi[b], to_fiber_f))
+        except (BaseError, DiagramError):
+            raise FactorizeError(f"induced pullback map undefined at {b!r}") from None
         chi[b] = factorize_mid_map(sd_f.into_pullback, sd_t.into_pullback, pm.phi[b], k)
     return ChiMap(dict(pm.alpha), chi)
 

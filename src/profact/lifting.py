@@ -135,7 +135,7 @@ def lift_against_special(problem: LiftingProblem) -> ConeLift:
     try:
         for t, (src_limit, pb, relative) in special_matching_data(f, "M", source, target):
             lift_legs = {s: lifts[s] for s in shape.strict_downset(t)}
-            into_limit = cone_into_limit(problem.left.target, lift_legs, src_limit, source.matching_index(t))
+            into_limit = cone_into_limit(problem.left.target, lift_legs, src_limit)
             into_pb = induced_into_pullback(pb, problem.bottom[t], into_limit)
             lifts[t] = lift_base(problem.left, relative, problem.top[t], into_pb)
     except NotSpecial as exc:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 
-from .base import BaseMorphism, BaseObject, compose, identity, pullback
-from .diagrams import Diagram, NatTrans, PartialDiagram, limit_over_poset, matching_object
+from .base import BaseMorphism, BaseObject, compose, pullback
+from .diagrams import Diagram, NatTrans, PartialDiagram, cone_into_limit, limit_over_poset, matching_object
 from .factorize import ArrowPreMorphism
 from .poset import FinPoset
 from .procalc import PreMorphism, ProObject, RawMorphism
@@ -79,17 +79,13 @@ def random_diagram(
     """Random functor: each fiber maps randomly into the limit of the part
     already built below it."""
     built = PartialDiagram(shape)
-    objects, arrows = built.objects, built.arrows
     for x in shape.in_degree_order():
-        lim_obj, lim_proj = built.matching_limit(x)
+        lim_obj = built.matching_limit(x)[0]
         size = rng.randint(1, max_fiber) if lim_obj.carrier else 0
         fiber = BaseObject(tuple(f"{prefix}{x}_{i}" for i in range(size)))
-        objects[x] = fiber
         into = random_map(rng, fiber, lim_obj) if fiber.carrier else BaseMorphism(fiber, lim_obj, {})
-        arrows[(x, x)] = identity(fiber)
-        for s in shape.strict_downset(x):
-            arrows[(x, s)] = compose(lim_proj[s], into)
-    return Diagram.make(shape, objects, arrows)
+        built.attach(x, fiber, into)
+    return Diagram.make(shape, built.objects, built.arrows)
 
 
 def random_nattrans(rng: random.Random, shape: FinPoset, max_fiber: int) -> NatTrans:
@@ -100,21 +96,17 @@ def random_nattrans(rng: random.Random, shape: FinPoset, max_fiber: int) -> NatT
         if _estimated_cost_ok(shape, {x: len(target.at(x)) for x in shape.elements}):
             break
     built, target_limits = PartialDiagram(shape), PartialDiagram.of(target)
-    objects, arrows = built.objects, built.arrows
     components: dict[str, BaseMorphism] = {}
     for x in shape.in_degree_order():
-        src_limit, comp_map, fiber_map = matching_object(built, target_limits, components, x)
+        _, comp_map, fiber_map = matching_object(built, target_limits, components, x)
         # the fiber leg goes first: the draws below index the pullback's carrier
         carrier, proj_fiber, proj_limit = pullback(fiber_map, comp_map)
         size = rng.randint(1, max_fiber) if carrier.carrier else 0
         fiber = BaseObject(tuple(f"x{x}_{i}" for i in range(size)))
         into = random_map(rng, fiber, carrier) if fiber.carrier else BaseMorphism(fiber, carrier, {})
-        objects[x] = fiber
-        arrows[(x, x)] = identity(fiber)
-        for s in shape.strict_downset(x):
-            arrows[(x, s)] = compose(compose(src_limit[1][s], proj_limit), into)
+        built.attach(x, fiber, compose(proj_limit, into))
         components[x] = compose(proj_fiber, into)
-    source = Diagram.make(shape, objects, arrows)
+    source = Diagram.make(shape, built.objects, built.arrows)
     return NatTrans.make(source, target, components)
 
 
@@ -135,28 +127,23 @@ def junk_extend(
     limit of the part below."""
     shape = source.shape
     built = PartialDiagram(shape)
-    objects, arrows = built.objects, built.arrows
     components: dict[str, BaseMorphism] = {}
     for b in shape.in_degree_order():
-        lim_obj, lim_proj = built.matching_limit(b)
-        junk_size = rng.randint(0, max_junk) if lim_obj.carrier else 0
+        limit = built.matching_limit(b)
+        junk_size = rng.randint(0, max_junk) if limit[0].carrier else 0
         originals = tuple("o:" + x for x in source.at(b).carrier)
         junk = tuple(f"{prefix}:{i}" for i in range(junk_size))
         fiber = BaseObject(originals + junk)
-        objects[b] = fiber
         components[b] = BaseMorphism(
             source.at(b), fiber, {x: "o:" + x for x in source.at(b).carrier}
         )
-        junk_anchor = {j: rng.choice(lim_obj.carrier) for j in junk}
-        arrows[(b, b)] = identity(fiber)
-        for s in shape.strict_downset(b):
-            mapping = {}
-            for x in source.at(b).carrier:
-                mapping["o:" + x] = components[s](source.arrow(b, s)(x))
-            for j in junk:
-                mapping[j] = lim_proj[s](junk_anchor[j])
-            arrows[(b, s)] = BaseMorphism(fiber, objects[s], mapping)
-    extended = Diagram.make(shape, objects, arrows)
+        # an original goes where its image below goes; a junk element anywhere
+        legs = {s: compose(components[s], source.arrow(b, s)) for s in shape.strict_downset(b)}
+        families = cone_into_limit(source.at(b), legs, limit).mapping
+        into = {"o:" + x: families[x] for x in source.at(b).carrier}
+        into.update({j: rng.choice(limit[0].carrier) for j in junk})
+        built.attach(b, fiber, BaseMorphism(fiber, limit[0], into))
+    extended = Diagram.make(shape, built.objects, built.arrows)
     return extended, NatTrans.make(source, extended, components)
 
 

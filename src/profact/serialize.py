@@ -83,11 +83,7 @@ def morphism_to_json(f: BaseMorphism) -> dict:
 def morphism_from_json(data: Any, path: str = "$") -> BaseMorphism:
     source = object_from_json(_require(data, "source", path), path + ".source")
     target = object_from_json(_require(data, "target", path), path + ".target")
-    mapping = _require(data, "map", path)
-    try:
-        return BaseMorphism(source, target, dict(mapping))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(str(exc), path + ".map") from exc
+    return _component_morphism(source, target, data, "map", path)
 
 
 def _component_morphism(

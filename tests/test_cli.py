@@ -305,6 +305,18 @@ def test_lift_against_non_special_map_is_verification_failure(runner, tmp_path):
     assert "error: right transformation is not special surjective" in result.output
 
 
+@pytest.mark.parametrize("key, entry", [("left", "map"), ("top", "t")])
+def test_lift_map_given_as_pairs_is_parse_error(runner, tmp_path, key, entry):
+    # every assignment is a JSON object: a list of pairs is refused for
+    # the left map as it is for a cone component
+    problem = json.loads(resources.files("profact").joinpath("fixtures", "lift_over_v.json").read_text())
+    problem[key][entry] = [list(pair) for pair in problem[key][entry].items()]
+    path = write_json(tmp_path, "problem.json", problem)
+    result = runner.invoke(main, ["lift", path])
+    assert result.exit_code == 3
+    assert f"error: {path}.{key}.{entry}: expected an assignment object" in result.output
+
+
 def test_merge_out_of_truncation_is_exhausted(runner, tmp_path):
     # p and q differ on x at a0 and agree from a1 on, so b0 settles on a1,
     # the top of F's truncation, and b1 finds no index strictly above it

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profact.base import BaseObject, identity, is_in_m, is_in_n, morphism
+from profact.base import TERMINAL, BaseObject, identity, is_in_m, is_in_n, morphism
 from profact.diagrams import (
     Diagram,
     DiagramError,
@@ -15,7 +15,6 @@ from profact.diagrams import (
     cone_into_limit,
     is_levelwise,
     is_special,
-    limit_index,
     limit_map,
     limit_over_poset,
     matching_data,
@@ -210,15 +209,36 @@ def test_matching_index_is_shared_and_its_cone_check_stays_exact():
     shape = FinPoset.make(("0", "1", "t", "u"), [("0", "1"), ("1", "t"), ("1", "u")])
     ab = BaseObject(("a", "b"))
     limits = PartialDiagram.of(constant_diagram(shape, ab))
-    index = limits.matching_index("t")
-    assert limits.matching_index("u") is index
     limit = limits.matching_limit("t")
+    assert limits.matching_limit("u") is limit
+    index = limit.index
+    assert limits.matching_limit("u").index is index
+    # a limit taken afresh is equal, but builds an index of its own
+    fresh = limit_over_poset(constant_diagram(shape, ab).restrict(Reysha(shape, ("0", "1"))))
+    assert fresh == limit and fresh.index == index and fresh.index is not index
     cone = {"0": identity(ab), "1": identity(ab)}
-    assert cone_into_limit(ab, cone, limit, index) == cone_into_limit(ab, cone, limit)
+    assert cone_into_limit(ab, cone, limit) == cone_into_limit(ab, cone, fresh)
+    assert cone_into_limit(ab, cone, limit).mapping == {"a": "l0", "b": "l1"}
     # the legs disagree along 1 >= 0
     swapped = {"0": identity(ab), "1": morphism(ab, ab, {"a": "b", "b": "a"})}
     with pytest.raises(DiagramError, match="the legs do not form a cone"):
-        cone_into_limit(ab, swapped, limit, index)
+        cone_into_limit(ab, swapped, limit)
+
+
+def test_attach_writes_each_arrow_as_a_projection_after_the_map_into_the_limit():
+    ab, p = BaseObject(("a", "b")), BaseObject(("p", "q"))
+    built = PartialDiagram(vee())
+    built.attach("x0", ab, morphism(ab, TERMINAL, {"a": "*", "b": "*"}))
+    built.attach("x1", ab, morphism(ab, TERMINAL, {"a": "*", "b": "*"}))
+    limit = built.matching_limit("t")
+    # the families (x0, x1) in order: (a, a), (a, b), (b, a), (b, b)
+    into = morphism(p, limit[0], {"p": "l1", "q": "l2"})
+    built.attach("t", p, into)
+    assert built.objects["t"] is p
+    assert built.arrows[("t", "t")] == identity(p)
+    assert built.arrows[("t", "x0")].mapping == {"p": "a", "q": "b"}
+    assert built.arrows[("t", "x1")].mapping == {"p": "b", "q": "a"}
+    assert Diagram.make(vee(), built.objects, built.arrows).arrows == built.arrows
 
 
 def test_special_walk_stops_at_a_square_that_does_not_commute():
@@ -294,11 +314,12 @@ def test_legs_that_are_not_a_cone_are_rejected_with_and_without_an_index():
     swap = morphism(ab, ab, {"a": "b", "b": "a"})
     # the legs at x0 and t agree along t >= x0, the leg at x1 does not
     legs = {"x0": identity(ab), "x1": swap, "t": identity(ab)}
-    for index in (None, limit_index(limit)):
+    # before the index is built, and again once it is
+    for _ in range(2):
         with pytest.raises(DiagramError, match="the legs do not form a cone"):
-            cone_into_limit(ab, legs, limit, index)
+            cone_into_limit(ab, legs, limit)
         with pytest.raises(DiagramError, match="the legs do not form a cone"):
-            limit_map(limit, limit, legs, index)
+            limit_map(limit, limit, legs)
 
 
 @pytest.mark.parametrize("size", [0, 1, 3])
@@ -308,8 +329,9 @@ def test_every_apex_element_maps_into_the_terminal_limit(size):
     # x0 is minimal: its matching limit is over the empty shape
     terminal = limits.matching_limit("x0")
     assert terminal == limit_over_poset(Diagram.make(FinPoset.make(()), {}))
-    for index in (None, limits.matching_index("x0")):
-        into = cone_into_limit(apex, {}, terminal, index)
+    # before the index is built, and again once it is
+    for _ in range(2):
+        into = cone_into_limit(apex, {}, terminal)
         assert into.target == terminal[0]
         assert into.mapping == {w: "*" for w in apex.carrier}
     source = limits.matching_limit("t")

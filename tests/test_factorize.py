@@ -111,7 +111,7 @@ def test_mid_object_cardinality_two_chain():
     f = chain_arrow()
     rf = reedy(f)
     # at the top the mid object is the source fiber plus the pullback carrier
-    pullback_size = len(rf.details["1"].pullback)
+    pullback_size = len(rf.details["1"].pullback[0])
     assert len(rf.mid.at("1")) == len(f.source.at("1")) + pullback_size
 
 
@@ -206,6 +206,19 @@ def test_chi_rejects_non_strict_index_map():
     )
     with pytest.raises(FactorizeError):
         chi_construct(f, f, pm)
+
+
+def test_chi_against_another_arrows_factorization_has_no_induced_map():
+    # pm is a pre-morphism into t, but the factorization handed in is that
+    # of another arrow t2 over the same shape: its matching pullbacks do not
+    # receive psi, so the map k between the pullbacks does not exist
+    rng = random.Random(5)
+    for _ in range(20):
+        f = random_nattrans(rng, random_poset(rng, 3), 3)
+        t, pm = random_arrow_pre_morphism(rng, f)
+        t2 = random_nattrans(rng, t.shape, 3)
+        with pytest.raises(FactorizeError, match="induced pullback map undefined at"):
+            chi_construct(f, t, pm, reedy(f), reedy(t2))
 
 
 def test_functorial_factorization_single_arrow():
@@ -306,7 +319,7 @@ def test_constructed_maps_pass_the_public_checks():
         rf = reedy(f)
         maps = [*rf.mid.arrows.values(), *rf.left.components.values(), *rf.right.components.values()]
         for step in rf.details.values():
-            maps += [step.to_fiber, step.into_pullback, step.right, *step.to_lower.values()]
+            maps += [*step.limit[1].values(), *step.pullback[1:], step.into_pullback]
         for m in maps:
             assert BaseMorphism(m.source, m.target, dict(m.mapping)) == m
 
