@@ -54,8 +54,8 @@ class BaseMorphism:
     def _trusted(cls, source: BaseObject, target: BaseObject, mapping: dict[str, str]) -> "BaseMorphism":
         """A morphism whose mapping is total and lands in the target by
         construction: the results of compose, identity, the pullback maps,
-        the base factorization and the limit maps.  It skips the checks;
-        the public constructor keeps them."""
+        the base factorization and its mid maps, and the limit maps.  It
+        skips the checks; the public constructor keeps them."""
         morphism = object.__new__(cls)
         object.__setattr__(morphism, "source", source)
         object.__setattr__(morphism, "target", target)
@@ -159,15 +159,20 @@ class FactorizationTriple:
     right: BaseMorphism
 
 
+def _tagged_sum(f: BaseMorphism) -> BaseObject:
+    """The mid object of factorize_base(f): source ⊔ target, tagged."""
+    return BaseObject(
+        tuple(SOURCE_TAG + x for x in f.source.carrier) + tuple(TARGET_TAG + y for y in f.target.carrier)
+    )
+
+
 def factorize_base(f: BaseMorphism) -> FactorizationTriple:
     """Factor f as an injection followed by a surjection via the tagged sum.
 
     mid = source ⊔ target; left is the source inclusion, right collapses
     the source part along f and is the identity on the target part.
     """
-    mid = BaseObject(
-        tuple(SOURCE_TAG + x for x in f.source.carrier) + tuple(TARGET_TAG + y for y in f.target.carrier)
-    )
+    mid = _tagged_sum(f)
     left = BaseMorphism._trusted(f.source, mid, {x: SOURCE_TAG + x for x in f.source.carrier})
     right_map = {SOURCE_TAG + x: f(x) for x in f.source.carrier}
     right_map.update({TARGET_TAG + y: y for y in f.target.carrier})
@@ -183,16 +188,14 @@ def factorize_mid_map(
     Requires top: src(f) -> src(t) and bottom: tgt(f) -> tgt(t) with
     t∘top = bottom∘f; returns the induced map between the mid objects.
     """
+    # equal composites share their source and target, so top starts at
+    # src(f) and bottom ends at tgt(t), and the map below is total
     if compose(t, top) != compose(bottom, f):
         raise BaseError("square does not commute")
-    mid_f = factorize_base(f)
-    mid_t = factorize_base(t)
-    mapping = {}
-    for x in f.source.carrier:
-        mapping[SOURCE_TAG + x] = SOURCE_TAG + top(x)
-    for y in f.target.carrier:
-        mapping[TARGET_TAG + y] = TARGET_TAG + bottom(y)
-    return BaseMorphism(mid_f.mid, mid_t.mid, mapping)
+    top_map, bottom_map = top.mapping, bottom.mapping
+    mapping = {SOURCE_TAG + x: SOURCE_TAG + top_map[x] for x in f.source.carrier}
+    mapping.update({TARGET_TAG + y: TARGET_TAG + bottom_map[y] for y in f.target.carrier})
+    return BaseMorphism._trusted(_tagged_sum(f), _tagged_sum(t), mapping)
 
 
 def lift_base(

@@ -4,6 +4,9 @@ suite.
 
 Exit codes: 0 success, 1 verification failure, 2 search or budget
 exhausted, 3 parse error.
+
+Each command imports the construction modules it runs, so a call loads
+only those, serialize, base and poset.
 """
 
 from __future__ import annotations
@@ -14,22 +17,8 @@ import sys
 
 import click
 
-from .category import is_directed_category
-from .cofinalize import (
-    ELEMENT_CAP,
-    BudgetExceeded,
-    CofinalizeError,
-    build_tower,
-    check_cofinality,
-    check_tower_directedness,
-)
-from .diagrams import is_levelwise, is_special
-from .factorize import FactorizeError, check_pre_morphism, chi_construct, reedy
-from .lifting import LiftingError, lift_against_special
-from .poset import is_directed_poset
-from .procalc import ProCalcError, TruncationExhausted, dominate, is_pre_morphism, pm_leq
-from .report import property_suite
 from . import serialize
+from .poset import is_directed_poset
 from .serialize import ParseError, dumps
 
 EXIT_OK = 0
@@ -80,6 +69,7 @@ def _fail(message: str, code: int) -> None:
 
 def _element_cap() -> int:
     """PROFACT_ELEMENT_CAP, a positive integer, or the default cap."""
+    from .cofinalize import ELEMENT_CAP
     raw = os.environ.get("PROFACT_ELEMENT_CAP")
     if raw is None:
         return ELEMENT_CAP
@@ -98,16 +88,26 @@ out_option = click.option("-o", "--output", default=None, help="Write the report
 
 # the one place a library error becomes an exit code, with its message as
 # the error line; SearchExhausted is not here, as no command reaches the
-# brute-force oracle
-_EXIT_CODES: dict[type[Exception], int] = {
-    ParseError: EXIT_PARSE,
-    BudgetExceeded: EXIT_EXHAUSTED,
-    TruncationExhausted: EXIT_EXHAUSTED,
-    FactorizeError: EXIT_VERIFICATION,
-    LiftingError: EXIT_VERIFICATION,
-    CofinalizeError: EXIT_VERIFICATION,
-    ProCalcError: EXIT_VERIFICATION,
+# brute-force oracle.  Errors are named, not imported, since a command
+# loads only its own modules; no error here subclasses another.
+_EXIT_CODES: dict[str, int] = {
+    "profact.serialize.ParseError": EXIT_PARSE,
+    "profact.cofinalize.BudgetExceeded": EXIT_EXHAUSTED,
+    "profact.procalc.TruncationExhausted": EXIT_EXHAUSTED,
+    "profact.factorize.FactorizeError": EXIT_VERIFICATION,
+    "profact.lifting.LiftingError": EXIT_VERIFICATION,
+    "profact.cofinalize.CofinalizeError": EXIT_VERIFICATION,
+    "profact.procalc.ProCalcError": EXIT_VERIFICATION,
 }
+
+
+def _exit_code(exc: BaseException) -> int | None:
+    """The code of the first class of exc in _EXIT_CODES, or None."""
+    for kind in type(exc).__mro__:
+        code = _EXIT_CODES.get(f"{kind.__module__}.{kind.__qualname__}")
+        if code is not None:
+            return code
+    return None
 
 
 class _Commands(click.Group):
@@ -117,8 +117,10 @@ class _Commands(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except tuple(_EXIT_CODES) as exc:
-            code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        except Exception as exc:
+            code = _exit_code(exc)
+            if code is None:
+                raise
             _fail(str(exc), code)
 
 
@@ -134,6 +136,7 @@ def main() -> None:
 def reedy_cmd(input_path: str, output: str | None, fmt: str) -> None:
     """Factor a transformation into levelwise-injective then special-surjective."""
     nt = serialize.nattrans_from_json(_load(input_path), input_path)
+    from .factorize import reedy
     rf = reedy(nt)
     _emit(serialize.reedy_to_json(rf), output, fmt)
     sys.exit(EXIT_OK if all(rf.report.values()) else EXIT_VERIFICATION)
@@ -150,6 +153,7 @@ def chi_cmd(f_path: str, t_path: str, pm_path: str, output: str | None, fmt: str
     f = serialize.nattrans_from_json(_load(f_path), f_path)
     t = serialize.nattrans_from_json(_load(t_path), t_path)
     pm = serialize.arrow_pre_morphism_from_json(_load(pm_path), f, t, pm_path)
+    from .factorize import chi_construct, reedy
     rf_f, rf_t = reedy(f), reedy(t)
     chim = chi_construct(f, t, pm, rf_f, rf_t)
     verification = chim.verify(pm, rf_f, rf_t)
@@ -164,6 +168,7 @@ def chi_cmd(f_path: str, t_path: str, pm_path: str, output: str | None, fmt: str
 def lift_cmd(input_path: str, output: str | None, fmt: str) -> None:
     """Solve a lifting problem against a special surjective transformation."""
     problem = serialize.lifting_problem_from_json(_load(input_path), input_path)
+    from .lifting import lift_against_special
     cone = lift_against_special(problem)
     verification = cone.verify(problem)
     _emit(serialize.cone_lift_to_json(cone, verification), output, fmt)
@@ -184,6 +189,7 @@ def cofinalize_cmd(input_path: str, levels: int, reysha_cap: int, output: str | 
             _fail(f"{option} must be a non-negative integer, got {value}", EXIT_PARSE)
     element_cap = _element_cap()
     cat = serialize.category_from_json(_load(input_path), input_path)
+    from .cofinalize import build_tower, check_cofinality, check_tower_directedness
     tower = build_tower(cat, levels=levels, reysha_cap=reysha_cap, element_cap=element_cap)
     directed = check_tower_directedness(tower)
     reports = check_cofinality(tower)
@@ -206,6 +212,8 @@ def merge_cmd(f_path: str, g_path: str, p_path: str, q_path: str, output: str | 
     G = serialize.pro_object_from_json(_load(g_path), g_path)
     p = serialize.pre_morphism_from_json(_load(p_path), F, G, p_path)
     q = serialize.pre_morphism_from_json(_load(q_path), F, G, q_path)
+    from .factorize import check_pre_morphism
+    from .procalc import dominate, pm_leq
     for pm in (p, q):
         check_pre_morphism(pm.alpha, [("tower", F.diagram, G.diagram, pm.phi)])
     r = dominate(F, G, p, q)
@@ -247,6 +255,7 @@ def check_cmd(
     """Report a structural verdict; queries always exit 0."""
     if what == "directed-category":
         cat = serialize.category_from_json(_load(input_path), input_path)
+        from .category import is_directed_category
         directed, witness = is_directed_category(cat)
         payload = {"directed": directed}
         if witness is not None:
@@ -256,6 +265,7 @@ def check_cmd(
         payload = {"directed": is_directed_poset(poset)}
     elif what in ("levelwise", "special"):
         nt = serialize.nattrans_from_json(_load(input_path), input_path)
+        from .diagrams import is_levelwise, is_special
         chosen = cls or ("N" if what == "levelwise" else "M")
         verdict = is_levelwise(nt, chosen) if what == "levelwise" else is_special(nt, chosen)
         payload = {what: verdict, "class": chosen}
@@ -265,6 +275,7 @@ def check_cmd(
         F = serialize.pro_object_from_json(_load(f_path), f_path)
         G = serialize.pro_object_from_json(_load(g_path), g_path)
         pm = serialize.pre_morphism_from_json(_load(input_path), F, G, input_path)
+        from .procalc import is_pre_morphism, pm_leq
         if what == "pm-valid":
             payload = {"valid": is_pre_morphism(F, G, pm.alpha, pm.phi)}
         else:
@@ -290,6 +301,7 @@ def suite_cmd(seed: int, cases: int, poset_max: int, set_max: int, output: str |
     for option, value in (("--poset-max", poset_max), ("--set-max", set_max)):
         if value < 1:
             _fail(f"{option} must be a positive integer, got {value}", EXIT_PARSE)
+    from .report import property_suite
     report = property_suite(seed=seed, cases=cases, poset_max=poset_max, set_max=set_max)
     _emit(report, output, fmt)
     sys.exit(EXIT_OK if report["all_pass"] else EXIT_VERIFICATION)

@@ -4,21 +4,27 @@ Every emitted document carries a schema_version field.  Input documents may
 omit derivable data: diagram identity arrows are added automatically and
 missing composite arrows are filled in from shorter ones when that is
 unambiguous by functoriality.
+
+Only base and poset load with this module: each parser imports the
+construction module of the object it builds, so a command loads what its
+inputs need and no more.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .base import BaseMorphism, BaseObject, compose
-from .category import FinCategory
-from .cofinalize import CofinalTower, OverCategoryReport
-from .diagrams import Diagram, NatTrans
-from .factorize import ArrowPreMorphism, ChiMap, ReedyFactorization
-from .lifting import ConeLift, LiftingProblem
 from .poset import FinPoset
-from .procalc import PreMorphism, ProObject
+
+if TYPE_CHECKING:
+    from .category import FinCategory
+    from .cofinalize import CofinalTower, OverCategoryReport
+    from .diagrams import Diagram, NatTrans
+    from .factorize import ArrowPreMorphism, ChiMap, ReedyFactorization
+    from .lifting import ConeLift, LiftingProblem
+    from .procalc import PreMorphism, ProObject
 
 SCHEMA_VERSION = 1
 
@@ -112,6 +118,7 @@ def diagram_to_json(diagram: Diagram) -> dict:
 
 
 def diagram_from_json(data: Any, path: str = "$") -> Diagram:
+    from .diagrams import Diagram
     shape = poset_from_json(_require(data, "poset", path), path + ".poset")
     raw_objects = _require(data, "objects", path)
     objects = {
@@ -152,6 +159,7 @@ def nattrans_to_json(nt: NatTrans) -> dict:
 
 
 def nattrans_from_json(data: Any, path: str = "$") -> NatTrans:
+    from .diagrams import NatTrans
     source = diagram_from_json(_require(data, "source", path), path + ".source")
     target = diagram_from_json(_require(data, "target", path), path + ".target")
     raw = _require(data, "components", path)
@@ -166,6 +174,7 @@ def nattrans_from_json(data: Any, path: str = "$") -> NatTrans:
 
 
 def category_from_json(data: Any, path: str = "$") -> FinCategory:
+    from .category import FinCategory
     objects = _require_list(_require(data, "objects", path), "object ids", path + ".objects")
     morphisms = _require_list(_require(data, "morphisms", path), "morphism ids", path + ".morphisms")
     src, tgt = _require(data, "src", path), _require(data, "tgt", path)
@@ -206,6 +215,7 @@ def _pre_morphism_components(data: Any, families: list[tuple[str, Any, Any]], pa
 
 
 def arrow_pre_morphism_from_json(data: Any, f: NatTrans, t: NatTrans, path: str = "$") -> ArrowPreMorphism:
+    from .factorize import ArrowPreMorphism
     families = [("phi", f.source, t.source), ("psi", f.target, t.target)]
     alpha, (phi, psi) = _pre_morphism_components(data, families, path)
     return ArrowPreMorphism(alpha, phi, psi)
@@ -231,6 +241,7 @@ def chi_to_json(chim: ChiMap, verification: dict[str, bool]) -> dict:
 
 
 def lifting_problem_from_json(data: Any, path: str = "$") -> LiftingProblem:
+    from .lifting import LiftingProblem
     left = morphism_from_json(_require(data, "left", path), path + ".left")
     right = nattrans_from_json(_require(data, "right", path), path + ".right")
     top_raw = _require(data, "top", path)
@@ -260,6 +271,7 @@ def cone_lift_to_json(cone: ConeLift, verification: dict[str, bool]) -> dict:
 
 
 def pro_object_from_json(data: Any, path: str = "$") -> ProObject:
+    from .procalc import ProObject
     diagram = diagram_from_json(_require(data, "diagram", path), path + ".diagram")
     cap = data.get("height_cap", diagram.shape.max_degree() + 1)
     if isinstance(cap, bool) or not isinstance(cap, int):
@@ -271,6 +283,7 @@ def pro_object_from_json(data: Any, path: str = "$") -> ProObject:
 
 
 def pre_morphism_from_json(data: Any, F: ProObject, G: ProObject, path: str = "$") -> PreMorphism:
+    from .procalc import PreMorphism
     alpha, (phi,) = _pre_morphism_components(data, [("phi", F, G)], path)
     return PreMorphism(alpha, phi)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from profact.base import (
@@ -102,6 +104,54 @@ def test_mid_map_rejects_non_square():
     f = morphism(x, y, {"1": "p"})
     with pytest.raises(BaseError):
         factorize_mid_map(f, f, identity(x), morphism(y, y, {"p": "q", "q": "p"}))
+
+
+def random_square(rng):
+    """A commuting square (top, bottom): f -> t of random finite sets."""
+    def obj(prefix, low):
+        return BaseObject(tuple(f"{prefix}{i}" for i in range(rng.randint(low, 4))))
+
+    x, y, x2, y2 = obj("x", 1), obj("y", 1), obj("u", 1), obj("v", 2)
+    t = morphism(x2, y2, {u: rng.choice(y2.carrier) for u in x2.carrier})
+    image = sorted(set(t.mapping.values()))
+    bottom = morphism(y, y2, {v: rng.choice(image) for v in y.carrier})
+    f = morphism(x, y, {a: rng.choice(y.carrier) for a in x.carrier})
+    top = morphism(
+        x, x2, {a: rng.choice([u for u in x2.carrier if t(u) == bottom(f(a))]) for a in x.carrier}
+    )
+    return f, t, top, bottom
+
+
+def checked_mid_map(f, t, top, bottom):
+    mapping = {SOURCE_TAG + x: SOURCE_TAG + top(x) for x in f.source.carrier}
+    mapping.update({TARGET_TAG + y: TARGET_TAG + bottom(y) for y in f.target.carrier})
+    return BaseMorphism(factorize_base(f).mid, factorize_base(t).mid, mapping)
+
+
+def test_mid_map_matches_checked_construction():
+    rng = random.Random(1404)
+    for _ in range(200):
+        f, t, top, bottom = random_square(rng)
+        result = factorize_mid_map(f, t, top, bottom)
+        expected = checked_mid_map(f, t, top, bottom)
+        assert result == expected
+        assert list(result.mapping.items()) == list(expected.mapping.items())
+        # a square that no longer commutes at one point is refused
+        a = rng.choice(f.source.carrier)
+        other = next(v for v in t.target.carrier if v != bottom(f(a)))
+        bent = morphism(f.target, t.target, {**bottom.mapping, f(a): other})
+        with pytest.raises(BaseError):
+            factorize_mid_map(f, t, top, bent)
+
+
+def test_mid_map_rejects_a_top_map_from_a_reordered_source():
+    # the two composites agree as assignments, but one starts at the
+    # same elements in another carrier order, which is another object
+    x, x_reordered = BaseObject(("1", "2")), BaseObject(("2", "1"))
+    y = BaseObject(("p", "q"))
+    f = morphism(x, y, {"1": "p", "2": "q"})
+    with pytest.raises(BaseError):
+        factorize_mid_map(f, f, morphism(x_reordered, x, {"1": "1", "2": "2"}), identity(y))
 
 
 def test_lift_base_tie_break():
