@@ -29,6 +29,8 @@ class FinCategory:
     compose_table: dict[tuple[str, str], str]  # (g, f) with tgt(f) == src(g)
     identities: dict[str, str]
     _index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+    # built on first use, like FinPoset's upsets
+    _homs: dict[tuple[str, str], tuple[str, ...]] | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def make(
@@ -85,7 +87,14 @@ class FinCategory:
         return self.compose_table[(g, f)]
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return tuple(m for m in self.morphisms if self.src[m] == x and self.tgt[m] == y)
+        """The morphisms x -> y, in morphism order."""
+        if self._homs is None:
+            homs: dict[tuple[str, str], tuple[str, ...]] = {}
+            for m in self.morphisms:
+                key = (self.src[m], self.tgt[m])
+                homs[key] = homs.get(key, ()) + (m,)
+            object.__setattr__(self, "_homs", homs)
+        return self._homs.get((x, y), ())
 
     def identity(self, x: str) -> str:
         return self.identities[x]

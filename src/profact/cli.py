@@ -3,7 +3,7 @@ tower building, pre-morphism merging, structure checks and the property
 suite.
 
 Exit codes: 0 success, 1 verification failure, 2 search or budget
-exhausted, 3 parse error.
+exhausted, 3 parse error or a file that cannot be read or written.
 
 Each command imports the construction modules it runs, so a call loads
 only those, serialize, base and poset.
@@ -28,13 +28,20 @@ EXIT_PARSE = 3
 
 
 def _load(path: str) -> dict:
+    # JSON text is UTF-8, whatever the locale says
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
         raise ParseError("file not found", path)
+    except OSError as exc:
+        raise ParseError(f"cannot read the file: {exc.strerror}", path)
+    except UnicodeDecodeError:
+        raise ParseError("not UTF-8 text", path)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}", path)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", path)
 
 
 def _emit(payload: dict, output: str | None, fmt: str) -> None:
@@ -56,8 +63,11 @@ def _emit(payload: dict, output: str | None, fmt: str) -> None:
         render("", payload)
         text = "\n".join(lines) + "\n"
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            _fail(f"{output}: cannot write the file: {exc.strerror}", EXIT_PARSE)
     else:
         click.echo(text, nl=False)
 

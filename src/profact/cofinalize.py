@@ -10,7 +10,7 @@ functor sends a new element to its apex and the order relation to its legs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .category import FinCategory, is_directed_category
 from .poset import FinPoset
@@ -28,28 +28,25 @@ ELEMENT_CAP = 10**4
 
 
 @dataclass(frozen=True)
-class ConeElement:
-    """A level n+1 element: a downward closed subset of the previous level
-    plus a cone under its image."""
-
-    level: int
-    members: tuple[str, ...]
-    apex: str
-    legs: dict[str, str]  # member -> morphism apex's object -> member's object
-
-
-@dataclass(frozen=True)
 class CofinalTower:
+    """Levels of cones over source.  A cone c of a later level has the
+    members top.strict_downset(c), the apex obj_map[c] and the leg
+    mor_map[(c, m)] to each member m."""
+
     source: FinCategory
     levels: tuple[FinPoset, ...]
     obj_map: dict[str, str]  # element -> object of the source category
     mor_map: dict[tuple[str, str], str]  # (c, c') with c >= c' -> morphism
-    cones: dict[str, ConeElement] = field(compare=False, default_factory=dict)
     reysha_cap: int = 3
 
     @property
     def top(self) -> FinPoset:
         return self.levels[-1]
+
+    @property
+    def base(self) -> FinPoset:
+        """The penultimate level, or the only one."""
+        return self.levels[-2] if len(self.levels) > 1 else self.levels[-1]
 
     def verify(self) -> dict[str, bool]:
         top = self.top
@@ -82,28 +79,18 @@ def build_tower(
     directed, witness = is_directed_category(I)
     if not directed:
         raise CofinalizeError(f"category is not directed (axiom {witness.axiom}, {witness.detail})")
-    elements = list(I.objects)
     obj_map = {o: o for o in I.objects}
     mor_map = {(o, o): I.identity(o) for o in I.objects}
-    cones: dict[str, ConeElement] = {}
-    le_pairs = {(o, o) for o in I.objects}
-    index = {o: i for i, o in enumerate(elements)}
-    degree = {o: 0 for o in elements}
-    down = {o: (o,) for o in elements}
-    strict: dict[str, tuple[str, ...]] = {o: () for o in elements}
-    level_posets = [FinPoset._stored(tuple(elements), frozenset(le_pairs), index, degree, down, strict)]
-    homs = {(x, y): I.hom(x, y) for x in I.objects for y in I.objects}
+    level_posets = [FinPoset.make(I.objects)]
     for n in range(1, levels + 1):
         prev = level_posets[-1]
         # each level extends the one before: a new cone lies above exactly
-        # the members of its Reysha, which is downward closed in prev, so
-        # an earlier element's downset, strict downset and degree stay
-        index, degree, down, strict = dict(index), dict(degree), dict(down), dict(strict)
-        counter = 0
+        # the members of its Reysha, which is downward closed in prev
+        new: list[tuple[str, tuple[str, ...]]] = []
         for reysha in prev.reyshas(max_size=reysha_cap):
             members = reysha.members
             for apex in I.objects:
-                leg_choices = [homs[(apex, obj_map[c])] for c in members]
+                leg_choices = [I.hom(apex, obj_map[c]) for c in members]
                 for legs in itertools.product(*leg_choices):
                     legs_by = dict(zip(members, legs))
                     if not all(
@@ -112,41 +99,32 @@ def build_tower(
                         for c2 in prev.strict_downset(c)
                     ):
                         continue
-                    name = f"c{n}_{counter}"
-                    counter += 1
+                    name = f"c{n}_{len(new)}"
                     if name in obj_map:
-                        # _stored takes the element ids as given
+                        # _extended takes the element ids as given
                         raise CofinalizeError(f"object id {name!r} clashes with a cone element's name")
-                    elements.append(name)
-                    if len(elements) > element_cap:
+                    new.append((name, members))
+                    if len(prev.elements) + len(new) > element_cap:
                         raise BudgetExceeded(
                             f"budget exceeded: more than {element_cap} tower elements"
                         )
                     obj_map[name] = apex
                     mor_map[(name, name)] = I.identity(apex)
-                    le_pairs.add((name, name))
                     for c in members:
-                        le_pairs.add((c, name))
                         mor_map[(name, c)] = legs_by[c]
-                    index[name] = len(elements) - 1
-                    degree[name] = 1 + max((degree[c] for c in members), default=-1)
-                    down[name] = members + (name,)
-                    strict[name] = members
-                    cones[name] = ConeElement(n, members, apex, legs_by)
-        level_posets.append(FinPoset._stored(tuple(elements), frozenset(le_pairs), index, degree, down, strict))
-    return CofinalTower(I, tuple(level_posets), obj_map, mor_map, cones, reysha_cap)
+        level_posets.append(prev._extended(new))
+    return CofinalTower(I, tuple(level_posets), obj_map, mor_map, reysha_cap)
 
 
 def check_tower_directedness(tower: CofinalTower, reysha_cap: int | None = None) -> bool:
     """Every small downward closed subset of the penultimate level has an
     upper bound in the final level."""
     cap = tower.reysha_cap if reysha_cap is None else reysha_cap
-    base = tower.levels[-2] if len(tower.levels) > 1 else tower.levels[-1]
     top = tower.top
     # c bounds its own strict downset, so a Reysha equal to one has an
     # upper bound without a search
     bounded = {top.strict_downset(c) for c in top.elements}
-    for reysha in base.reyshas(max_size=cap):
+    for reysha in tower.base.reyshas(max_size=cap):
         if reysha.members not in bounded and not top.upper_bounds(reysha.members):
             return False
     return True
@@ -168,15 +146,12 @@ def _over_category(tower: CofinalTower, i: str):
     object order.  c = c2 is left out: through the identity leg it gives
     only the self-edge (c2, m2) -> (c2, m2), which joins no components."""
     top, source, mor_map = tower.top, tower.source, tower.mor_map
-    into_i = {x: source.hom(x, i) for x in source.objects}
-    over = {c: into_i[tower.obj_map[c]] for c in top.elements}
+    over = {c: source.hom(tower.obj_map[c], i) for c in top.elements}
     objects = [(c, m) for c in top.elements for m in over[c]]
     edges = []
     for c2, m2 in objects:
         for c in top.strict_downset(c2):
-            leg = mor_map.get((c2, c))
-            if leg is None:
-                continue
+            leg = mor_map[(c2, c)]
             for m in over[c]:
                 if source.compose(m, leg) == m2:
                     edges.append(((c2, m2), (c, m)))
@@ -192,9 +167,7 @@ def check_cofinality(tower: CofinalTower) -> list[OverCategoryReport]:
     Disconnection is never refuted: components may merge once higher levels
     adjoin equalizing cones, so a multi-component answer is "inconclusive".
     """
-    base_elems = set(
-        (tower.levels[-2] if len(tower.levels) > 1 else tower.levels[-1]).elements
-    )
+    base_elems = set(tower.base.elements)
     reports = []
     for i in tower.source.objects:
         objects, edges = _over_category(tower, i)

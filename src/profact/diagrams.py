@@ -354,17 +354,15 @@ class NotSpecial(DiagramError):
     none because its squares do not commute."""
 
 
-def special_matching_data(
-    nt: NatTrans, cls: str = "M", source: PartialDiagram | None = None, target: PartialDiagram | None = None
-):
+def special_matching_data(nt: NatTrans, cls: str = "M", target: PartialDiagram | None = None):
     """The one walk that checks specialness: (x, matching_data at x) for
-    each element in degree order, over one pair of memos (source and target
-    as for matching_data).  Raises NotSpecial at the first element whose
+    each element in degree order, over one pair of memos (target as for
+    matching_data).  Raises NotSpecial at the first element whose
     relative matching map is outside the class or does not exist, as for a
     family built without NatTrans.make whose squares do not commute.
     """
     pred = {"N": is_in_n, "M": is_in_m}[cls]
-    source = PartialDiagram.of(nt.source) if source is None else source
+    source = PartialDiagram.of(nt.source)
     target = PartialDiagram.of(nt.target) if target is None else target
     for x in nt.shape.in_degree_order():
         try:

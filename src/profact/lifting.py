@@ -16,7 +16,6 @@ from .base import (
 from .diagrams import (
     NatTrans,
     NotSpecial,
-    PartialDiagram,
     cone_into_limit,
     special_matching_data,
 )
@@ -130,10 +129,9 @@ def lift_against_special(problem: LiftingProblem) -> ConeLift:
         raise LiftingError("left map is not injective")
     f = problem.right
     shape = f.shape
-    source, target = PartialDiagram.of(f.source), PartialDiagram.of(f.target)
     lifts: dict[str, BaseMorphism] = {}
     try:
-        for t, (src_limit, pb, relative) in special_matching_data(f, "M", source, target):
+        for t, (src_limit, pb, relative) in special_matching_data(f, "M"):
             lift_legs = {s: lifts[s] for s in shape.strict_downset(t)}
             into_limit = cone_into_limit(problem.left.target, lift_legs, src_limit)
             into_pb = induced_into_pullback(pb, problem.bottom[t], into_limit)

@@ -1,4 +1,4 @@
-"""Finite posets with precomputed order closure, degree levels and Reyshas.
+"""Finite posets with a stored order closure, degree levels and Reyshas.
 
 Element ids are strings.  The stored relation is always the full
 reflexive-transitive closure of whatever generating pairs were given;
@@ -18,7 +18,8 @@ class PosetError(ValueError):
     pass
 
 
-def _transitive_closure(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
+def _transitive_closure(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
+    """Each element's set of elements below it, itself included."""
     below: dict[str, set[str]] = {x: {x} for x in elements}
     for x, y in pairs:
         if x not in below or y not in below:
@@ -35,7 +36,7 @@ def _transitive_closure(elements: Sequence[str], pairs: Iterable[tuple[str, str]
             if acc != below[y]:
                 below[y] = acc
                 changed = True
-    return {(x, y) for y in elements for x in below[y]}
+    return below
 
 
 @dataclass(frozen=True)
@@ -44,52 +45,49 @@ class FinPoset:
 
     elements: tuple[str, ...]
     le_pairs: frozenset[tuple[str, str]]
-    _index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
-    _degree: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
-    _down: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False, repr=False)
-    _strict: dict[str, tuple[str, ...]] = field(default_factory=dict, compare=False, repr=False)
-    # built on first use: most posets never ask for an upper bound
+    _index: dict[str, int] = field(compare=False, repr=False)
+    _down: dict[str, tuple[str, ...]] = field(compare=False, repr=False)
+    _strict: dict[str, tuple[str, ...]] = field(compare=False, repr=False)
+    # built on first use: most posets never ask for an upper bound, and
+    # the limit and tower code never asks for a degree
     _up: dict[str, tuple[str, ...]] | None = field(default=None, compare=False, repr=False)
+    _degree: dict[str, int] | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def make(elements: Sequence[str], pairs: Iterable[tuple[str, str]] = ()) -> "FinPoset":
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise PosetError("duplicate element ids")
-        return FinPoset._closed(elements, _transitive_closure(elements, pairs))
-
-    @staticmethod
-    def _closed(elements: tuple[str, ...], closed: Iterable[tuple[str, str]]) -> "FinPoset":
-        """The poset on distinct elements whose le relation closed is
-        already reflexive and transitive over them."""
-        closed = frozenset(closed)
+        below = _transitive_closure(elements, pairs)
         index = {x: i for i, x in enumerate(elements)}
-        below: dict[str, list[str]] = {x: [] for x in elements}
-        for x, y in closed:
-            if x != y and (y, x) in closed:
-                raise PosetError(f"antisymmetry failure: cycle through {x!r} and {y!r}")
-            below[y].append(x)
         down = {x: tuple(sorted(below[x], key=index.__getitem__)) for x in elements}
-        strict = {x: tuple(y for y in down[x] if y != x) for x in elements}
-        # Longest chain ending at x; y < x has the smaller downset, so it
-        # comes first in this order.
-        degree: dict[str, int] = {}
-        for x in sorted(elements, key=lambda x: len(down[x])):
-            degree[x] = 1 + max((degree[y] for y in strict[x]), default=-1)
-        return FinPoset._stored(elements, closed, index, degree, down, strict)
+        for y in elements:
+            for x in down[y]:
+                if x != y and y in below[x]:
+                    raise PosetError(f"antisymmetry failure: cycle through {x!r} and {y!r}")
+        return FinPoset._from_downsets(elements, down)
 
     @staticmethod
-    def _stored(elements, le_pairs, index, degree, down, strict) -> "FinPoset":
-        """The poset with the given relation and derived tables, unchecked."""
-        poset = object.__new__(FinPoset)
-        object.__setattr__(poset, "elements", elements)
-        object.__setattr__(poset, "le_pairs", le_pairs)
-        object.__setattr__(poset, "_index", index)
-        object.__setattr__(poset, "_degree", degree)
-        object.__setattr__(poset, "_down", down)
-        object.__setattr__(poset, "_strict", strict)
-        object.__setattr__(poset, "_up", None)
-        return poset
+    def _from_downsets(elements: tuple[str, ...], down: dict[str, tuple[str, ...]]) -> "FinPoset":
+        """The poset on distinct elements in which x lies above exactly
+        down[x], given in canonical order; unchecked, so down must be
+        reflexive, transitive and antisymmetric."""
+        return FinPoset(
+            elements,
+            frozenset((y, x) for x in elements for y in down[x]),
+            {x: i for i, x in enumerate(elements)},
+            down,
+            {x: tuple(y for y in down[x] if y != x) for x in elements},
+        )
+
+    def _extended(self, new: Sequence[tuple[str, tuple[str, ...]]]) -> "FinPoset":
+        """This poset with each (name, members) of new added above exactly
+        members, which are downward closed here and in canonical order.
+        An element's downset stays as it was; names are taken as given."""
+        down = dict(self._down)
+        for name, members in new:
+            down[name] = members + (name,)
+        return FinPoset._from_downsets(self.elements + tuple(name for name, _ in new), down)
 
     def __contains__(self, x: str) -> bool:
         return x in self._index
@@ -103,14 +101,24 @@ class FinPoset:
     def lt(self, x: str, y: str) -> bool:
         return x != y and (x, y) in self.le_pairs
 
+    def _degrees(self) -> dict[str, int]:
+        if self._degree is None:
+            # Longest chain ending at x; y < x has the smaller downset, so
+            # it comes first in this order.
+            degree: dict[str, int] = {}
+            for x in sorted(self.elements, key=lambda x: len(self._down[x])):
+                degree[x] = 1 + max((degree[y] for y in self._strict[x]), default=-1)
+            object.__setattr__(self, "_degree", degree)
+        return self._degree
+
     def degree(self, x: str) -> int:
         """Length of the longest chain ending at x."""
         if x not in self._index:
             raise PosetError(f"unknown element {x!r}")
-        return self._degree[x]
+        return self._degrees()[x]
 
     def max_degree(self) -> int:
-        return max(self._degree.values(), default=-1)
+        return max(self._degrees().values(), default=-1)
 
     def downset(self, x: str) -> tuple[str, ...]:
         return self._down.get(x, ())
@@ -188,28 +196,26 @@ class FinPoset:
         member_set = set(members)
         elems = tuple(x for x in self.elements if x in member_set)
         # a restriction of a closed relation is closed
-        pairs = [(x, y) for (x, y) in self.le_pairs if x in member_set and y in member_set]
-        return FinPoset._closed(elems, pairs)
+        down = self._down
+        return FinPoset._from_downsets(elems, {x: tuple(y for y in down[x] if y in member_set) for x in elems})
 
     def _restrict_downward(self, members: tuple[str, ...]) -> "FinPoset":
         """restrict for members that are downward closed and in canonical
-        order, as a Reysha's are.  A member's downset, strict downset and
-        degree lie inside such a set, so each is copied, not recomputed,
-        and the relation is not re-closed."""
-        down, strict, degree = self._down, self._strict, self._degree
-        le_pairs: list[tuple[str, str]] = []
-        index, sub_degree, sub_down, sub_strict = {}, {}, {}, {}
-        for i, x in enumerate(members):
-            index[x] = i
-            sub_degree[x] = degree[x]
-            below = sub_down[x] = down[x]
-            sub_strict[x] = strict[x]
-            le_pairs += [(y, x) for y in below]
-        return FinPoset._stored(members, frozenset(le_pairs), index, sub_degree, sub_down, sub_strict)
+        order, as a Reysha's are.  A member's downset and strict downset
+        lie inside such a set, so each is copied, not recomputed."""
+        down, strict = self._down, self._strict
+        return FinPoset(
+            members,
+            frozenset((y, x) for x in members for y in down[x]),
+            {x: i for i, x in enumerate(members)},
+            {x: down[x] for x in members},
+            {x: strict[x] for x in members},
+        )
 
     def in_degree_order(self) -> tuple[str, ...]:
         """Elements sorted by (degree, canonical position)."""
-        return tuple(sorted(self.elements, key=lambda x: (self._degree[x], self._index[x])))
+        degree = self._degrees()
+        return tuple(sorted(self.elements, key=lambda x: (degree[x], self._index[x])))
 
 
 @dataclass(frozen=True)
@@ -243,7 +249,6 @@ class Reysha:
 
     def __len__(self) -> int:
         return len(self.members)
-
 
 
 def is_directed_poset(poset: FinPoset) -> bool:

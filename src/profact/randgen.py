@@ -271,13 +271,16 @@ def refine_arrow_pre_morphism(
     return refined
 
 
+def _with_top(poset: FinPoset) -> FinPoset:
+    """poset with the maximum "etop" adjoined, hence directed."""
+    return FinPoset.make(
+        poset.elements + ("etop",), list(poset.le_pairs) + [(x, "etop") for x in poset.elements]
+    )
+
+
 def random_directed_poset(rng: random.Random, max_elems: int) -> FinPoset:
     """A random poset with a maximum adjoined, hence directed."""
-    base = random_poset(rng, max(1, max_elems - 1))
-    top = "etop"
-    return FinPoset.make(
-        base.elements + (top,), list(base.le_pairs) + [(x, top) for x in base.elements]
-    )
+    return _with_top(random_poset(rng, max(1, max_elems - 1)))
 
 
 def random_pro_object(rng: random.Random, max_elems: int, max_fiber: int) -> ProObject:
@@ -293,10 +296,7 @@ def random_pre_morphism(
     b_shape, alpha = random_subposet(rng, F.shape)
     # a subposet of a directed poset need not be directed; keep the maximum
     if "etop" not in b_shape:
-        b_shape = FinPoset.make(
-            b_shape.elements + ("etop",),
-            list(b_shape.le_pairs) + [(x, "etop") for x in b_shape.elements],
-        )
+        b_shape = _with_top(b_shape)
         alpha = dict(alpha)
         alpha["etop"] = "etop"
     reindexed = reindex(F.diagram, alpha, b_shape)

@@ -60,12 +60,21 @@ def poset_to_json(poset: FinPoset) -> dict:
     }
 
 
+def _ids(data: Any, path: str) -> list[str]:
+    if not isinstance(data, list) or not all(isinstance(e, str) for e in data):
+        raise ParseError("expected a list of element ids", path)
+    return data
+
+
 def poset_from_json(data: Any, path: str = "$") -> FinPoset:
-    elements = _require_list(_require(data, "elements", path), "element ids", path + ".elements")
+    elements = _ids(_require(data, "elements", path), path + ".elements")
     pairs = _require_list(data.get("le", []), "pairs", path + ".le")
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+            raise ParseError("expected a list of two element ids", f"{path}.le[{i}]")
     try:
         return FinPoset.make(elements, [tuple(p) for p in pairs])
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc), path) from exc
 
 
@@ -74,10 +83,8 @@ def _is_element(shape: FinPoset, x: Any) -> bool:
 
 
 def object_from_json(data: Any, path: str = "$") -> BaseObject:
-    if not isinstance(data, list) or not all(isinstance(e, str) for e in data):
-        raise ParseError("expected a list of element ids", path)
     try:
-        return BaseObject(tuple(data))
+        return BaseObject(tuple(_ids(data, path)))
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc
 
@@ -198,20 +205,22 @@ def _compose_table(rows: Any, path: str) -> dict[tuple[str, str], str]:
 
 
 def _pre_morphism_components(data: Any, families: list[tuple[str, Any, Any]], path: str):
-    """The index map data["alpha"] and, for each family (key, X over A,
-    Y over B), the components data[key][b]: X(alpha(b)) -> Y(b), read per b
-    in B's order and family by family."""
+    """The index map data["alpha"] at B's elements and, for each family
+    (key, X over A, Y over B), the components data[key][b]: X(alpha(b)) ->
+    Y(b), read per b in B's order and family by family.  Other keys are
+    ignored, as in objects and components."""
     alpha = _require(data, "alpha", path)
     raws = [_require(data, key, path) for key, _, _ in families]
     a_shape, b_shape = families[0][1].shape, families[0][2].shape
+    checked: dict[str, str] = {}
     components: list[dict[str, BaseMorphism]] = [{} for _ in families]
     for b in b_shape.elements:
-        a = _require(alpha, b, path + ".alpha")
+        a = checked[b] = _require(alpha, b, path + ".alpha")
         if not _is_element(a_shape, a):
             raise ParseError(f"unknown index {a!r}", path + ".alpha")
         for (key, source, target), raw, comps in zip(families, raws, components):
             comps[b] = _component_morphism(source.at(a), target.at(b), raw, b, f"{path}.{key}")
-    return dict(alpha), components
+    return checked, components
 
 
 def arrow_pre_morphism_from_json(data: Any, f: NatTrans, t: NatTrans, path: str = "$") -> ArrowPreMorphism:

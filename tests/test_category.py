@@ -1,4 +1,5 @@
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -10,6 +11,7 @@ from profact.category import (
     poset_as_category,
 )
 from profact.poset import FinPoset, Reysha
+from profact.randgen import random_directed_poset
 from profact.serialize import category_from_json
 
 CONE_POINT = "∞"
@@ -125,3 +127,23 @@ def test_cone_extend_empty_reysha():
     extended = cone_extend(Reysha(vee, ()))
     assert extended.objects == (CONE_POINT,)
     assert len(extended.morphisms) == 1
+
+
+def hom_categories():
+    fixtures = ("one_object.json", "chain2.json", "chain3.json", "vee.json", "parallel_pair.json")
+    cats = [
+        pytest.param(category_from_json(json.loads(resources.files("profact").joinpath("fixtures", name).read_text())), id=name)
+        for name in fixtures
+    ]
+    rng = random.Random(15)
+    cats += [pytest.param(poset_as_category(random_directed_poset(rng, 5)), id=f"random{k}") for k in range(20)]
+    return cats
+
+
+@pytest.mark.parametrize("cat", hom_categories())
+def test_hom_equals_the_scan_over_morphisms(cat):
+    # hom reads a table built on first use; cone names follow its order
+    for x in cat.objects + ("unknown",):
+        for y in cat.objects + ("unknown",):
+            scan = tuple(m for m in cat.morphisms if cat.src[m] == x and cat.tgt[m] == y)
+            assert cat.hom(x, y) == scan

@@ -132,3 +132,29 @@ def test_a_command_loads_only_its_modules(tmp_path, args, modules):
     code, loaded = json.loads(result.stdout)
     assert code == 0
     assert loaded == sorted(BASE + [f"profact.{name}" for name in modules])
+
+
+def test_a_non_ascii_id_reads_and_writes_the_same_in_the_c_locale(tmp_path):
+    # JSON text is UTF-8 whatever the locale: under LC_ALL=C without UTF-8
+    # mode, open() would decode and encode it as ASCII
+    doc = tmp_path / "chain.json"
+    doc.write_text(Path(fixture("chain2.json")).read_text().replace("y", "ü"), encoding="utf-8")
+    args = ["-m", "profact.cli", "cofinalize", str(doc), "--levels", "1", "--reysha-cap", "1"]
+
+    def run(utf8, *extra_args, **extra):
+        result = subprocess.run(
+            [sys.executable, "-X", f"utf8={utf8}", *args, *extra_args],
+            capture_output=True,
+            env=environment(**extra),
+            timeout=300,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        return result.stdout
+
+    expected = run(1)
+    assert "ü".encode() in expected
+    c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    assert run(0, **c_locale) == expected
+    out = tmp_path / "out.json"
+    assert run(0, "-o", str(out), **c_locale) == b""
+    assert out.read_bytes() == expected

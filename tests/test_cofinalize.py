@@ -48,26 +48,31 @@ def test_one_object_first_level_has_three_elements():
     tower = build_tower(one_object(), levels=1, reysha_cap=2)
     assert len(tower.top.elements) == 3
     # one original object, one cone over the empty subset, one over {i}
-    cones = sorted(tower.cones.values(), key=lambda c: len(c.members))
-    assert [c.members for c in cones] == [(), ("i",)]
-    assert all(c.apex == "i" for c in cones)
+    cones = sorted(tower.top.elements[1:], key=lambda c: len(tower.top.strict_downset(c)))
+    assert [tower.top.strict_downset(c) for c in cones] == [(), ("i",)]
+    assert all(tower.obj_map[c] == "i" for c in cones)
     assert all(tower.verify().values())
 
 
 def test_full_subset_cone_over_two_chain():
     tower = build_tower(chain2(), levels=1, reysha_cap=2)
-    full = [c for c in tower.cones.values() if set(c.members) == {"x", "y"}]
+    top = tower.top
+    full = [c for c in top.elements if set(top.strict_downset(c)) == {"x", "y"}]
     # only the lower object of the chain admits legs to both
-    assert [c.apex for c in full] == ["x"]
-    assert full[0].legs == {"x": "x>=x", "y": "x>=y"}
+    assert [tower.obj_map[c] for c in full] == ["x"]
+    assert {m: tower.mor_map[(full[0], m)] for m in top.strict_downset(full[0])} == {"x": "x>=x", "y": "x>=y"}
 
 
 def test_cone_elements_sit_above_their_members():
     tower = build_tower(chain3(), levels=2, reysha_cap=2, element_cap=10**5)
-    for name, cone in tower.cones.items():
-        assert set(cone.members) <= set(tower.levels[cone.level - 1].elements)
-        for m in cone.members:
-            assert tower.top.lt(m, name)
+    for n, (below, level) in enumerate(zip(tower.levels, tower.levels[1:]), start=1):
+        for name in level.elements[len(below.elements):]:
+            assert name.startswith(f"c{n}_")
+            members = tower.top.strict_downset(name)
+            assert set(members) <= set(below.elements)
+            for m in members:
+                assert tower.top.lt(m, name)
+                assert (name, m) in tower.mor_map
 
 
 def test_projection_laws_on_chain3():

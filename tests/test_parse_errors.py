@@ -4,6 +4,7 @@ traceback."""
 import copy
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -152,6 +153,12 @@ def test_unknown_morphism_in_category_is_parse_error(tmp_path, corrupt, message)
         ("directed-poset", {"elements": ["a", "b"], "le": "ab"}, ".le"),
         ("directed-category", {**load("chain2.json"), "objects": "xy"}, ".objects"),
         ("directed-category", {**load("chain2.json"), "morphisms": "x>=x"}, ".morphisms"),
+        ("directed-poset", {"elements": [1, 2], "le": [[1, 2]]}, ".elements"),
+        ("directed-poset", {"elements": [["a"], "b"]}, ".elements"),
+        ("directed-poset", {"elements": ["a", "b"], "le": [5]}, ".le[0]"),
+        ("directed-poset", {"elements": ["a", "b"], "le": [["a", "b"], ["a"]]}, ".le[1]"),
+        ("directed-poset", {"elements": ["a", "b"], "le": [["a", "b", "a"]]}, ".le[0]"),
+        ("directed-poset", {"elements": ["a", "b"], "le": [["a", 2]]}, ".le[0]"),
     ],
 )
 def test_string_for_a_list_of_ids_is_parse_error(tmp_path, what, doc, path):
@@ -159,6 +166,56 @@ def test_string_for_a_list_of_ids_is_parse_error(tmp_path, what, doc, path):
     result = run(["check", what, bad])
     assert result.exit_code == 3
     assert f"{bad}{path}: expected a list of" in result.output
+
+
+def _directory(tmp_path):
+    path = tmp_path / "input"
+    path.mkdir()
+    return path
+
+
+def _utf16(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    return path
+
+
+def _deep(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_directory, "cannot read the file"),
+        (_utf16, "not UTF-8 text"),
+        (_deep, "invalid JSON: nested too deeply"),
+    ],
+)
+def test_unreadable_input_file_is_parse_error(tmp_path, make, message):
+    path = str(make(tmp_path))
+    result = run(["check", "directed-poset", path])
+    assert result.exit_code == 3
+    assert f"{path}: {message}" in result.output
+
+
+def test_unwritable_output_file_is_exit_3(tmp_path):
+    out = str(tmp_path / "missing" / "out.json")
+    result = run(["reedy", fixture("identity_over_v.json"), "-o", out])
+    assert result.exit_code == 3
+    assert f"{out}: cannot write the file" in result.output
+
+
+def test_chi_ignores_indices_outside_the_target(tmp_path):
+    doc = load("chi_pm.json")
+    doc["alpha"]["zz"] = "e0"
+    pm = _write(tmp_path, "pm.json", doc)
+    result = CliRunner().invoke(main, ["chi", "-f", fixture("chi_f.json"), "-t", fixture("chi_t.json"), "-p", pm])
+    assert result.exit_code == 0
+    golden = Path(__file__).parent / "golden" / "chi.stdout"
+    assert result.stdout_bytes == golden.read_bytes()
 
 
 @pytest.mark.parametrize(
