@@ -92,11 +92,14 @@ def has_lift_bruteforce(
 ) -> tuple[bool, BaseMorphism | None]:
     """Decide a single lifting square by enumerating maps B -> X.
 
-    A lift sends each b into the preimage f^-1(bottom(b)), so only the
-    product of those preimages is walked.  Each preimage keeps X's carrier
-    order, so the walk is a subsequence of the order of all maps B -> X and
-    the first lift found is the same.  Raises SearchExhausted when
-    |X| ** |B| exceeds the cap.
+    A lift h sends each b into the preimage f^-1(bottom(b)) and each g(a)
+    to top(a), a point of that preimage since the square commutes.  So a b
+    in g's image takes only that point, or none when two a over it have
+    different top values (there is then no lift), and any other b ranges
+    over its preimage.  Each choice keeps X's carrier order, so the walk is
+    a subsequence of the order of all maps B -> X and the first lift found
+    is the same.  Raises SearchExhausted when |X| ** |B| exceeds the cap,
+    however short the walk.
     """
     if compose(f, top) != compose(bottom, g):
         raise LiftingError("lifting square does not commute")
@@ -106,7 +109,14 @@ def has_lift_bruteforce(
         raise SearchExhausted(
             f"search exhausted: {len(codomain)} ** {len(domain)} candidates exceed cap {cap}"
         )
-    preimages = [[x for x in codomain if f(x) == bottom(b)] for b in domain]
+    forced: dict[str, str] = {}
+    for a in g.source.carrier:
+        if forced.setdefault(g(a), top(a)) != top(a):
+            return False, None
+    preimages = [
+        [forced[b]] if b in forced else [x for x in codomain if f(x) == bottom(b)]
+        for b in domain
+    ]
     for values in itertools.product(*preimages):
         cand = BaseMorphism(g.target, f.source, dict(zip(domain, values)))
         if compose(cand, g) == top and compose(f, cand) == bottom:

@@ -60,9 +60,9 @@ def poset_to_json(poset: FinPoset) -> dict:
     }
 
 
-def _ids(data: Any, path: str) -> list[str]:
+def _ids(data: Any, path: str, what: str = "element") -> list[str]:
     if not isinstance(data, list) or not all(isinstance(e, str) for e in data):
-        raise ParseError("expected a list of element ids", path)
+        raise ParseError(f"expected a list of {what} ids", path)
     return data
 
 
@@ -182,8 +182,8 @@ def nattrans_from_json(data: Any, path: str = "$") -> NatTrans:
 
 def category_from_json(data: Any, path: str = "$") -> FinCategory:
     from .category import FinCategory
-    objects = _require_list(_require(data, "objects", path), "object ids", path + ".objects")
-    morphisms = _require_list(_require(data, "morphisms", path), "morphism ids", path + ".morphisms")
+    objects = _ids(_require(data, "objects", path), path + ".objects", "object")
+    morphisms = _ids(_require(data, "morphisms", path), path + ".morphisms", "morphism")
     src, tgt = _require(data, "src", path), _require(data, "tgt", path)
     compose_table = _compose_table(data.get("compose", []), path + ".compose")
     identities = _require(data, "identities", path)

@@ -148,9 +148,10 @@ def _first_lift_over_all_maps(g, f, top, bottom):
     return None
 
 
-def _random_square(rng):
+def _random_square(rng, max_a=2):
     """A commuting square g: A -> B, f: X -> Y of small random maps, or
-    None when no top map A -> X makes the drawn maps commute."""
+    None when no top map A -> X makes the drawn maps commute.  A has at
+    most max_a points and never more than B."""
 
     def carrier(name, size):
         return BaseObject(tuple(f"{name}{i}" for i in range(size)))
@@ -159,7 +160,7 @@ def _random_square(rng):
         return morphism(source, target, {e: rng.choice(target.carrier) for e in source.carrier})
 
     b, x, y = carrier("b", rng.randint(0, 3)), carrier("x", rng.randint(1, 4)), carrier("y", rng.randint(1, 3))
-    a = carrier("a", rng.randint(0, min(2, len(b))))
+    a = carrier("a", rng.randint(0, min(max_a, len(b))))
     g, f, bottom = drawn(a, b), drawn(x, y), drawn(b, y)
     top = {}
     for e in a.carrier:
@@ -363,3 +364,81 @@ def test_solve_square_levelwise_identity_right():
     bottom = morphism(x, x, {"x1": "x2", "x2": "x1"})
     lift = solve_square_levelwise(tower, identity(x), "p", bottom, bottom)
     assert lift["p"] == bottom
+
+
+def _counting_builds(monkeypatch):
+    """Count the candidate maps has_lift_bruteforce builds."""
+    from profact import lifting
+
+    built = []
+
+    def counted(source, target, mapping):
+        built.append(mapping)
+        return BaseMorphism(source, target, mapping)
+
+    monkeypatch.setattr(lifting, "BaseMorphism", counted)
+    return built
+
+
+def test_bruteforce_fixes_the_image_of_g(monkeypatch):
+    # g hits 11 of B's 12 points and each preimage of f is all of X: the
+    # walk over all maps B -> X reaches the lift late, the pruned walk
+    # builds it first
+    x, y = BaseObject(("x0", "x1", "x2")), BaseObject(("y",))
+    a = BaseObject(tuple(f"a{i}" for i in range(11)))
+    b = BaseObject(tuple(f"b{i}" for i in range(12)))
+    g = morphism(a, b, {f"a{i}": f"b{i + 1}" for i in range(11)})
+    f = morphism(x, y, {c: "y" for c in x.carrier})
+    top = morphism(a, x, {f"a{i}": f"x{(i + 1) % 3}" for i in range(11)})
+    bottom = morphism(b, y, {c: "y" for c in b.carrier})
+    expected = _first_lift_over_all_maps(g, f, top, bottom)
+    built = _counting_builds(monkeypatch)
+    found, witness = has_lift_bruteforce(g, f, top, bottom)
+    assert found and witness.mapping == expected
+    assert built == [expected]
+
+
+def test_bruteforce_disagreeing_tops_over_one_point(monkeypatch):
+    # g sends a1 and a2 to b1, but top sends them to different points, so
+    # no map h has h(g(a)) = top(a) for both
+    x, y = BaseObject(("x1", "x2")), BaseObject(("y",))
+    a, b = BaseObject(("a1", "a2")), BaseObject(("b1", "b2"))
+    g = morphism(a, b, {"a1": "b1", "a2": "b1"})
+    f = morphism(x, y, {"x1": "y", "x2": "y"})
+    top = morphism(a, x, {"a1": "x1", "a2": "x2"})
+    bottom = morphism(b, y, {"b1": "y", "b2": "y"})
+    built = _counting_builds(monkeypatch)
+    assert has_lift_bruteforce(g, f, top, bottom) == (False, None)
+    assert built == []
+
+
+def test_bruteforce_cap_counts_all_maps_not_the_walk():
+    # g is a bijection, so the walk has one map, but 101 ** 3 maps B -> X
+    # exceed the cap
+    big = BaseObject(tuple(f"x{i}" for i in range(101)))
+    one = BaseObject(("y",))
+    a, b = BaseObject(("a1", "a2", "a3")), BaseObject(("b1", "b2", "b3"))
+    g = morphism(a, b, {"a1": "b1", "a2": "b2", "a3": "b3"})
+    f = morphism(big, one, {c: "y" for c in big.carrier})
+    top = morphism(a, big, {"a1": "x0", "a2": "x1", "a3": "x2"})
+    bottom = morphism(b, one, {c: "y" for c in b.carrier})
+    with pytest.raises(SearchExhausted, match=r"^search exhausted: 101 \*\* 3 candidates exceed cap 1000000$"):
+        has_lift_bruteforce(g, f, top, bottom)
+
+
+def test_bruteforce_witness_is_the_first_over_all_maps_for_any_g():
+    # A as large as B, so g can be non-injective and tops can disagree
+    rng = random.Random(31)
+    checked = solvable = 0
+    while checked < 300:
+        square = _random_square(rng, max_a=3)
+        if square is None:
+            continue
+        checked += 1
+        expected = _first_lift_over_all_maps(*square)
+        found, witness = has_lift_bruteforce(*square)
+        assert found == (expected is not None)
+        if found:
+            solvable += 1
+            assert witness.mapping == expected
+    assert 0 < solvable < checked

@@ -159,6 +159,10 @@ def test_unknown_morphism_in_category_is_parse_error(tmp_path, corrupt, message)
         ("directed-poset", {"elements": ["a", "b"], "le": [["a", "b"], ["a"]]}, ".le[1]"),
         ("directed-poset", {"elements": ["a", "b"], "le": [["a", "b", "a"]]}, ".le[0]"),
         ("directed-poset", {"elements": ["a", "b"], "le": [["a", 2]]}, ".le[0]"),
+        ("directed-category", {**load("chain2.json"), "objects": [["x"], "y"]}, ".objects"),
+        ("directed-category", {**load("chain2.json"), "objects": [1, "y"]}, ".objects"),
+        ("directed-category", {**load("chain2.json"), "morphisms": [["x>=x"]]}, ".morphisms"),
+        ("directed-category", {**load("chain2.json"), "morphisms": ["x>=x", 2]}, ".morphisms"),
     ],
 )
 def test_string_for_a_list_of_ids_is_parse_error(tmp_path, what, doc, path):
