@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from profact.base import BaseMorphism, BaseObject, compose, factorize_base, identity, is_in_m, lift_base, morphism
-from profact import diagrams
+from profact import diagrams, lifting
 from profact.diagrams import Diagram, NatTrans, is_levelwise
 from profact.lifting import (
     SEARCH_CAP,
@@ -368,8 +368,6 @@ def test_solve_square_levelwise_identity_right():
 
 def _counting_builds(monkeypatch):
     """Count the candidate maps has_lift_bruteforce builds."""
-    from profact import lifting
-
     built = []
 
     def counted(source, target, mapping):
