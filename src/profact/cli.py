@@ -163,10 +163,10 @@ def chi_cmd(f_path: str, t_path: str, pm_path: str, output: str | None, fmt: str
     f = serialize.nattrans_from_json(_load(f_path), f_path)
     t = serialize.nattrans_from_json(_load(t_path), t_path)
     pm = serialize.arrow_pre_morphism_from_json(_load(pm_path), f, t, pm_path)
-    from .factorize import chi_construct, reedy
+    from .factorize import chi_construct, reedy, verify_chi
     rf_f, rf_t = reedy(f), reedy(t)
     chim = chi_construct(f, t, pm, rf_f, rf_t)
-    verification = chim.verify(pm, rf_f, rf_t)
+    verification = verify_chi(chim, pm, rf_f, rf_t)
     _emit(serialize.chi_to_json(chim, verification), output, fmt)
     sys.exit(EXIT_OK if all(verification.values()) else EXIT_VERIFICATION)
 
@@ -230,8 +230,8 @@ def merge_cmd(f_path: str, g_path: str, p_path: str, q_path: str, output: str | 
     payload = {
         "result": serialize.pre_morphism_to_json(r),
         "report": {
-            "dominates_first": pm_leq(F, G, p, r),
-            "dominates_second": pm_leq(F, G, q, r),
+            "dominates_first": pm_leq(F, p, r),
+            "dominates_second": pm_leq(F, q, r),
         },
     }
     _emit(payload, output, fmt)
@@ -262,7 +262,8 @@ def check_cmd(
     output: str | None,
     fmt: str,
 ) -> None:
-    """Report a structural verdict; queries always exit 0."""
+    """Report a structural verdict; queries exit 0 whatever the verdict,
+    but pm-leq first checks both pre-morphisms as merge does (exit 1)."""
     if what == "directed-category":
         cat = serialize.category_from_json(_load(input_path), input_path)
         from .category import is_directed_category
@@ -285,6 +286,7 @@ def check_cmd(
         F = serialize.pro_object_from_json(_load(f_path), f_path)
         G = serialize.pro_object_from_json(_load(g_path), g_path)
         pm = serialize.pre_morphism_from_json(_load(input_path), F, G, input_path)
+        from .factorize import check_pre_morphism
         from .procalc import is_pre_morphism, pm_leq
         if what == "pm-valid":
             payload = {"valid": is_pre_morphism(F, G, pm.alpha, pm.phi)}
@@ -292,7 +294,9 @@ def check_cmd(
             if not q_path:
                 _fail("pm-leq requires a second pre-morphism via -q", EXIT_PARSE)
             second = serialize.pre_morphism_from_json(_load(q_path), F, G, q_path)
-            payload = {"leq": pm_leq(F, G, pm, second)}
+            for p in (pm, second):
+                check_pre_morphism(p.alpha, [("tower", F.diagram, G.diagram, p.phi)])
+            payload = {"leq": pm_leq(F, pm, second)}
     _emit(payload, output, fmt)
     sys.exit(EXIT_OK)
 

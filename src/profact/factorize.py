@@ -126,6 +126,29 @@ def reedy(f: NatTrans) -> ReedyFactorization:
     return rf
 
 
+@dataclass(frozen=True)
+class PreMorphism:
+    """An index map alpha: B -> A plus named families of components
+    X(alpha(b)) -> Y(b), read as attributes: pm.phi for towers, pm.phi and
+    pm.psi for arrow objects, chim.chi for a middle map."""
+
+    alpha: dict[str, str]
+    families: dict[str, dict[str, BaseMorphism]]
+
+    def __getattr__(self, name: str) -> dict[str, BaseMorphism]:
+        # reached only for names that are not fields; unpickling probes
+        # attributes of an instance whose __dict__ is still empty
+        families = self.__dict__.get("families", {})
+        if name not in families:
+            raise AttributeError(name)
+        return families[name]
+
+
+def _natural_at(alpha: dict[str, str], source: Diagram, target: Diagram, components: dict, b: str, b2: str) -> bool:
+    """Whether components X(alpha(-)) -> Y(-) commute with X's and Y's arrows along b >= b2."""
+    return compose(components[b2], source.arrow(alpha[b], alpha[b2])) == compose(target.arrow(b, b2), components[b])
+
+
 def check_pre_morphism(
     alpha: dict[str, str],
     families: list[tuple[str, Diagram, Diagram, dict[str, BaseMorphism]]],
@@ -150,71 +173,46 @@ def check_pre_morphism(
                 raise FactorizeError(f"ill-typed {name} component at {b!r}")
     for b, b2 in b_shape.strict_pairs():
         for name, source, target, components in families:
-            if compose(components[b2], source.arrow(alpha[b], alpha[b2])) != compose(
-                target.arrow(b, b2), components[b]
-            ):
+            if not _natural_at(alpha, source, target, components, b, b2):
                 raise FactorizeError(f"{name} family not natural on {b!r} >= {b2!r}")
 
 
-@dataclass(frozen=True)
-class ArrowPreMorphism:
-    """A pre-morphism between arrow objects f: E -> F over A and
-    t: K -> G over B: a strictly increasing index map plus a commuting
-    square of natural families."""
-
-    alpha: dict[str, str]  # B -> A
-    phi: dict[str, BaseMorphism]  # E(alpha(b)) -> K(b)
-    psi: dict[str, BaseMorphism]  # F(alpha(b)) -> G(b)
-
-    def validate(self, f: NatTrans, t: NatTrans) -> None:
-        check_pre_morphism(
-            self.alpha,
-            [("top", f.source, t.source, self.phi), ("bottom", f.target, t.target, self.psi)],
-        )
-        for b in t.shape.elements:
-            if compose(self.psi[b], f.at(self.alpha[b])) != compose(t.at(b), self.phi[b]):
-                raise FactorizeError(f"component square does not commute at {b!r}")
+def check_arrow_pre_morphism(pm: PreMorphism, f: NatTrans, t: NatTrans) -> None:
+    """Check a pre-morphism between arrow objects f: E -> F over A and
+    t: K -> G over B: the families phi: E(alpha(b)) -> K(b) and
+    psi: F(alpha(b)) -> G(b) are natural and their squares commute."""
+    check_pre_morphism(pm.alpha, [("top", f.source, t.source, pm.phi), ("bottom", f.target, t.target, pm.psi)])
+    for b in t.shape.elements:
+        if compose(pm.psi[b], f.at(pm.alpha[b])) != compose(t.at(b), pm.phi[b]):
+            raise FactorizeError(f"component square does not commute at {b!r}")
 
 
-@dataclass(frozen=True)
-class ChiMap:
-    """The middle layer of the factorized arrow map: a family
-    H_f(alpha(b)) -> H_t(b), natural in b."""
-
-    alpha: dict[str, str]
-    chi: dict[str, BaseMorphism]
-
-    def verify(self, pm: ArrowPreMorphism, rf_f: ReedyFactorization, rf_t: ReedyFactorization) -> dict[str, bool]:
-        top = all(
-            compose(self.chi[b], rf_f.left.at(self.alpha[b])) == compose(rf_t.left.at(b), pm.phi[b])
-            for b in self.chi
-        )
-        bottom = all(
-            compose(pm.psi[b], rf_f.right.at(self.alpha[b])) == compose(rf_t.right.at(b), self.chi[b])
-            for b in self.chi
-        )
-        natural = all(
-            compose(self.chi[b2], rf_f.mid.arrow(self.alpha[b], self.alpha[b2]))
-            == compose(rf_t.mid.arrow(b, b2), self.chi[b])
-            for b, b2 in rf_t.input.shape.strict_pairs()
-        )
-        return {"left_rectangle": top, "right_rectangle": bottom, "natural": natural}
+def verify_chi(
+    chim: PreMorphism, pm: PreMorphism, rf_f: ReedyFactorization, rf_t: ReedyFactorization
+) -> dict[str, bool]:
+    """The report of a middle map chi: H_f(alpha(b)) -> H_t(b) for pm: its
+    rectangles against the left and right legs, and its naturality in b."""
+    alpha, chi = chim.alpha, chim.chi
+    top = all(compose(chi[b], rf_f.left.at(alpha[b])) == compose(rf_t.left.at(b), pm.phi[b]) for b in chi)
+    bottom = all(compose(pm.psi[b], rf_f.right.at(alpha[b])) == compose(rf_t.right.at(b), chi[b]) for b in chi)
+    natural = all(_natural_at(alpha, rf_f.mid, rf_t.mid, chi, b, b2) for b, b2 in rf_t.input.shape.strict_pairs())
+    return {"left_rectangle": top, "right_rectangle": bottom, "natural": natural}
 
 
 def chi_construct(
     f: NatTrans,
     t: NatTrans,
-    pm: ArrowPreMorphism,
+    pm: PreMorphism,
     rf_f: ReedyFactorization | None = None,
     rf_t: ReedyFactorization | None = None,
-) -> ChiMap:
+) -> PreMorphism:
     """Build the middle component family by degree recursion over the
     target index poset, using the strict base functoriality at each step.
 
     At b over a = alpha(b), the map k between the matching pullbacks is
     induced by chi below b after the limit leg and by psi after the fiber
     leg; FactorizeError when that span does not commute."""
-    pm.validate(f, t)
+    check_arrow_pre_morphism(pm, f, t)
     rf_f = rf_f if rf_f is not None else reedy(f)
     rf_t = rf_t if rf_t is not None else reedy(t)
     b_shape = t.shape
@@ -233,14 +231,14 @@ def chi_construct(
         except (BaseError, DiagramError):
             raise FactorizeError(f"induced pullback map undefined at {b!r}") from None
         chi[b] = factorize_mid_map(sd_f.into_pullback, sd_t.into_pullback, pm.phi[b], k)
-    return ChiMap(dict(pm.alpha), chi)
+    return PreMorphism(dict(pm.alpha), {"chi": chi})
 
 
 def functorial_factorization_pro(
     f: NatTrans,
     t: NatTrans | None = None,
-    pm: ArrowPreMorphism | None = None,
-) -> tuple[ReedyFactorization, ReedyFactorization | None, ChiMap | None]:
+    pm: PreMorphism | None = None,
+) -> tuple[ReedyFactorization, ReedyFactorization | None, PreMorphism | None]:
     """The arrow-level section: factor both arrow objects and, when a
     pre-morphism between them is given, produce the middle map."""
     rf_f = reedy(f)

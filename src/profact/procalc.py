@@ -3,10 +3,12 @@ order, composition, straightening of raw representative data, and the
 common-dominator merge.
 
 Maps between towers are presented by a strictly increasing index map plus a
-natural family of components.  Equality of representatives is only ever
-decided up to restriction to a common higher index, so every search here is
-bounded by the truncation and can fail with a dedicated error rather than
-silently looping.
+natural family of components: a factorize.PreMorphism with the one family
+phi.  Restriction, order, composition and identity read one source diagram
+per family, so they serve arrow objects and middle maps over any poset too.
+Equality of representatives is only ever decided up to restriction to a
+common higher index, so every search here is bounded by the truncation and
+can fail with a dedicated error rather than silently looping.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .base import BaseMorphism, compose, identity
 from .diagrams import Diagram
-from .factorize import FactorizeError, check_pre_morphism
+from .factorize import FactorizeError, PreMorphism, check_pre_morphism
 from .poset import FinPoset, is_directed_poset
 
 
@@ -51,12 +53,6 @@ class ProObject:
 
 
 @dataclass(frozen=True)
-class PreMorphism:
-    alpha: dict[str, str]
-    phi: dict[str, BaseMorphism]
-
-
-@dataclass(frozen=True)
 class RawMorphism:
     """Per-element representatives with no monotonicity requirement."""
 
@@ -86,26 +82,46 @@ def is_pre_morphism(F: ProObject, G: ProObject, alpha: dict[str, str], phi: dict
     return True
 
 
-def pm_leq(F: ProObject, G: ProObject, p: PreMorphism, q: PreMorphism) -> bool:
+def _by_family(sources: dict[str, Diagram] | ProObject) -> dict[str, Diagram | ProObject]:
+    """sources by family name; a ProObject is the source of phi, the one
+    family of a map of towers."""
+    return {"phi": sources} if isinstance(sources, ProObject) else sources
+
+
+def restrict(p: PreMorphism, alpha: dict[str, str], sources: dict[str, Diagram] | ProObject) -> PreMorphism:
+    """p moved up to an index map alpha >= p.alpha: each component after
+    its source's restriction arrow."""
+    by_family = _by_family(sources)
+    families = {
+        name: {b: compose(comps[b], by_family[name].arrow(a, p.alpha[b])) for b, a in alpha.items()}
+        for name, comps in p.families.items()
+    }
+    return PreMorphism(alpha, families)
+
+
+def pm_leq(sources: dict[str, Diagram] | ProObject, p: PreMorphism, q: PreMorphism) -> bool:
     """p <= q iff q is a restriction of p to higher indices."""
-    for b in G.shape.elements:
-        if not F.shape.le(p.alpha[b], q.alpha[b]):
-            return False
-        if compose(p.phi[b], F.arrow(q.alpha[b], p.alpha[b])) != q.phi[b]:
-            return False
-    return True
+    a_shape = next(iter(_by_family(sources).values())).shape
+    return all(a_shape.le(p.alpha[b], a) for b, a in q.alpha.items()) and restrict(p, q.alpha, sources) == q
 
 
 def pm_compose(q: PreMorphism, p: PreMorphism) -> PreMorphism:
-    """Compose pre-morphisms p: F -> G and q: G -> H."""
+    """Compose pre-morphisms p: F -> G and q: G -> H, family by family."""
     alpha = {c: p.alpha[q.alpha[c]] for c in q.alpha}
-    phi = {c: compose(q.phi[c], p.phi[q.alpha[c]]) for c in q.alpha}
-    return PreMorphism(alpha, phi)
+    families = {
+        name: {c: compose(comps[c], p.families[name][q.alpha[c]]) for c in q.alpha}
+        for name, comps in q.families.items()
+    }
+    return PreMorphism(alpha, families)
 
 
-def pm_identity(F: ProObject) -> PreMorphism:
+def pm_identity(sources: dict[str, Diagram] | ProObject) -> PreMorphism:
+    """The identity pre-morphism of the families' source diagrams."""
+    by_family = _by_family(sources)
+    elements = next(iter(by_family.values())).shape.elements
     return PreMorphism(
-        {a: a for a in F.shape.elements}, {a: identity(F.at(a)) for a in F.shape.elements}
+        {a: a for a in elements},
+        {name: {a: identity(source.at(a)) for a in elements} for name, source in by_family.items()},
     )
 
 
@@ -176,7 +192,7 @@ def straighten(F: ProObject, G: ProObject, raw: RawMorphism) -> PreMorphism:
     for b in G.shape.in_degree_order():
         a, m = raw.rep[b]
         alpha[b], phi[b] = _build_component(F, G, b, a, m, alpha, phi)
-    return PreMorphism(alpha, phi)
+    return PreMorphism(alpha, {"phi": phi})
 
 
 def dominate(F: ProObject, G: ProObject, p: PreMorphism, q: PreMorphism) -> PreMorphism:
@@ -194,4 +210,4 @@ def dominate(F: ProObject, G: ProObject, p: PreMorphism, q: PreMorphism) -> PreM
             raise ProCalcError(f"not colim-equal at {b!r}")
         merged = compose(p.phi[b], F.arrow(a0, p.alpha[b]))
         alpha[b], phi[b] = _build_component(F, G, b, a0, merged, alpha, phi)
-    return PreMorphism(alpha, phi)
+    return PreMorphism(alpha, {"phi": phi})

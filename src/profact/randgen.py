@@ -14,9 +14,9 @@ import random
 
 from .base import BaseMorphism, BaseObject, compose, pullback
 from .diagrams import Diagram, NatTrans, PartialDiagram, cone_into_limit, limit_over_poset, matching_object
-from .factorize import ArrowPreMorphism
+from .factorize import PreMorphism, check_arrow_pre_morphism
 from .poset import FinPoset
-from .procalc import PreMorphism, ProObject, RawMorphism
+from .procalc import ProObject, RawMorphism, restrict
 
 
 def random_poset(rng: random.Random, max_elems: int, edge_prob: float = 0.45) -> FinPoset:
@@ -206,7 +206,7 @@ def pushout_diagram(
 
 def random_arrow_pre_morphism(
     rng: random.Random, f: NatTrans, max_junk: int = 2
-) -> tuple[NatTrans, ArrowPreMorphism]:
+) -> tuple[NatTrans, PreMorphism]:
     """A random target arrow object plus a valid pre-morphism from f to it.
 
     The index map is a random subposet inclusion; the top layer is a junk
@@ -225,12 +225,14 @@ def random_arrow_pre_morphism(
         bottom_diagram,
         {b: compose(theta.at(b), in_top.at(b)) for b in b_shape.elements},
     )
-    pm = ArrowPreMorphism(
+    pm = PreMorphism(
         dict(alpha),
-        {b: phi.at(b) for b in b_shape.elements},
-        {b: compose(theta.at(b), in_bottom.at(b)) for b in b_shape.elements},
+        {
+            "phi": {b: phi.at(b) for b in b_shape.elements},
+            "psi": {b: compose(theta.at(b), in_bottom.at(b)) for b in b_shape.elements},
+        },
     )
-    pm.validate(f, t)
+    check_arrow_pre_morphism(pm, f, t)
     return t, pm
 
 
@@ -257,17 +259,13 @@ def _refined_alpha(
 
 
 def refine_arrow_pre_morphism(
-    rng: random.Random, f: NatTrans, t: NatTrans, pm: ArrowPreMorphism
-) -> ArrowPreMorphism:
+    rng: random.Random, f: NatTrans, t: NatTrans, pm: PreMorphism
+) -> PreMorphism:
     """A pre-morphism above pm: the index map moves up and the components
     factor through the restriction arrows."""
     alpha = _refined_alpha(rng, f.shape, t.shape, pm.alpha)
-    refined = ArrowPreMorphism(
-        alpha,
-        {b: compose(pm.phi[b], f.source.arrow(alpha[b], pm.alpha[b])) for b in t.shape.elements},
-        {b: compose(pm.psi[b], f.target.arrow(alpha[b], pm.alpha[b])) for b in t.shape.elements},
-    )
-    refined.validate(f, t)
+    refined = restrict(pm, alpha, {"phi": f.source, "psi": f.target})
+    check_arrow_pre_morphism(refined, f, t)
     return refined
 
 
@@ -302,18 +300,14 @@ def random_pre_morphism(
     reindexed = reindex(F.diagram, alpha, b_shape)
     target, theta = junk_extend(rng, reindexed, max_junk, prefix="g")
     G = ProObject(b_shape, target, b_shape.max_degree() + 1)
-    pm = PreMorphism(dict(alpha), {b: theta.at(b) for b in b_shape.elements})
+    pm = PreMorphism(dict(alpha), {"phi": {b: theta.at(b) for b in b_shape.elements}})
     return G, pm
 
 
 def refine_pre_morphism(
     rng: random.Random, F: ProObject, G: ProObject, pm: PreMorphism
 ) -> PreMorphism:
-    alpha = _refined_alpha(rng, F.shape, G.shape, pm.alpha)
-    return PreMorphism(
-        alpha,
-        {b: compose(pm.phi[b], F.arrow(alpha[b], pm.alpha[b])) for b in G.shape.elements},
-    )
+    return restrict(pm, _refined_alpha(rng, F.shape, G.shape, pm.alpha), F)
 
 
 def random_special_problem(rng: random.Random, poset_max: int, set_max: int):
@@ -351,8 +345,6 @@ def random_raw_morphism(
 ) -> RawMorphism:
     """Scramble a valid pre-morphism into raw representative data by
     re-indexing each component independently (no monotonicity kept)."""
-    rep: dict[str, tuple[str, BaseMorphism]] = {}
-    for b in G.shape.elements:
-        a = rng.choice(F.shape.upset(pm.alpha[b]))
-        rep[b] = (a, compose(pm.phi[b], F.arrow(a, pm.alpha[b])))
-    return RawMorphism(rep)
+    alpha = {b: rng.choice(F.shape.upset(pm.alpha[b])) for b in G.shape.elements}
+    moved = restrict(pm, alpha, F)
+    return RawMorphism({b: (a, moved.phi[b]) for b, a in alpha.items()})

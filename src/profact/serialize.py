@@ -22,9 +22,9 @@ if TYPE_CHECKING:
     from .category import FinCategory
     from .cofinalize import CofinalTower, OverCategoryReport
     from .diagrams import Diagram, NatTrans
-    from .factorize import ArrowPreMorphism, ChiMap, ReedyFactorization
+    from .factorize import PreMorphism, ReedyFactorization
     from .lifting import ConeLift, LiftingProblem
-    from .procalc import PreMorphism, ProObject
+    from .procalc import ProObject
 
 SCHEMA_VERSION = 1
 
@@ -204,30 +204,29 @@ def _compose_table(rows: Any, path: str) -> dict[tuple[str, str], str]:
     return table
 
 
-def _pre_morphism_components(data: Any, families: list[tuple[str, Any, Any]], path: str):
-    """The index map data["alpha"] at B's elements and, for each family
-    (key, X over A, Y over B), the components data[key][b]: X(alpha(b)) ->
-    Y(b), read per b in B's order and family by family.  Other keys are
-    ignored, as in objects and components."""
+def _pre_morphism_components(data: Any, families: list[tuple[str, Any, Any]], path: str) -> PreMorphism:
+    """The pre-morphism of the index map data["alpha"] at B's elements and,
+    for each family (key, X over A, Y over B), the components data[key][b]:
+    X(alpha(b)) -> Y(b), read per b in B's order and family by family.
+    Other keys are ignored, as in objects and components."""
+    from .factorize import PreMorphism
     alpha = _require(data, "alpha", path)
     raws = [_require(data, key, path) for key, _, _ in families]
     a_shape, b_shape = families[0][1].shape, families[0][2].shape
     checked: dict[str, str] = {}
-    components: list[dict[str, BaseMorphism]] = [{} for _ in families]
+    components: dict[str, dict[str, BaseMorphism]] = {key: {} for key, _, _ in families}
     for b in b_shape.elements:
         a = checked[b] = _require(alpha, b, path + ".alpha")
         if not _is_element(a_shape, a):
             raise ParseError(f"unknown index {a!r}", path + ".alpha")
-        for (key, source, target), raw, comps in zip(families, raws, components):
-            comps[b] = _component_morphism(source.at(a), target.at(b), raw, b, f"{path}.{key}")
-    return checked, components
+        for (key, source, target), raw in zip(families, raws):
+            components[key][b] = _component_morphism(source.at(a), target.at(b), raw, b, f"{path}.{key}")
+    return PreMorphism(checked, components)
 
 
-def arrow_pre_morphism_from_json(data: Any, f: NatTrans, t: NatTrans, path: str = "$") -> ArrowPreMorphism:
-    from .factorize import ArrowPreMorphism
+def arrow_pre_morphism_from_json(data: Any, f: NatTrans, t: NatTrans, path: str = "$") -> PreMorphism:
     families = [("phi", f.source, t.source), ("psi", f.target, t.target)]
-    alpha, (phi, psi) = _pre_morphism_components(data, families, path)
-    return ArrowPreMorphism(alpha, phi, psi)
+    return _pre_morphism_components(data, families, path)
 
 
 def reedy_to_json(rf: ReedyFactorization) -> dict:
@@ -240,7 +239,7 @@ def reedy_to_json(rf: ReedyFactorization) -> dict:
     }
 
 
-def chi_to_json(chim: ChiMap, verification: dict[str, bool]) -> dict:
+def chi_to_json(chim: PreMorphism, verification: dict[str, bool]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "alpha": dict(chim.alpha),
@@ -292,9 +291,7 @@ def pro_object_from_json(data: Any, path: str = "$") -> ProObject:
 
 
 def pre_morphism_from_json(data: Any, F: ProObject, G: ProObject, path: str = "$") -> PreMorphism:
-    from .procalc import PreMorphism
-    alpha, (phi,) = _pre_morphism_components(data, [("phi", F, G)], path)
-    return PreMorphism(alpha, phi)
+    return _pre_morphism_components(data, [("phi", F, G)], path)
 
 
 def pre_morphism_to_json(pm: PreMorphism) -> dict:

@@ -346,3 +346,22 @@ def test_merge_invalid_pre_morphism_is_verification_failure(runner, tmp_path):
     result = runner.invoke(main, ["merge", *towers, "-p", path, "-q", path])
     assert result.exit_code == 1
     assert "error: index map is not strictly increasing on 'b0' < 'b1'" in result.output
+
+
+def test_check_pm_leq_refuses_an_invalid_pre_morphism(runner, tmp_path):
+    # p collapses both of G's indices onto a1, so it is not a pre-morphism:
+    # pm-leq refuses it as merge does, rather than ordering it
+    F = {"diagram": chain_diagram("a0", "a1", {"a0": ["u", "v"], "a1": ["u", "v"]}, {"u": "u", "v": "v"})}
+    G = {"diagram": chain_diagram("b0", "b1", {"b0": ["u", "v"], "b1": ["u", "v"]}, {"u": "u", "v": "v"})}
+    same = {"u": "u", "v": "v"}
+    p = {"alpha": {"b0": "a1", "b1": "a1"}, "phi": {"b0": same, "b1": same}}
+    towers = ["-F", write_json(tmp_path, "F.json", F), "-G", write_json(tmp_path, "G.json", G)]
+    path = write_json(tmp_path, "p.json", p)
+    checked = runner.invoke(main, ["check", "pm-valid", path, *towers])
+    assert (checked.exit_code, json.loads(checked.output)) == (0, {"valid": False, "schema_version": 1})
+    merged = runner.invoke(main, ["merge", *towers, "-p", path, "-q", path])
+    result = runner.invoke(main, ["check", "pm-leq", path, *towers, "-q", path])
+    for outcome in (merged, result):
+        assert outcome.exit_code == 1
+        assert "error: index map is not strictly increasing on 'b0' < 'b1'" in outcome.output
+    assert "leq" not in result.output

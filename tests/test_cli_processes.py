@@ -120,8 +120,16 @@ def test_importing_the_command_line_loads_five_modules():
         (["reedy", fixture("identity_over_v.json")], ["diagrams", "factorize"]),
         (["cofinalize", fixture("chain2.json"), "--levels", "2", "--reysha-cap", "2"], ["category", "cofinalize"]),
         (["check", "directed-poset", None], []),
+        (
+            ["chi", "-f", fixture("chi_f.json"), "-t", fixture("chi_t.json"), "-p", fixture("chi_pm.json")],
+            ["diagrams", "factorize"],
+        ),
+        (
+            ["merge", *TOWERS, "-p", fixture("merge_p.json"), "-q", fixture("merge_p.json")],
+            ["diagrams", "factorize", "procalc"],
+        ),
     ],
-    ids=["reedy", "cofinalize", "check-directed-poset"],
+    ids=["reedy", "cofinalize", "check-directed-poset", "chi", "merge"],
 )
 def test_a_command_loads_only_its_modules(tmp_path, args, modules):
     poset = tmp_path / "poset.json"

@@ -7,13 +7,13 @@ from profact.base import TARGET_TAG, BaseMorphism, BaseObject, compose, factoriz
 from profact import diagrams
 from profact.diagrams import Diagram, NatTrans, is_levelwise, is_special
 from profact.factorize import (
-    ArrowPreMorphism,
-    ChiMap,
     FactorizeError,
+    PreMorphism,
     ReedyFactorization,
     chi_construct,
     functorial_factorization_pro,
     reedy,
+    verify_chi,
 )
 from profact.poset import FinPoset, Reysha
 from profact.randgen import (
@@ -118,10 +118,12 @@ def test_mid_object_cardinality_two_chain():
 def test_chi_identity_pre_morphism_gives_identity():
     f = chain_arrow()
     rf = reedy(f)
-    pm = ArrowPreMorphism(
+    pm = PreMorphism(
         {x: x for x in f.shape.elements},
-        {x: identity(f.source.at(x)) for x in f.shape.elements},
-        {x: identity(f.target.at(x)) for x in f.shape.elements},
+        {
+            "phi": {x: identity(f.source.at(x)) for x in f.shape.elements},
+            "psi": {x: identity(f.target.at(x)) for x in f.shape.elements},
+        },
     )
     chim = chi_construct(f, f, pm, rf, rf)
     for x in f.shape.elements:
@@ -135,7 +137,7 @@ def test_chi_rectangles_randomized():
         t, pm = random_arrow_pre_morphism(rng, f)
         rf_f, rf_t = reedy(f), reedy(t)
         chim = chi_construct(f, t, pm, rf_f, rf_t)
-        verdicts = chim.verify(pm, rf_f, rf_t)
+        verdicts = verify_chi(chim, pm, rf_f, rf_t)
         assert all(verdicts.values()), verdicts
 
 
@@ -175,34 +177,36 @@ def test_chi_monotone_counterexample_on_chain():
     # refinement can reconcile them (docs/monotonicity.md)
     f = chain_arrow()
     t = f.restrict(Reysha(f.shape, ("0",)))
-    pm = ArrowPreMorphism(
-        {"0": "0"}, {"0": identity(f.source.at("0"))}, {"0": identity(f.target.at("0"))}
+    pm = PreMorphism(
+        {"0": "0"}, {"phi": {"0": identity(f.source.at("0"))}, "psi": {"0": identity(f.target.at("0"))}}
     )
-    pm2 = ArrowPreMorphism(
-        {"0": "1"}, {"0": f.source.arrow("1", "0")}, {"0": f.target.arrow("1", "0")}
+    pm2 = PreMorphism(
+        {"0": "1"}, {"phi": {"0": f.source.arrow("1", "0")}, "psi": {"0": f.target.arrow("1", "0")}}
     )
     rf_f, rf_t = reedy(f), reedy(t)
     lo = chi_construct(f, t, pm, rf_f, rf_t)
     hi = chi_construct(f, t, pm2, rf_f, rf_t)
-    restricted = ChiMap(pm2.alpha, {"0": compose(lo.chi["0"], rf_f.mid.arrow("1", "0"))})
+    restricted = PreMorphism(pm2.alpha, {"chi": {"0": compose(lo.chi["0"], rf_f.mid.arrow("1", "0"))}})
     differ = {
         e: (hi.chi["0"](e), restricted.chi["0"](e))
         for e in rf_f.mid.at("1").carrier
         if hi.chi["0"](e) != restricted.chi["0"](e)
     }
     assert differ == {"t:p0": ("t:p0", "s:e0")}
-    assert all(hi.verify(pm2, rf_f, rf_t).values())
-    assert all(restricted.verify(pm2, rf_f, rf_t).values())
+    assert all(verify_chi(hi, pm2, rf_f, rf_t).values())
+    assert all(verify_chi(restricted, pm2, rf_f, rf_t).values())
     right = rf_t.right.at("0")
     assert compose(right, hi.chi["0"]) == compose(right, restricted.chi["0"])
 
 
 def test_chi_rejects_non_strict_index_map():
     f = chain_arrow()
-    pm = ArrowPreMorphism(
+    pm = PreMorphism(
         {"0": "1", "1": "1"},
-        {"0": morphism(f.source.at("1"), f.source.at("0"), {"e": "e0"}), "1": identity(f.source.at("1"))},
-        {"0": morphism(f.target.at("1"), f.target.at("0"), {"y1": "y0"}), "1": identity(f.target.at("1"))},
+        {
+            "phi": {"0": morphism(f.source.at("1"), f.source.at("0"), {"e": "e0"}), "1": identity(f.source.at("1"))},
+            "psi": {"0": morphism(f.target.at("1"), f.target.at("0"), {"y1": "y0"}), "1": identity(f.target.at("1"))},
+        },
     )
     with pytest.raises(FactorizeError):
         chi_construct(f, f, pm)
@@ -230,13 +234,15 @@ def test_functorial_factorization_single_arrow():
 
 def test_functorial_factorization_with_morphism():
     f = chain_arrow()
-    pm = ArrowPreMorphism(
+    pm = PreMorphism(
         {x: x for x in f.shape.elements},
-        {x: identity(f.source.at(x)) for x in f.shape.elements},
-        {x: identity(f.target.at(x)) for x in f.shape.elements},
+        {
+            "phi": {x: identity(f.source.at(x)) for x in f.shape.elements},
+            "psi": {x: identity(f.target.at(x)) for x in f.shape.elements},
+        },
     )
     rf_f, rf_t, chim = functorial_factorization_pro(f, f, pm)
-    assert all(chim.verify(pm, rf_f, rf_t).values())
+    assert all(verify_chi(chim, pm, rf_f, rf_t).values())
 
 
 def _reassigned(m, x, value):

@@ -17,7 +17,7 @@ from importlib import resources
 
 from profact.category import poset_as_category
 from profact.cofinalize import build_tower, check_cofinality, check_tower_directedness
-from profact.factorize import functorial_factorization_pro
+from profact.factorize import functorial_factorization_pro, verify_chi
 from profact.lifting import lift_against_special
 from profact.randgen import (
     random_arrow_pre_morphism,
@@ -46,7 +46,7 @@ def test_factorizations_and_middle_maps_are_byte_identical():
         rf_f, rf_t, chim = functorial_factorization_pro(f, t, pm)
         digest.update(dumps(reedy_to_json(rf_f)).encode())
         digest.update(dumps(reedy_to_json(rf_t)).encode())
-        digest.update(dumps(chi_to_json(chim, chim.verify(pm, rf_f, rf_t))).encode())
+        digest.update(dumps(chi_to_json(chim, verify_chi(chim, pm, rf_f, rf_t))).encode())
     assert digest.hexdigest() == PINNED
 
 

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profact.base import BaseObject, compose, identity, morphism
+from profact.base import BaseMorphism, BaseObject, compose, identity, morphism
 from profact.diagrams import Diagram
-from profact.poset import FinPoset
+from profact.factorize import check_arrow_pre_morphism
+from profact.poset import FinPoset, is_directed_poset
 from profact.procalc import (
     PreMorphism,
     ProCalcError,
@@ -19,11 +20,16 @@ from profact.procalc import (
     pm_compose,
     pm_identity,
     pm_leq,
+    restrict,
     straighten,
 )
 from profact.randgen import (
+    random_arrow_pre_morphism,
+    random_nattrans,
+    random_poset,
     random_pre_morphism,
     random_pro_object,
+    refine_arrow_pre_morphism,
     refine_pre_morphism,
 )
 from profact.report import PROPERTIES
@@ -58,7 +64,7 @@ def connected_component_directed_check(
                 r = dominate(F, G, p, q)
             except (ProCalcError, TruncationExhausted):
                 return False
-            if not (pm_leq(F, G, p, r) and pm_leq(F, G, q, r)):
+            if not (pm_leq(F, p, r) and pm_leq(F, q, r)):
                 return False
     return True
 
@@ -133,12 +139,12 @@ def test_pm_order_laws_randomized():
         F = random_pro_object(rng, 5, 3)
         G, p = random_pre_morphism(rng, F)
         q = refine_pre_morphism(rng, F, G, p)
-        assert pm_leq(F, G, p, p)
-        assert pm_leq(F, G, p, q)
-        if pm_leq(F, G, q, p):
+        assert pm_leq(F, p, p)
+        assert pm_leq(F, p, q)
+        if pm_leq(F, q, p):
             assert q.alpha == p.alpha and q.phi == p.phi
         r = refine_pre_morphism(rng, F, G, q)
-        assert pm_leq(F, G, p, r)  # transitivity along a refinement chain
+        assert pm_leq(F, p, r)  # transitivity along a refinement chain
 
 
 def test_pm_compose_units_and_associativity():
@@ -161,8 +167,8 @@ def test_pm_compose_monotone_both_sides():
         p2 = refine_pre_morphism(rng, F, G, p)
         H, q = random_pre_morphism(rng, G, max_junk=1)
         q2 = refine_pre_morphism(rng, G, H, q)
-        assert pm_leq(F, H, pm_compose(q, p), pm_compose(q, p2))
-        assert pm_leq(F, H, pm_compose(q, p), pm_compose(q2, p))
+        assert pm_leq(F, pm_compose(q, p), pm_compose(q, p2))
+        assert pm_leq(F, pm_compose(q, p), pm_compose(q2, p))
 
 
 def test_straighten_valid_raw_keeps_low_indices():
@@ -218,17 +224,17 @@ def test_dominate_comparable_pair_returns_upper():
     F = chain_tower()
     one = BaseObject(("w",))
     G = point_tower(one)
-    p = PreMorphism({"b": "0"}, {"b": identity(one)})
-    q = PreMorphism({"b": "2"}, {"b": morphism(F.at("2"), one, {"u": "w", "v": "w"})})
+    p = PreMorphism({"b": "0"}, {"phi": {"b": identity(one)}})
+    q = PreMorphism({"b": "2"}, {"phi": {"b": morphism(F.at("2"), one, {"u": "w", "v": "w"})}})
     r = dominate(F, G, p, q)
-    assert pm_leq(F, G, p, r) and pm_leq(F, G, q, r)
+    assert pm_leq(F, p, r) and pm_leq(F, q, r)
 
 
 def test_dominate_equal_inputs_returns_same():
     F = chain_tower()
     one = BaseObject(("w",))
     G = point_tower(one)
-    p = PreMorphism({"b": "0"}, {"b": identity(one)})
+    p = PreMorphism({"b": "0"}, {"phi": {"b": identity(one)}})
     r = dominate(F, G, p, p)
     assert r == p
 
@@ -237,8 +243,8 @@ def test_dominate_not_colim_equal():
     F = chain_tower()
     two = BaseObject(("z1", "z2"))
     G = point_tower(two)
-    p = PreMorphism({"b": "2"}, {"b": morphism(F.at("2"), two, {"u": "z1", "v": "z2"})})
-    q = PreMorphism({"b": "2"}, {"b": morphism(F.at("2"), two, {"u": "z2", "v": "z1"})})
+    p = PreMorphism({"b": "2"}, {"phi": {"b": morphism(F.at("2"), two, {"u": "z1", "v": "z2"})}})
+    q = PreMorphism({"b": "2"}, {"phi": {"b": morphism(F.at("2"), two, {"u": "z2", "v": "z1"})}})
     with pytest.raises(ProCalcError, match="not colim-equal"):
         dominate(F, G, p, q)
 
@@ -254,14 +260,14 @@ def test_connected_component_check():
     F = chain_tower()
     one = BaseObject(("w",))
     G = point_tower(one)
-    p = PreMorphism({"b": "0"}, {"b": identity(one)})
-    q = PreMorphism({"b": "2"}, {"b": morphism(F.at("2"), one, {"u": "w", "v": "w"})})
+    p = PreMorphism({"b": "0"}, {"phi": {"b": identity(one)}})
+    q = PreMorphism({"b": "2"}, {"phi": {"b": morphism(F.at("2"), one, {"u": "w", "v": "w"})}})
     assert connected_component_directed_check(F, G, [p])
     assert connected_component_directed_check(F, G, [p, q])
     two = BaseObject(("z1", "z2"))
     G2 = point_tower(two)
-    p2 = PreMorphism({"b": "2"}, {"b": morphism(F.at("2"), two, {"u": "z1", "v": "z2"})})
-    q2 = PreMorphism({"b": "2"}, {"b": morphism(F.at("2"), two, {"u": "z2", "v": "z1"})})
+    p2 = PreMorphism({"b": "2"}, {"phi": {"b": morphism(F.at("2"), two, {"u": "z1", "v": "z2"})}})
+    q2 = PreMorphism({"b": "2"}, {"phi": {"b": morphism(F.at("2"), two, {"u": "z2", "v": "z1"})}})
     assert not connected_component_directed_check(F, G2, [p2, q2])
 
 
@@ -279,3 +285,35 @@ def test_pro_object_json_round_trip(seed):
     F = random_pro_object(random.Random(seed), 4, 3)
     document = {"diagram": diagram_to_json(F.diagram), "height_cap": F.height_cap}
     assert pro_object_from_json(document) == F
+
+
+def test_pm_laws_on_arrow_pre_morphisms_over_any_poset():
+    # restriction, the order, composition and identity read only the
+    # families' source diagrams, so they hold for maps of arrow objects over
+    # posets that are not directed, where no ProObject exists
+    rng = random.Random(71)
+    undirected = moved = reassigned = 0
+    for _ in range(100):
+        f = random_nattrans(rng, random_poset(rng, 6), 2)
+        undirected += not is_directed_poset(f.shape)
+        t, pm = random_arrow_pre_morphism(rng, f)
+        refined = refine_arrow_pre_morphism(rng, f, t, pm)
+        moved += refined.alpha != pm.alpha
+        sources = {"phi": f.source, "psi": f.target}
+        assert restrict(pm, pm.alpha, sources) == pm
+        assert pm_leq(sources, pm, refined)
+        # a psi component reassigned through the checked constructor: the
+        # order reads both families, not phi alone
+        movable = [(b, m) for b, m in refined.psi.items() if m.source.carrier and len(m.target.carrier) > 1]
+        if movable:
+            b, m = movable[0]
+            x = m.source.carrier[0]
+            other = next(y for y in m.target.carrier if y != m(x))
+            psi = {**refined.psi, b: BaseMorphism(m.source, m.target, {**m.mapping, x: other})}
+            assert not pm_leq(sources, pm, PreMorphism(refined.alpha, {"phi": refined.phi, "psi": psi}))
+            reassigned += 1
+        assert pm_compose(pm, pm_identity(sources)) == pm
+        assert pm_compose(pm_identity({"phi": t.source, "psi": t.target}), pm) == pm
+        w, pm2 = random_arrow_pre_morphism(rng, t)
+        check_arrow_pre_morphism(pm_compose(pm2, pm), f, w)
+    assert undirected >= 30 and moved >= 10 and reassigned >= 90

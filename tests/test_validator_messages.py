@@ -11,7 +11,7 @@ import pytest
 from profact import serialize
 from profact.base import BaseObject, identity, morphism
 from profact.diagrams import Diagram, NatTrans
-from profact.factorize import ChiMap, check_pre_morphism, chi_construct, reedy
+from profact.factorize import PreMorphism, check_pre_morphism, chi_construct, reedy, verify_chi
 from profact.lifting import ConeLift, LiftingProblem
 from profact.poset import FinPoset
 from profact.procalc import ProObject, RawMorphism, is_raw_morphism
@@ -87,7 +87,7 @@ def chi_report():
     chim = chi_construct(f, t, pm, rf_f, rf_t)
     low = chim.chi["e0"]
     moved = morphism(low.source, low.target, {**low.mapping, "t:p0": "s:o:xe0_1"})
-    return ChiMap(chim.alpha, {**chim.chi, "e0": moved}).verify(pm, rf_f, rf_t)
+    return verify_chi(PreMorphism(chim.alpha, {"chi": {**chim.chi, "e0": moved}}), pm, rf_f, rf_t)
 
 
 def raw_report():
