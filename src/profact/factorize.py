@@ -135,13 +135,10 @@ class PreMorphism:
     alpha: dict[str, str]
     families: dict[str, dict[str, BaseMorphism]]
 
-    def __getattr__(self, name: str) -> dict[str, BaseMorphism]:
-        # reached only for names that are not fields; unpickling probes
-        # attributes of an instance whose __dict__ is still empty
-        families = self.__dict__.get("families", {})
-        if name not in families:
-            raise AttributeError(name)
-        return families[name]
+    def __post_init__(self) -> None:
+        # each family is an instance attribute too, as fast to read as a
+        # field: chi_construct reads pm.phi[b] and pm.psi[b] at every b
+        self.__dict__.update(self.families)
 
 
 def _natural_at(alpha: dict[str, str], source: Diagram, target: Diagram, components: dict, b: str, b2: str) -> bool:
