@@ -57,9 +57,9 @@ class BaseMorphism:
         the base factorization and its mid maps, and the limit maps.  It
         skips the checks; the public constructor keeps them."""
         morphism = object.__new__(cls)
-        object.__setattr__(morphism, "source", source)
-        object.__setattr__(morphism, "target", target)
-        object.__setattr__(morphism, "mapping", mapping)
+        _set_source(morphism, source)
+        _set_target(morphism, target)
+        _set_mapping(morphism, mapping)
         return morphism
 
     def __call__(self, x: str) -> str:
@@ -67,6 +67,13 @@ class BaseMorphism:
 
     def __hash__(self) -> int:
         return hash((self.source.carrier, self.target.carrier, tuple(sorted(self.mapping.items()))))
+
+
+# the slots' member descriptors set a field directly, past the frozen
+# __setattr__, in half the time object.__setattr__ takes
+_set_source = BaseMorphism.source.__set__
+_set_target = BaseMorphism.target.__set__
+_set_mapping = BaseMorphism.mapping.__set__
 
 
 def identity(obj: BaseObject) -> BaseMorphism:
@@ -172,10 +179,14 @@ def factorize_base(f: BaseMorphism) -> FactorizationTriple:
     mid = source ⊔ target; left is the source inclusion, right collapses
     the source part along f and is the identity on the target part.
     """
-    mid = _tagged_sum(f)
-    left = BaseMorphism._trusted(f.source, mid, {x: SOURCE_TAG + x for x in f.source.carrier})
-    right_map = {SOURCE_TAG + x: f(x) for x in f.source.carrier}
-    right_map.update({TARGET_TAG + y: y for y in f.target.carrier})
+    source, target = f.source.carrier, f.target.carrier
+    # the tagged ids, built once for the mid object and both legs
+    source_ids = [SOURCE_TAG + x for x in source]
+    target_ids = [TARGET_TAG + y for y in target]
+    mid = BaseObject(tuple(source_ids + target_ids))
+    left = BaseMorphism._trusted(f.source, mid, dict(zip(source, source_ids)))
+    right_map = dict(zip(source_ids, map(f.mapping.__getitem__, source)))
+    right_map.update(zip(target_ids, target))
     right = BaseMorphism._trusted(mid, f.target, right_map)
     return FactorizationTriple(mid, left, right)
 

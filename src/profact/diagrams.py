@@ -68,8 +68,15 @@ class Diagram:
         for x, y in self.arrows:
             if x not in self.shape or y not in self.shape:
                 raise DiagramError(f"arrow present for pair ({x!r}, {y!r}) outside the shape")
-        for x, y, z in self.shape.chains():
-            if compose(self.arrows[(y, z)], self.arrows[(x, y)]) != self.arrows[(x, z)]:
+        # the arrows are typed by now, so each law compares mappings.  A
+        # chain through a repeated element is a composite with an identity,
+        # so once every (x, x) arrow is one only the strict chains remain
+        arrows = self.arrows
+        for x in self.shape.elements:
+            if any(e != v for e, v in arrows[(x, x)].mapping.items()):
+                raise DiagramError(f"arrow for pair {x!r} >= {x!r} is not the identity")
+        for x, y, z in self.shape.strict_chains():
+            if composite_mapping(arrows[(y, z)], arrows[(x, y)]) != arrows[(x, z)].mapping:
                 raise DiagramError(f"functoriality fails along {x!r} >= {y!r} >= {z!r}")
 
     def at(self, x: str) -> BaseObject:
@@ -118,9 +125,10 @@ class NatTrans:
             comp = self.components.get(x)
             if comp is None or comp.source != self.source.at(x) or comp.target != self.target.at(x):
                 raise DiagramError(f"missing or ill-typed component at {x!r}")
+        # the components are typed by now, so each square compares mappings
         for x, y in self.source.shape.strict_pairs():
-            left = compose(self.components[y], self.source.arrow(x, y))
-            right = compose(self.target.arrow(x, y), self.components[x])
+            left = composite_mapping(self.components[y], self.source.arrow(x, y))
+            right = composite_mapping(self.target.arrow(x, y), self.components[x])
             if left != right:
                 raise DiagramError(f"naturality fails on {x!r} >= {y!r}")
 
@@ -254,14 +262,18 @@ def limit_map(source_limit: Limit, target_limit: Limit, components: dict[str, Ba
 
 class PartialDiagram:
     """A diagram that may still be growing element by element, with each
-    matching limit computed once per strict downset.
+    matching limit computed once per strict downset and each fiber's map
+    into its matching limit computed once per element.
 
     objects and arrows are the caller's dicts and are read as they grow;
     attach adds an element.  An element is added only after its whole
     strict downset, and nothing added earlier changes, so a limit over a
     strict downset stays valid and two elements with the same strict
-    downset share it, together with its index.  The memo lives as long as
-    this object: a construction builds one and drops it when done.
+    downset share it, together with its index.  A fiber's map into its
+    limit depends on the diagram alone, never on a transformation into or
+    out of it, so every walk that shares the memo may read it.  The memo
+    lives as long as this object: a construction builds one and drops it
+    when done.
     """
 
     def __init__(
@@ -274,6 +286,7 @@ class PartialDiagram:
         self.objects = {} if objects is None else objects
         self.arrows = {} if arrows is None else arrows
         self._limits: dict[tuple[str, ...], Limit] = {}
+        self._fiber_maps: dict[str, BaseMorphism] = {}
 
     @staticmethod
     def of(diagram: Diagram) -> "PartialDiagram":
@@ -287,6 +300,15 @@ class PartialDiagram:
             below = _restriction(self, self.shape._restrict_downward(strict))
             limit = self._limits[strict] = limit_over_poset(below)
         return limit
+
+    def fiber_map(self, x: str) -> BaseMorphism:
+        """The map from the fiber at x into matching_limit(x) whose legs are
+        the arrows out of x; x must already be added."""
+        into = self._fiber_maps.get(x)
+        if into is None:
+            legs = {s: self.arrows[(x, s)] for s in self.shape.strict_downset(x)}
+            into = self._fiber_maps[x] = cone_into_limit(self.objects[x], legs, self.matching_limit(x))
+        return into
 
     def attach(self, x: str, fiber: BaseObject, into: BaseMorphism) -> None:
         """Add x with its fiber and into: fiber -> matching_limit(x).  The
@@ -318,8 +340,7 @@ def matching_object(
     src_limit = source.matching_limit(x)
     tgt_limit = target.matching_limit(x)
     limit_of_components = limit_map(src_limit, tgt_limit, components)
-    fiber_legs = {s: target.arrows[(x, s)] for s in target.shape.strict_downset(x)}
-    return src_limit, limit_of_components, cone_into_limit(target.objects[x], fiber_legs, tgt_limit)
+    return src_limit, limit_of_components, target.fiber_map(x)
 
 
 def is_levelwise(nt: NatTrans, cls: str) -> bool:
@@ -335,17 +356,16 @@ def matching_data(
 
     source and target, when given, are PartialDiagram.of(nt.source) and
     PartialDiagram.of(nt.target) kept across the elements of one walk, so
-    their matching limits are computed once.  Returns (source matching
-    limit, pullback as (carrier, projection to target fiber, projection to
-    the source matching limit), relative map source.at(x) -> pullback).
+    their matching limits and fibers' maps are computed once.  Returns
+    (source matching limit, pullback as (carrier, projection to target
+    fiber, projection to the source matching limit), relative map
+    source.at(x) -> pullback).
     """
     source = PartialDiagram.of(nt.source) if source is None else source
     target = PartialDiagram.of(nt.target) if target is None else target
     src_limit, limit_of_components, fiber_to_limit = matching_object(source, target, nt.components, x)
     pb = pullback(fiber_to_limit, limit_of_components)
-    legs = {s: nt.source.arrow(x, s) for s in nt.shape.strict_downset(x)}
-    into_limit = cone_into_limit(nt.source.at(x), legs, src_limit)
-    relative = induced_into_pullback(pb, nt.at(x), into_limit)
+    relative = induced_into_pullback(pb, nt.at(x), source.fiber_map(x))
     return src_limit, pb, relative
 
 

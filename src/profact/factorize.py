@@ -17,6 +17,7 @@ from .base import (
     BaseMorphism,
     BaseObject,
     compose,
+    composite_mapping,
     factorize_base,
     factorize_mid_map,
     induced_into_pullback,
@@ -60,8 +61,10 @@ class ReedyFactorization:
 
     def verify(self, target: PartialDiagram | None = None) -> dict[str, bool]:
         """target, when given, is the construction's memo of the input
-        diagram self.input.target; every limit of the middle diagram is
-        taken here."""
+        diagram self.input.target, whose matching limits and fibers' maps
+        into them depend on that diagram alone.  Nothing else is shared:
+        every limit of the middle diagram, and each middle fiber's map
+        into it, is taken here."""
         shape = self.input.shape
         composite = all(
             compose(self.right.at(x), self.left.at(x)) == self.input.at(x) for x in shape.elements
@@ -114,8 +117,8 @@ def _construct(f: NatTrans, target: PartialDiagram):
 def reedy(f: NatTrans) -> ReedyFactorization:
     """Factor f into a levelwise-injective map followed by a special
     surjective map, processing elements in (degree, canonical) order.  The
-    limits of f.target are taken once, for the construction and its
-    verification alike."""
+    matching limits of f.target, and its fibers' maps into them, are taken
+    once, for the construction and its verification alike."""
     target = PartialDiagram.of(f.target)
     mid_objects, mid_arrows, left, right, details = _construct(f, target)
     mid = Diagram.make(f.shape, mid_objects, mid_arrows)
@@ -142,8 +145,11 @@ class PreMorphism:
 
 
 def _natural_at(alpha: dict[str, str], source: Diagram, target: Diagram, components: dict, b: str, b2: str) -> bool:
-    """Whether components X(alpha(-)) -> Y(-) commute with X's and Y's arrows along b >= b2."""
-    return compose(components[b2], source.arrow(alpha[b], alpha[b2])) == compose(target.arrow(b, b2), components[b])
+    """Whether components X(alpha(-)) -> Y(-) commute with X's and Y's arrows
+    along b >= b2.  The components must be typed, so the two sides are
+    compared by their mappings."""
+    left = composite_mapping(components[b2], source.arrow(alpha[b], alpha[b2]))
+    return left == composite_mapping(target.arrow(b, b2), components[b])
 
 
 def check_pre_morphism(
@@ -179,8 +185,9 @@ def check_arrow_pre_morphism(pm: PreMorphism, f: NatTrans, t: NatTrans) -> None:
     t: K -> G over B: the families phi: E(alpha(b)) -> K(b) and
     psi: F(alpha(b)) -> G(b) are natural and their squares commute."""
     check_pre_morphism(pm.alpha, [("top", f.source, t.source, pm.phi), ("bottom", f.target, t.target, pm.psi)])
+    # the components are typed by now, so each square compares mappings
     for b in t.shape.elements:
-        if compose(pm.psi[b], f.at(pm.alpha[b])) != compose(t.at(b), pm.phi[b]):
+        if composite_mapping(pm.psi[b], f.at(pm.alpha[b])) != composite_mapping(t.at(b), pm.phi[b]):
             raise FactorizeError(f"component square does not commute at {b!r}")
 
 
@@ -190,6 +197,9 @@ def verify_chi(
     """The report of a middle map chi: H_f(alpha(b)) -> H_t(b) for pm: its
     rectangles against the left and right legs, and its naturality in b."""
     alpha, chi = chim.alpha, chim.chi
+    # the left rectangle fails for a chi[b] whose target is not H_t(b) and
+    # raises for one whose source is not H_f(alpha(b)), so naturality
+    # compares mappings only
     top = all(compose(chi[b], rf_f.left.at(alpha[b])) == compose(rf_t.left.at(b), pm.phi[b]) for b in chi)
     bottom = all(compose(pm.psi[b], rf_f.right.at(alpha[b])) == compose(rf_t.right.at(b), chi[b]) for b in chi)
     natural = all(_natural_at(alpha, rf_f.mid, rf_t.mid, chi, b, b2) for b, b2 in rf_t.input.shape.strict_pairs())

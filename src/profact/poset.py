@@ -132,6 +132,14 @@ class FinPoset:
             for y in self._strict[x]:
                 yield x, y
 
+    def strict_chains(self) -> Iterator[tuple[str, str, str]]:
+        """Every chain x > y > z, in the order of chains."""
+        strict = self._strict
+        for x in self.elements:
+            for y in strict[x]:
+                for z in strict[y]:
+                    yield x, y, z
+
     def chains(self) -> Iterator[tuple[str, str, str]]:
         """Every chain x >= y >= z: x in canonical order, then y through
         the downset of x, then z through the downset of y."""

@@ -5,7 +5,7 @@ import pytest
 
 from profact.base import TARGET_TAG, BaseMorphism, BaseObject, compose, factorize_base, identity, morphism
 from profact import diagrams
-from profact.diagrams import Diagram, NatTrans, is_levelwise, is_special
+from profact.diagrams import Diagram, NatTrans, PartialDiagram, is_levelwise, is_special
 from profact.factorize import (
     FactorizeError,
     PreMorphism,
@@ -105,6 +105,36 @@ def test_reedy_restriction_coherence_randomized():
                 assert full.mid.at(x) == sub.mid.at(x)
                 assert full.left.at(x) == sub.left.at(x)
                 assert full.right.at(x) == sub.right.at(x)
+
+
+def test_verify_with_a_fresh_memo_gives_the_report():
+    # reedy verifies through its construction's memo of f.target; a fresh
+    # memo takes every limit of f.target and every fiber's map again
+    rng = random.Random(181)
+    for _ in range(50):
+        nt = random_nattrans(rng, random_poset(rng, 5), 3)
+        rf = reedy(nt)
+        assert rf.verify(PartialDiagram.of(nt.target)) == rf.report
+
+
+def test_a_shared_target_memo_keeps_each_walks_verdict():
+    # the memo holds the target's matching limits and its fibers' maps into
+    # them, which depend on the target alone: a walk of one transformation
+    # into it cannot hand a verdict to a walk of another
+    rng = random.Random(182)
+    verdicts = Counter()
+    for _ in range(50):
+        nt = random_nattrans(rng, random_poset(rng, 5), 3)
+        special = reedy(nt).right
+        expected = is_special(nt, "M")
+        verdicts[expected] += 1
+        memo = PartialDiagram.of(nt.target)
+        assert is_special(special, "M", target=memo)
+        assert is_special(nt, "M", target=memo) == expected
+        memo = PartialDiagram.of(nt.target)
+        assert is_special(nt, "M", target=memo) == expected
+        assert is_special(special, "M", target=memo)
+    assert verdicts[True] and verdicts[False]
 
 
 def test_mid_object_cardinality_two_chain():

@@ -103,6 +103,16 @@ CASES = {
         lambda: raised(lambda: flat(CHAIN, {("a", "c"): SWAP})),
         "DiagramError: functoriality fails along 'a' >= 'b' >= 'c'",
     ),
+    # an idempotent at (x, x) passes every chain through x; it is named
+    # before any chain is walked
+    "diagram_identity": (
+        lambda: raised(
+            lambda: Diagram.make(
+                FinPoset.make(("x",)), {"x": TWO}, {("x", "x"): morphism(TWO, TWO, {"0": "0", "1": "0"})}
+            )
+        ),
+        "DiagramError: arrow for pair 'x' >= 'x' is not the identity",
+    ),
     "diagram_arrow_outside_shape": (
         lambda: raised(lambda: Diagram.make(FinPoset.make(("x",)), {"x": TWO}, {("zz", "x"): identity(TWO)})),
         "DiagramError: arrow present for pair ('zz', 'x') outside the shape",
