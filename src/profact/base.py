@@ -199,9 +199,11 @@ def factorize_mid_map(
     Requires top: src(f) -> src(t) and bottom: tgt(f) -> tgt(t) with
     t∘top = bottom∘f; returns the induced map between the mid objects.
     """
-    # equal composites share their source and target, so top starts at
-    # src(f) and bottom ends at tgt(t), and the map below is total
-    if compose(t, top) != compose(bottom, f):
+    # composite_mapping checks that top ends at src(t) and bottom starts at
+    # tgt(f); with top starting at src(f) and bottom ending at tgt(t), the
+    # square commutes iff the mappings agree, and the map below is total
+    t_top, bottom_f = composite_mapping(t, top), composite_mapping(bottom, f)
+    if top.source != f.source or bottom.target != t.target or t_top != bottom_f:
         raise BaseError("square does not commute")
     top_map, bottom_map = top.mapping, bottom.mapping
     mapping = {SOURCE_TAG + x: SOURCE_TAG + top_map[x] for x in f.source.carrier}

@@ -19,10 +19,8 @@ from .base import (
     compose,
     composite_mapping,
     identity,
-    induced_into_pullback,
     is_in_m,
     is_in_n,
-    pullback,
 )
 from .poset import FinPoset, Reysha
 
@@ -157,6 +155,7 @@ class Limit(tuple):
     of the limit's shape, and the carrier element of each compatible
     family of values on them.  It is built on first use, since many limits
     are never mapped into; a limit that a memo shares shares its index.
+    matching_pullback sets it at once from the columns it already holds.
     """
 
     # a plain property: functools.cached_property takes a lock on first
@@ -232,10 +231,12 @@ def _values_through(through: tuple[int, dict[str, str]], families: list[tuple[st
     return [mapping[family[position]] for family in families]
 
 
-def _into_limit(apex: BaseObject, columns: list[Iterable[str]], limit: Limit, families: dict) -> BaseMorphism:
+def into_limit(apex: BaseObject, columns: list[Iterable[str]], limit: Limit) -> BaseMorphism:
     """The map apex -> limit sending each apex element to the family of its
-    entries in columns, one column per element of the index's order.  With
-    no columns (the terminal limit) every key is ()."""
+    entries in columns: one column per element of the index's order, each
+    in apex's carrier order.  With no columns (the terminal limit) every
+    key is ()."""
+    families = limit.index[1]
     keys = zip(*columns) if columns else itertools.repeat((), len(apex.carrier))
     try:
         mapping = {e: families[key] for e, key in zip(apex.carrier, keys)}
@@ -246,8 +247,7 @@ def _into_limit(apex: BaseObject, columns: list[Iterable[str]], limit: Limit, fa
 
 def cone_into_limit(apex: BaseObject, legs: dict[str, BaseMorphism], limit: Limit) -> BaseMorphism:
     """The map into a limit induced by a cone of legs apex -> D(s)."""
-    order, families = limit.index
-    return _into_limit(apex, [[legs[x].mapping[e] for e in apex.carrier] for x in order], limit, families)
+    return into_limit(apex, [[legs[x].mapping[e] for e in apex.carrier] for x in limit.index[0]], limit)
 
 
 def limit_map(source_limit: Limit, target_limit: Limit, components: dict[str, BaseMorphism]) -> BaseMorphism:
@@ -255,25 +255,111 @@ def limit_map(source_limit: Limit, target_limit: Limit, components: dict[str, Ba
     arrows.  Each leg is the component after the source projection, read
     as a column."""
     src_obj, src_proj = source_limit
-    order, families = target_limit.index
-    columns = [composite_mapping(components[x], src_proj[x]).values() for x in order]
-    return _into_limit(src_obj, columns, target_limit, families)
+    columns = [composite_mapping(components[x], src_proj[x]).values() for x in target_limit.index[0]]
+    return into_limit(src_obj, columns, target_limit)
+
+
+def matching_pullback(upper, components: dict[str, BaseMorphism], lower, x: str) -> Limit:
+    """The matching pullback P(x) = M_x upper ×_{M_x lower} lower(x) of the
+    components upper(s) -> lower(s) at the elements s below x.
+
+    upper and lower are Diagrams or PartialDiagrams over one shape, upper
+    built at least below x and lower at least up to x.  A row is a pair
+    (family, d) of a compatible family of upper over the strict downset of
+    x and a d in lower(x) with the same image in every lower(s).  Rows come
+    family-major, the families in limit_over_poset's lexicographic order
+    and each family's d in lower(x)'s carrier order, with ids p0, p1, ....
+    The result is the Limit with a projection to upper(s) for each s below
+    x and one to lower(x) under x itself, so its index is keyed by the
+    values at every s below x and then d, and a leg family that is no
+    cone, or lies over another d, is missing from it.
+
+    Neither M_x upper nor the map of limits is built.  limit_over_poset's
+    ordered join runs over the strict downset, and after each maximal
+    element keeps only the partial families whose image under the
+    components is the image of some d so far: lower(x) is grouped by its
+    values below x, maximal element by maximal element, before the join.
+    """
+    shape = upper.shape
+    below = shape.strict_downset(x)
+    # the types first: the join reads each component's values by id
+    for s in below:
+        comp = components.get(s)
+        if comp is None or comp.source != upper.objects[s] or comp.target != lower.objects[s]:
+            raise DiagramError(f"missing or ill-typed component at {s!r}")
+    covered = {y for s in below for y in shape.strict_downset(s)}
+    # per maximal element: the elements earlier ones fix, and those it fixes first
+    stages = []
+    fixed: set[str] = set()
+    for m in [s for s in below if s not in covered]:
+        down = [(y, upper.arrows[(m, y)].mapping) for y in shape.downset(m)]
+        stages.append((m, [a for a in down if a[0] in fixed], [a for a in down if a[0] not in fixed]))
+        fixed.update(shape.downset(m))
+    # lower(x) grouped stage by stage: node (parent, values at the
+    # elements the stage fixes first) -> child, each d under its last node
+    children: dict[tuple, int] = {}
+    leaves: dict[int, list[str]] = {}
+    fiber_x = lower.objects[x].carrier
+    stage_columns = [
+        list(zip(*[[lower.arrows[(x, y)].mapping[d] for d in fiber_x] for y, _ in fresh])) for _, _, fresh in stages
+    ]
+    for i, d in enumerate(fiber_x):
+        node = 0
+        for column in stage_columns:
+            node = children.setdefault((node, column[i]), len(children) + 1)
+        leaves.setdefault(node, []).append(d)
+    through: dict[str, tuple[int, dict[str, str]]] = {}
+    families: list[tuple[str, ...]] = [()]
+    nodes = [0]
+    for i, (m, joined, fresh) in enumerate(stages):
+        fiber = upper.objects[m].carrier
+        # each value's image under the components where the stage fixes it first
+        images = zip(*[[components[y].mapping[mapping[v]] for v in fiber] for y, mapping in fresh])
+        if joined:
+            buckets: dict[tuple[str, ...], list[tuple[str, tuple]]] = {}
+            for key, v, image in zip(zip(*[[mapping[e] for e in fiber] for _, mapping in joined]), fiber, images):
+                buckets.setdefault(key, []).append((v, image))
+            keys = zip(*[_values_through(through[y], families) for y, _ in joined])
+            extensions = [buckets.get(key, ()) for key in keys]
+        else:
+            extensions = itertools.repeat(list(zip(fiber, images)), len(families))
+        grown: list[tuple[str, ...]] = []
+        grown_nodes: list[int] = []
+        for family, node, candidates in zip(families, nodes, extensions):
+            for v, image in candidates:
+                child = children.get((node, image))
+                if child is not None:
+                    grown.append(family + (v,))
+                    grown_nodes.append(child)
+        families, nodes = grown, grown_nodes
+        for y, mapping in fresh:
+            through[y] = (i, mapping)
+    rows = [(family, d) for family, node in zip(families, nodes) for d in leaves.get(node, ())]
+    ids = tuple([f"p{i}" for i in range(len(rows))])
+    carrier = BaseObject(ids)
+    # a column of values per projection: each s below x, then x in lower
+    columns = [_values_through(through[s], [family for family, _ in rows]) for s in below]
+    columns.append([d for _, d in rows])
+    fibers = [upper.objects[s] for s in below] + [lower.objects[x]]
+    order = (*below, x)
+    projections = {s: BaseMorphism._trusted(carrier, o, dict(zip(ids, c))) for s, o, c in zip(order, fibers, columns)}
+    pb = Limit((carrier, projections))
+    # nearly every caller maps into P(x), so the index is built here from
+    # the columns at hand
+    pb._index = order, dict(zip(zip(*columns), ids))
+    return pb
 
 
 class PartialDiagram:
     """A diagram that may still be growing element by element, with each
-    matching limit computed once per strict downset and each fiber's map
-    into its matching limit computed once per element.
+    matching limit computed once per strict downset.
 
     objects and arrows are the caller's dicts and are read as they grow;
     attach adds an element.  An element is added only after its whole
     strict downset, and nothing added earlier changes, so a limit over a
     strict downset stays valid and two elements with the same strict
-    downset share it, together with its index.  A fiber's map into its
-    limit depends on the diagram alone, never on a transformation into or
-    out of it, so every walk that shares the memo may read it.  The memo
-    lives as long as this object: a construction builds one and drops it
-    when done.
+    downset share it, together with its index.  The memo lives as long as
+    this object: a generator builds one and drops it when done.
     """
 
     def __init__(
@@ -286,7 +372,6 @@ class PartialDiagram:
         self.objects = {} if objects is None else objects
         self.arrows = {} if arrows is None else arrows
         self._limits: dict[tuple[str, ...], Limit] = {}
-        self._fiber_maps: dict[str, BaseMorphism] = {}
 
     @staticmethod
     def of(diagram: Diagram) -> "PartialDiagram":
@@ -301,46 +386,19 @@ class PartialDiagram:
             limit = self._limits[strict] = limit_over_poset(below)
         return limit
 
-    def fiber_map(self, x: str) -> BaseMorphism:
-        """The map from the fiber at x into matching_limit(x) whose legs are
-        the arrows out of x; x must already be added."""
-        into = self._fiber_maps.get(x)
-        if into is None:
-            legs = {s: self.arrows[(x, s)] for s in self.shape.strict_downset(x)}
-            into = self._fiber_maps[x] = cone_into_limit(self.objects[x], legs, self.matching_limit(x))
-        return into
-
-    def attach(self, x: str, fiber: BaseObject, into: BaseMorphism) -> None:
-        """Add x with its fiber and into: fiber -> matching_limit(x).  The
-        arrow to each s below x is the projection to s after into, which
-        keeps the grown diagram a functor."""
-        projections = self.matching_limit(x)[1]
+    def attach(
+        self, x: str, fiber: BaseObject, into: BaseMorphism, projections: dict[str, BaseMorphism] | None = None
+    ) -> None:
+        """Add x with its fiber and into: fiber -> L, where L is
+        matching_limit(x) or, given its projections to each fiber below x,
+        any object over them, as a matching pullback is.  The arrow to each
+        s below x is the projection to s after into, which keeps the grown
+        diagram a functor."""
+        projections = self.matching_limit(x)[1] if projections is None else projections
         self.objects[x] = fiber
         self.arrows[(x, x)] = identity(fiber)
         for s in self.shape.strict_downset(x):
             self.arrows[(x, s)] = compose(projections[s], into)
-
-
-def matching_object(
-    source: PartialDiagram,
-    target: PartialDiagram,
-    components: dict[str, BaseMorphism],
-    x: str,
-) -> tuple[Limit, BaseMorphism, BaseMorphism]:
-    """The source matching limit at x and the cospan whose pullback is the
-    matching object of a transformation into target.
-
-    source needs to be built at least up to below x, target at least up to
-    x, and components at least on the strict downset of x.  Returns
-    (source matching limit, the map of matching limits induced by the
-    components, the target fiber's map into the target matching limit).
-    Each caller takes the pullback with its own leg order, since carrier
-    ids follow that order.
-    """
-    src_limit = source.matching_limit(x)
-    tgt_limit = target.matching_limit(x)
-    limit_of_components = limit_map(src_limit, tgt_limit, components)
-    return src_limit, limit_of_components, target.fiber_map(x)
 
 
 def is_levelwise(nt: NatTrans, cls: str) -> bool:
@@ -349,61 +407,52 @@ def is_levelwise(nt: NatTrans, cls: str) -> bool:
     return all(pred(nt.at(x)) for x in nt.shape.elements)
 
 
-def matching_data(
-    nt: NatTrans, x: str, source: PartialDiagram | None = None, target: PartialDiagram | None = None
-):
-    """The matching pullback at x and the relative map into it.
-
-    source and target, when given, are PartialDiagram.of(nt.source) and
-    PartialDiagram.of(nt.target) kept across the elements of one walk, so
-    their matching limits and fibers' maps are computed once.  Returns
-    (source matching limit, pullback as (carrier, projection to target
-    fiber, projection to the source matching limit), relative map
-    source.at(x) -> pullback).
+def matching_data(nt: NatTrans, x: str) -> tuple[Limit, BaseMorphism]:
+    """The matching pullback at x and the relative map into it, whose legs
+    are the source's arrows out of x and the component at x.  Every walk
+    takes its own: nothing is shared with a construction or another walk.
     """
-    source = PartialDiagram.of(nt.source) if source is None else source
-    target = PartialDiagram.of(nt.target) if target is None else target
-    src_limit, limit_of_components, fiber_to_limit = matching_object(source, target, nt.components, x)
-    pb = pullback(fiber_to_limit, limit_of_components)
-    relative = induced_into_pullback(pb, nt.at(x), source.fiber_map(x))
-    return src_limit, pb, relative
+    comp, source = nt.components.get(x), nt.source
+    if comp is None or comp.source != source.at(x) or comp.target != nt.target.at(x):
+        raise DiagramError(f"missing or ill-typed component at {x!r}")
+    pb = matching_pullback(source, nt.components, nt.target, x)
+    legs = {s: source.arrows[(x, s)] for s in nt.shape.strict_downset(x)}
+    legs[x] = comp
+    return pb, cone_into_limit(source.at(x), legs, pb)
 
 
 class NotSpecial(DiagramError):
     """A relative matching map lies outside the class, or the family has
-    none because its squares do not commute."""
+    none because a component is ill-typed or its squares do not commute."""
 
 
-def special_matching_data(nt: NatTrans, cls: str = "M", target: PartialDiagram | None = None):
+def special_matching_data(nt: NatTrans, cls: str = "M"):
     """The one walk that checks specialness: (x, matching_data at x) for
-    each element in degree order, over one pair of memos (target as for
-    matching_data).  Raises NotSpecial at the first element whose
-    relative matching map is outside the class or does not exist, as for a
-    family built without NatTrans.make whose squares do not commute.
+    each element in degree order.  Raises NotSpecial at the first element
+    whose relative matching map is outside the class or does not exist, as
+    for a family built without NatTrans.make that is ill-typed or whose
+    squares do not commute.
     """
     pred = {"N": is_in_n, "M": is_in_m}[cls]
-    source = PartialDiagram.of(nt.source)
-    target = PartialDiagram.of(nt.target) if target is None else target
     for x in nt.shape.in_degree_order():
         try:
-            data = matching_data(nt, x, source, target)
+            data = matching_data(nt, x)
         except (BaseError, DiagramError) as exc:
             raise NotSpecial(f"no relative matching map at {x!r}") from exc
-        if not pred(data[2]):
+        if not pred(data[1]):
             raise NotSpecial(f"the relative matching map at {x!r} is not in {cls}")
         yield x, data
 
 
-def is_special(nt: NatTrans, cls: str = "M", target: PartialDiagram | None = None) -> bool:
+def is_special(nt: NatTrans, cls: str = "M") -> bool:
     """True iff the relative matching map lies in the class at every element.
 
-    A family whose squares do not commute, which only a structure built
-    without NatTrans.make can be, has no relative matching maps and is not
-    special.  target is as for matching_data; nt.source's limits are
-    always taken here.
+    A family that is ill-typed or whose squares do not commute, which only
+    a structure built without NatTrans.make can be, has no relative
+    matching maps and is not special.
     """
     try:
-        for _ in special_matching_data(nt, cls, target=target):
+        for _ in special_matching_data(nt, cls):
             pass
     except NotSpecial:
         return False

@@ -15,13 +15,10 @@ from dataclasses import dataclass, field
 from .base import (
     BaseError,
     BaseMorphism,
-    BaseObject,
     compose,
     composite_mapping,
     factorize_base,
     factorize_mid_map,
-    induced_into_pullback,
-    pullback,
 )
 from .diagrams import (
     Diagram,
@@ -29,10 +26,10 @@ from .diagrams import (
     Limit,
     NatTrans,
     PartialDiagram,
-    cone_into_limit,
+    into_limit,
     is_levelwise,
     is_special,
-    matching_object,
+    matching_pullback,
 )
 
 
@@ -42,12 +39,10 @@ class FactorizeError(ValueError):
 
 @dataclass(frozen=True)
 class StepData:
-    """Per-element bookkeeping: the middle diagram's matching limit, the
-    matching pullback and the map into it."""
+    """Per-element bookkeeping: the matching pullback and the map into it."""
 
-    limit: Limit  # of H over the strict downset of x
-    pullback: tuple[BaseObject, BaseMorphism, BaseMorphism]  # (carrier, to limit, to D(x))
-    into_pullback: BaseMorphism  # C(x) -> pullback
+    pullback: Limit  # P(x), projecting to H(s) for s < x and to D(x) under x
+    into_pullback: BaseMorphism  # C(x) -> P(x)
 
 
 @dataclass(frozen=True)
@@ -59,26 +54,28 @@ class ReedyFactorization:
     details: dict[str, StepData] = field(compare=False, repr=False, default_factory=dict)
     report: dict[str, bool] = field(compare=False, default_factory=dict)
 
-    def verify(self, target: PartialDiagram | None = None) -> dict[str, bool]:
-        """target, when given, is the construction's memo of the input
-        diagram self.input.target, whose matching limits and fibers' maps
-        into them depend on that diagram alone.  Nothing else is shared:
-        every limit of the middle diagram, and each middle fiber's map
-        into it, is taken here."""
-        shape = self.input.shape
+    def verify(self) -> dict[str, bool]:
+        """The report, taken from the three transformations alone: nothing
+        of the construction is shared, every matching pullback is taken
+        again."""
+        left, right, given = self.left.components, self.right.components, self.input.components
+        # composite_mapping checks that left ends where right starts; with
+        # the outer ends compared too, equal mappings mean equal maps
         composite = all(
-            compose(self.right.at(x), self.left.at(x)) == self.input.at(x) for x in shape.elements
+            left[x].source == given[x].source
+            and right[x].target == given[x].target
+            and composite_mapping(right[x], left[x]) == given[x].mapping
+            for x in self.input.shape.elements
         )
         return {
             "composite_equals_input": composite,
             "left_levelwise_injective": is_levelwise(self.left, "N"),
-            "right_special_surjective": is_special(self.right, "M", target),
+            "right_special_surjective": is_special(self.right, "M"),
         }
 
 
 def _step(
     f: NatTrans,
-    target: PartialDiagram,
     mid: PartialDiagram,
     left: dict[str, BaseMorphism],
     right: dict[str, BaseMorphism],
@@ -86,46 +83,42 @@ def _step(
     x: str,
 ) -> None:
     """Extend a partial factorization to one more element whose strict
-    downset is already covered; target is f.target and mid the middle
-    diagram built so far, each with its memo of matching limits."""
-    lim_mid, mid_to_tgt, fiber_to_tgt = matching_object(mid, target, right, x)
-    # the limit leg goes first: the middle fibers' carrier ids follow it
-    pb = pullback(mid_to_tgt, fiber_to_tgt)
-    _, proj_lim, proj_fiber = pb
-    legs = {s: compose(left[s], f.source.arrow(x, s)) for s in f.shape.strict_downset(x)}
-    u = induced_into_pullback(pb, cone_into_limit(f.source.at(x), legs, lim_mid), f.at(x))
+    downset is already covered; mid is the middle diagram built so far."""
+    pb = matching_pullback(mid, right, f.target, x)
+    apex, projections = f.source.at(x), pb[1]
+    # the legs are read as columns in apex's carrier order, as the index wants
+    columns = [composite_mapping(left[s], f.source.arrow(x, s)).values() for s in f.shape.strict_downset(x)]
+    columns.append(map(f.at(x).mapping.__getitem__, apex.carrier))
+    u = into_limit(apex, columns, pb)
     triple = factorize_base(u)
-    mid.attach(x, triple.mid, compose(proj_lim, triple.right))
+    mid.attach(x, triple.mid, triple.right, projections)
     left[x] = triple.left
-    right[x] = compose(proj_fiber, triple.right)
-    details[x] = StepData(lim_mid, pb, u)
+    right[x] = compose(projections[x], triple.right)
+    details[x] = StepData(pb, u)
 
 
-def _construct(f: NatTrans, target: PartialDiagram):
-    """Run _step over every element in (degree, canonical) order; target is
-    PartialDiagram.of(f.target).  The middle diagram's memo is local to this
-    call, so it is gone before the result is assembled and verified."""
+def _construct(f: NatTrans):
+    """Run _step over every element in (degree, canonical) order.  The
+    middle diagram is local to this call, so it is gone before the result
+    is assembled and verified."""
     mid = PartialDiagram(f.shape)
     left: dict[str, BaseMorphism] = {}
     right: dict[str, BaseMorphism] = {}
     details: dict[str, StepData] = {}
     for x in f.shape.in_degree_order():
-        _step(f, target, mid, left, right, details, x)
+        _step(f, mid, left, right, details, x)
     return mid.objects, mid.arrows, left, right, details
 
 
 def reedy(f: NatTrans) -> ReedyFactorization:
     """Factor f into a levelwise-injective map followed by a special
-    surjective map, processing elements in (degree, canonical) order.  The
-    matching limits of f.target, and its fibers' maps into them, are taken
-    once, for the construction and its verification alike."""
-    target = PartialDiagram.of(f.target)
-    mid_objects, mid_arrows, left, right, details = _construct(f, target)
+    surjective map, processing elements in (degree, canonical) order."""
+    mid_objects, mid_arrows, left, right, details = _construct(f)
     mid = Diagram.make(f.shape, mid_objects, mid_arrows)
     left_nt = NatTrans.make(f.source, mid, left)
     right_nt = NatTrans.make(mid, f.target, right)
     rf = ReedyFactorization(f, mid, left_nt, right_nt, details)
-    object.__setattr__(rf, "report", rf.verify(target))
+    object.__setattr__(rf, "report", rf.verify())
     return rf
 
 
@@ -217,8 +210,9 @@ def chi_construct(
     target index poset, using the strict base functoriality at each step.
 
     At b over a = alpha(b), the map k between the matching pullbacks is
-    induced by chi below b after the limit leg and by psi after the fiber
-    leg; FactorizeError when that span does not commute."""
+    induced by chi below b after the projections and by psi after the
+    projection to F(a); FactorizeError when those legs do not form a cone
+    over the target's matching cospan."""
     check_arrow_pre_morphism(pm, f, t)
     rf_f = rf_f if rf_f is not None else reedy(f)
     rf_t = rf_t if rf_t is not None else reedy(t)
@@ -227,14 +221,11 @@ def chi_construct(
     for b in b_shape.in_degree_order():
         sd_f = rf_f.details[pm.alpha[b]]
         sd_t = rf_t.details[b]
-        carrier_f, to_limit_f, to_fiber_f = sd_f.pullback
-        proj_f = sd_f.limit[1]
-        legs = {
-            b2: compose(chi[b2], compose(proj_f[pm.alpha[b2]], to_limit_f)) for b2 in b_shape.strict_downset(b)
-        }
+        carrier_f, proj_f = sd_f.pullback
         try:
-            into_limit = cone_into_limit(carrier_f, legs, sd_t.limit)
-            k = induced_into_pullback(sd_t.pullback, into_limit, compose(pm.psi[b], to_fiber_f))
+            columns = [composite_mapping(chi[b2], proj_f[pm.alpha[b2]]).values() for b2 in b_shape.strict_downset(b)]
+            columns.append(composite_mapping(pm.psi[b], proj_f[pm.alpha[b]]).values())
+            k = into_limit(carrier_f, columns, sd_t.pullback)
         except (BaseError, DiagramError):
             raise FactorizeError(f"induced pullback map undefined at {b!r}") from None
         chi[b] = factorize_mid_map(sd_f.into_pullback, sd_t.into_pullback, pm.phi[b], k)

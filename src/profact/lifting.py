@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from .base import (
     BaseMorphism,
     compose,
-    induced_into_pullback,
     is_in_n,
     lift_base,
 )
@@ -127,12 +126,12 @@ def has_lift_bruteforce(
 def lift_against_special(problem: LiftingProblem) -> ConeLift:
     """Build a compatible cone of lifts in degree order.
 
-    At each element the already-built lifts assemble into a map to the
-    matching limit, the bottom component supplies the fiber coordinate, and
-    the base lift against the relative matching map fills the square.  The
-    one matching walk both checks that the right map is special and
-    supplies the data: an element's lift needs only the elements below it,
-    all already found special.
+    At each element the already-built lifts and the bottom component
+    assemble into a map to the matching pullback, and the base lift against
+    the relative matching map fills the square.  The one matching walk both
+    checks that the right map is special and supplies the data: an
+    element's lift needs only the elements below it, all already found
+    special.
     """
     problem.validate()
     if not is_in_n(problem.left):
@@ -141,10 +140,10 @@ def lift_against_special(problem: LiftingProblem) -> ConeLift:
     shape = f.shape
     lifts: dict[str, BaseMorphism] = {}
     try:
-        for t, (src_limit, pb, relative) in special_matching_data(f, "M"):
-            lift_legs = {s: lifts[s] for s in shape.strict_downset(t)}
-            into_limit = cone_into_limit(problem.left.target, lift_legs, src_limit)
-            into_pb = induced_into_pullback(pb, problem.bottom[t], into_limit)
+        for t, (pb, relative) in special_matching_data(f, "M"):
+            legs = {s: lifts[s] for s in shape.strict_downset(t)}
+            legs[t] = problem.bottom[t]
+            into_pb = cone_into_limit(problem.left.target, legs, pb)
             lifts[t] = lift_base(problem.left, relative, problem.top[t], into_pb)
     except NotSpecial as exc:
         raise LiftingError("right transformation is not special surjective") from exc

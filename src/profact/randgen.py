@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 
-from .base import BaseMorphism, BaseObject, compose, pullback
-from .diagrams import Diagram, NatTrans, PartialDiagram, cone_into_limit, limit_over_poset, matching_object
+from .base import BaseMorphism, BaseObject, compose
+from .diagrams import Diagram, NatTrans, PartialDiagram, cone_into_limit, limit_over_poset, matching_pullback
 from .factorize import PreMorphism, check_arrow_pre_morphism
 from .poset import FinPoset
 from .procalc import ProObject, RawMorphism, restrict
@@ -95,17 +95,20 @@ def random_nattrans(rng: random.Random, shape: FinPoset, max_fiber: int) -> NatT
         target = random_diagram(rng, shape, max_fiber, prefix="y")
         if _estimated_cost_ok(shape, {x: len(target.at(x)) for x in shape.elements}):
             break
-    built, target_limits = PartialDiagram(shape), PartialDiagram.of(target)
+    built = PartialDiagram(shape)
     components: dict[str, BaseMorphism] = {}
     for x in shape.in_degree_order():
-        _, comp_map, fiber_map = matching_object(built, target_limits, components, x)
-        # the fiber leg goes first: the draws below index the pullback's carrier
-        carrier, proj_fiber, proj_limit = pullback(fiber_map, comp_map)
-        size = rng.randint(1, max_fiber) if carrier.carrier else 0
+        carrier, projections = matching_pullback(built, components, target, x)
+        # the draws index the pullback fiber-major: its rows sorted stably
+        # by their element of target(x)
+        position = {d: i for i, d in enumerate(target.at(x).carrier)}
+        to_target = projections[x].mapping
+        rows = sorted(carrier.carrier, key=lambda p: position[to_target[p]])
+        size = rng.randint(1, max_fiber) if rows else 0
         fiber = BaseObject(tuple(f"x{x}_{i}" for i in range(size)))
-        into = random_map(rng, fiber, carrier) if fiber.carrier else BaseMorphism(fiber, carrier, {})
-        built.attach(x, fiber, compose(proj_limit, into))
-        components[x] = compose(proj_fiber, into)
+        into = BaseMorphism(fiber, carrier, {e: rng.choice(rows) for e in fiber.carrier})
+        built.attach(x, fiber, into, projections)
+        components[x] = compose(projections[x], into)
     source = Diagram.make(shape, built.objects, built.arrows)
     return NatTrans.make(source, target, components)
 

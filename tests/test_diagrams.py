@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profact.base import TERMINAL, BaseObject, identity, is_in_m, is_in_n, morphism
+from profact.base import TERMINAL, BaseObject, identity, induced_into_pullback, is_in_m, is_in_n, morphism, pullback
 from profact.diagrams import (
     Diagram,
     DiagramError,
@@ -18,8 +18,10 @@ from profact.diagrams import (
     limit_map,
     limit_over_poset,
     matching_data,
+    matching_pullback,
     special_matching_data,
 )
+from profact.lifting import LiftingError, LiftingProblem, lift_against_special
 from profact.poset import FinPoset, Reysha
 from profact.randgen import random_diagram, random_nattrans, random_poset
 from profact.serialize import nattrans_from_json, nattrans_to_json
@@ -138,10 +140,12 @@ def test_relative_matching_map_at_minimal_element_is_component():
     ab = BaseObject(("a", "b"))
     const = constant_diagram(vee(), ab)
     ident = NatTrans.make(const, const, {x: identity(ab) for x in vee().elements})
-    rel = matching_data(ident, "x0")[2]
+    pb, rel = matching_data(ident, "x0")
     # the strict downset is empty, so the matching pullback is the fiber
+    assert rel.target == pb[0] and list(pb[1]) == ["x0"]
+    assert pb[1]["x0"].mapping == {"p0": "a", "p1": "b"}
+    assert rel.mapping == {"a": "p0", "b": "p1"}
     assert is_in_n(rel) and is_in_m(rel)
-    assert len(rel.target) == len(ab)
 
 
 def test_special_can_fail_while_levelwise_holds():
@@ -167,10 +171,97 @@ def test_matching_data_over_random_transformations():
     for _ in range(10):
         nt = random_nattrans(rng, random_poset(rng, 4), 3)
         for x in nt.shape.elements:
-            _, (carrier, proj_fiber, proj_limit), relative = matching_data(nt, x)
-            assert relative.source == nt.source.at(x)
+            (carrier, projections), relative = matching_data(nt, x)
+            below = nt.shape.strict_downset(x)
+            assert list(projections) == [*below, x]
+            assert relative.source == nt.source.at(x) and relative.target == carrier
             for e in nt.source.at(x).carrier:
-                assert proj_fiber(relative(e)) == nt.at(x)(e)
+                assert projections[x](relative(e)) == nt.at(x)(e)
+                for s in below:
+                    assert projections[s](relative(e)) == nt.source.arrow(x, s)(e)
+
+
+def pullback_reference(nt, x):
+    """The matching pullback at x as the old path took it: the whole
+    matching limit of the source, the map of limits into the target's, then
+    the pullback against the target fiber's map into its matching limit.
+    Returns its carrier ids, each id's row (family's values below x, d),
+    and each source element's row under the relative map."""
+    below = Reysha(nt.shape, nt.shape.strict_downset(x))
+    source_limit = limit_over_poset(nt.source.restrict(below))
+    target_limit = limit_over_poset(nt.target.restrict(below))
+    legs = {s: nt.target.arrow(x, s) for s in below.members}
+    fiber_map = cone_into_limit(nt.target.at(x), legs, target_limit)
+    pb = pullback(limit_map(source_limit, target_limit, nt.components), fiber_map)
+    carrier, to_limit, to_fiber = pb
+    rows = {p: (tuple(source_limit[1][s](to_limit(p)) for s in below.members), to_fiber(p)) for p in carrier.carrier}
+    into_limit = cone_into_limit(nt.source.at(x), {s: nt.source.arrow(x, s) for s in below.members}, source_limit)
+    relative = induced_into_pullback(pb, into_limit, nt.at(x))
+    return carrier.carrier, rows, {e: rows[relative(e)] for e in nt.source.at(x).carrier}
+
+
+def test_matching_pullback_equals_the_pullback_of_the_matching_limits():
+    rng = random.Random(1901)
+    for _ in range(200):
+        nt = random_nattrans(rng, random_poset(rng, 5), 3)
+        for x in nt.shape.elements:
+            carrier, projections = matching_pullback(nt.source, nt.components, nt.target, x)
+            below = nt.shape.strict_downset(x)
+            rows = {p: (tuple(projections[s](p) for s in below), projections[x](p)) for p in carrier.carrier}
+            ids, expected, relative_rows = pullback_reference(nt, x)
+            # the same ids with the same rows, in the same order
+            assert carrier.carrier == ids
+            assert list(rows.items()) == list(expected.items())
+            # the relative map sends each source element to the same (family, d)
+            relative = matching_data(nt, x)[1]
+            assert {e: rows[relative(e)] for e in nt.source.at(x).carrier} == relative_rows
+
+
+def test_matching_pullback_refuses_legs_that_are_no_cone_or_lie_over_another_d():
+    # 0 < 1 < t, the identity on a constant diagram: P(t) holds the
+    # families (a, a) and (b, b) below t, each over its own value at t
+    shape = FinPoset.make(("0", "1", "t"), [("0", "1"), ("1", "t")])
+    ab = BaseObject(("a", "b"))
+    const = constant_diagram(shape, ab)
+    ident = {x: identity(ab) for x in shape.elements}
+    pb = matching_pullback(const, ident, const, "t")
+    assert [[pb[1][s](p) for s in ("0", "1", "t")] for p in pb[0].carrier] == [["a", "a", "a"], ["b", "b", "b"]]
+    assert cone_into_limit(ab, ident, pb).mapping == {"a": "p0", "b": "p1"}
+    swap = morphism(ab, ab, {"a": "b", "b": "a"})
+    # the legs at 0 and 1 disagree along 1 >= 0: no cone below t
+    with pytest.raises(DiagramError, match="the legs do not form a cone"):
+        cone_into_limit(ab, {"0": identity(ab), "1": swap, "t": identity(ab)}, pb)
+    # a cone below t that lies over another d
+    with pytest.raises(DiagramError, match="the legs do not form a cone"):
+        cone_into_limit(ab, {"0": identity(ab), "1": identity(ab), "t": swap}, pb)
+    # a component of the wrong type is refused before its values are read
+    other = BaseObject(("a", "b", "c"))
+    with pytest.raises(DiagramError, match="ill-typed component at '0'"):
+        matching_pullback(const, {**ident, "0": morphism(ab, other, {"a": "a", "b": "b"})}, const, "t")
+
+
+def test_is_special_refuses_a_component_with_another_target():
+    # a < b, constant diagrams on X and Y; the component at a lands in Z,
+    # which is not the target fiber Y, though its values lie in Y
+    chain = FinPoset.make(("a", "b"), [("a", "b")])
+    xs, ys, zs = BaseObject(("x0", "x1")), BaseObject(("y0",)), BaseObject(("y0", "y1"))
+    src = Diagram.make(chain, {"a": xs, "b": xs}, {("b", "a"): identity(xs)})
+    tgt = Diagram.make(chain, {"a": ys, "b": ys}, {("b", "a"): identity(ys)})
+    bad = NatTrans(
+        src, tgt, {"a": morphism(xs, zs, {"x0": "y0", "x1": "y0"}), "b": morphism(xs, ys, {"x0": "y0", "x1": "y0"})}
+    )
+    assert not is_special(bad, "M")
+    with pytest.raises(NotSpecial, match="no relative matching map at 'a'"):
+        next(special_matching_data(bad, "M"))
+    empty = BaseObject(())
+    problem = LiftingProblem(
+        morphism(empty, empty, {}),
+        bad,
+        {t: morphism(empty, xs, {}) for t in chain.elements},
+        {t: morphism(empty, ys, {}) for t in chain.elements},
+    )
+    with pytest.raises(LiftingError):
+        lift_against_special(problem)
 
 
 def test_elements_with_one_strict_downset_share_one_matching_limit(monkeypatch):

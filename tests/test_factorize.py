@@ -1,11 +1,12 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from profact.base import TARGET_TAG, BaseMorphism, BaseObject, compose, factorize_base, identity, morphism
-from profact import diagrams
-from profact.diagrams import Diagram, NatTrans, PartialDiagram, is_levelwise, is_special
+from profact import diagrams, factorize
+from profact.diagrams import Diagram, NatTrans, PartialDiagram, is_levelwise, is_special, matching_pullback
 from profact.factorize import (
     FactorizeError,
     PreMorphism,
@@ -107,42 +108,62 @@ def test_reedy_restriction_coherence_randomized():
                 assert full.right.at(x) == sub.right.at(x)
 
 
-def test_verify_with_a_fresh_memo_gives_the_report():
-    # reedy verifies through its construction's memo of f.target; a fresh
-    # memo takes every limit of f.target and every fiber's map again
+def test_verify_gives_the_report_without_the_construction_details():
+    # verify reads the three transformations alone: dropping the
+    # construction's StepData changes nothing
     rng = random.Random(181)
     for _ in range(50):
         nt = random_nattrans(rng, random_poset(rng, 5), 3)
         rf = reedy(nt)
-        assert rf.verify(PartialDiagram.of(nt.target)) == rf.report
+        assert rf.verify() == rf.report
+        assert ReedyFactorization(nt, rf.mid, rf.left, rf.right).verify() == rf.report
 
 
-def test_a_shared_target_memo_keeps_each_walks_verdict():
-    # the memo holds the target's matching limits and its fibers' maps into
-    # them, which depend on the target alone: a walk of one transformation
-    # into it cannot hand a verdict to a walk of another
+def special_bruteforce(nt):
+    """Whether every pair (compatible family of the source below x, d in
+    the target at x) on which the components and the target's arrows agree
+    is the image of a source element, at every x: each family is found by
+    walking all value tuples on the strict downset."""
+    shape, source, target = nt.shape, nt.source, nt.target
+    for x in shape.elements:
+        below = shape.strict_downset(x)
+        hit = {
+            (tuple(source.arrow(x, s)(e) for s in below), nt.at(x)(e)) for e in source.at(x).carrier
+        }
+        for values in itertools.product(*(source.at(s).carrier for s in below)):
+            family = dict(zip(below, values))
+            if any(source.arrow(s, s2)(family[s]) != family[s2] for s in below for s2 in shape.strict_downset(s)):
+                continue
+            for d in target.at(x).carrier:
+                over_d = all(nt.at(s)(family[s]) == target.arrow(x, s)(d) for s in below)
+                if over_d and (values, d) not in hit:
+                    return False
+    return True
+
+
+def test_is_special_verdicts_match_the_bruteforce_walk_both_ways():
     rng = random.Random(182)
     verdicts = Counter()
     for _ in range(50):
         nt = random_nattrans(rng, random_poset(rng, 5), 3)
-        special = reedy(nt).right
-        expected = is_special(nt, "M")
+        expected = special_bruteforce(nt)
         verdicts[expected] += 1
-        memo = PartialDiagram.of(nt.target)
-        assert is_special(special, "M", target=memo)
-        assert is_special(nt, "M", target=memo) == expected
-        memo = PartialDiagram.of(nt.target)
-        assert is_special(nt, "M", target=memo) == expected
-        assert is_special(special, "M", target=memo)
+        assert is_special(nt, "M") == expected
+        special = reedy(nt).right
+        assert is_special(special, "M") and special_bruteforce(special)
     assert verdicts[True] and verdicts[False]
 
 
 def test_mid_object_cardinality_two_chain():
     f = chain_arrow()
     rf = reedy(f)
-    # at the top the mid object is the source fiber plus the pullback carrier
-    pullback_size = len(rf.details["1"].pullback[0])
-    assert len(rf.mid.at("1")) == len(f.source.at("1")) + pullback_size
+    # the mid object is the source fiber plus the matching pullback: the
+    # target fiber at the bottom, both middle elements over y0 at the top
+    sizes = {x: len(rf.details[x].pullback[0]) for x in f.shape.elements}
+    assert sizes == {"0": 1, "1": 2}
+    for x in f.shape.elements:
+        assert len(rf.mid.at(x)) == len(f.source.at(x)) + sizes[x]
+        assert rf.details[x].pullback == matching_pullback(rf.mid, rf.right.components, f.target, x)
 
 
 def test_chi_identity_pre_morphism_gives_identity():
@@ -355,29 +376,37 @@ def test_constructed_maps_pass_the_public_checks():
         rf = reedy(f)
         maps = [*rf.mid.arrows.values(), *rf.left.components.values(), *rf.right.components.values()]
         for step in rf.details.values():
-            maps += [*step.limit[1].values(), *step.pullback[1:], step.into_pullback]
+            maps += [*step.pullback[1].values(), step.into_pullback]
         for m in maps:
             assert BaseMorphism(m.source, m.target, dict(m.mapping)) == m
 
 
-def test_verify_shares_only_the_input_target_limits(monkeypatch):
-    # the construction takes every limit of the middle diagram and of
-    # f.target; verify takes the middle ones again and reuses f.target's
+def test_verify_shares_nothing_with_the_construction(monkeypatch):
+    # the construction takes one matching pullback per element of the
+    # growing middle diagram; verify takes each again from rf.mid, equal
+    # but its own, and neither takes a matching limit
     rng = random.Random(59)
     inputs = [random_nattrans(rng, random_poset(rng, 5), 3) for _ in range(10)]
-    limit_over_poset = diagrams.limit_over_poset
     calls = []
-    monkeypatch.setattr(diagrams, "limit_over_poset", lambda d: calls.append(d) or limit_over_poset(d))
+
+    def spy(upper, components, lower, x):
+        calls.append((upper, components, lower, x, matching_pullback(upper, components, lower, x)))
+        return calls[-1][-1]
+
+    def refuse(*args):
+        raise AssertionError("a matching limit was taken")
+
+    for module in (diagrams, factorize):
+        monkeypatch.setattr(module, "matching_pullback", spy)
+    monkeypatch.setattr(diagrams, "limit_over_poset", refuse)
     for f in inputs:
         calls.clear()
         rf = reedy(f)
         assert all(rf.report.values())
-        strict = {f.shape.strict_downset(x) for x in f.shape.elements}
-        # the empty strict downset has no fiber to tell the diagrams apart
-        assert sum(1 for d in calls if not d.shape.elements) == 3
-        layers = Counter(
-            (d.shape.elements, "target" if d.at(d.shape.elements[0]) is f.target.at(d.shape.elements[0]) else "mid")
-            for d in calls
-            if d.shape.elements
-        )
-        assert layers == Counter({(s, "mid"): 2 for s in strict if s} | {(s, "target"): 1 for s in strict if s})
+        order = list(f.shape.in_degree_order())
+        built, checked = calls[: len(order)], calls[len(order) :]
+        assert [c[3] for c in built] == order and [c[3] for c in checked] == order
+        for (upper, _, lower, x, pb), (mid, components, target, _, again) in zip(built, checked):
+            assert isinstance(upper, PartialDiagram) and lower is f.target
+            assert mid is rf.mid and components is rf.right.components and target is f.target
+            assert pb is rf.details[x].pullback and again == pb and again is not pb

@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 
 import pytest
@@ -266,27 +265,25 @@ def test_lift_rejects_non_special_right():
 
 
 def test_lift_takes_each_matching_limit_once(monkeypatch):
-    # the specialness check and the lift share one walk, so each distinct
-    # strict downset's limit is taken once per layer of the right map
+    # the specialness check and the lift share one walk, which takes one
+    # limit per element: the right map's matching pullback, in degree
+    # order; no matching limit is built
     rng = random.Random(53)
     problems = [random_special_problem(rng, 5, 3) for _ in range(10)]
-    limit_over_poset = diagrams.limit_over_poset
+    matching_pullback = diagrams.matching_pullback
     calls = []
-    monkeypatch.setattr(diagrams, "limit_over_poset", lambda d: calls.append(d) or limit_over_poset(d))
+
+    def refuse(*args):
+        raise AssertionError("a matching limit was taken")
+
+    monkeypatch.setattr(diagrams, "matching_pullback", lambda *args: calls.append(args) or matching_pullback(*args))
+    monkeypatch.setattr(diagrams, "limit_over_poset", refuse)
     for problem in problems:
         calls.clear()
         cone = lift_against_special(problem)
         assert all(cone.verify(problem).values())
         f = problem.right
-        strict = {f.shape.strict_downset(x) for x in f.shape.elements}
-        # the empty strict downset has no fiber to tell the layers apart
-        assert sum(1 for d in calls if not d.shape.elements) == 2
-        layers = Counter(
-            (d.shape.elements, "source" if d.at(d.shape.elements[0]) is f.source.at(d.shape.elements[0]) else "target")
-            for d in calls
-            if d.shape.elements
-        )
-        assert layers == Counter({(s, layer): 1 for s in strict if s for layer in ("source", "target")})
+        assert calls == [(f.source, f.components, f.target, x) for x in f.shape.in_degree_order()]
 
 
 def test_lift_rejects_right_family_whose_squares_do_not_commute():

@@ -6,11 +6,13 @@ shape, or its per-layer counts go blind."""
 import importlib
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
-from profact import diagrams
+from profact import base, diagrams
 from profact.factorize import reedy
-from profact.randgen import random_nattrans, random_poset
+from profact.lifting import lift_against_special
+from profact.randgen import random_nattrans, random_poset, random_special_problem
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -34,25 +36,42 @@ def test_every_traced_target_resolves():
         assert hasattr(owner, attr), f"{module}.{path}"
 
 
-def test_reedy_takes_every_matching_limit_through_the_traced_call(monkeypatch):
-    """The traced run counts diagrams.limit_over_poset calls and reads each
-    call's one positional Diagram.  So reedy takes every matching limit
-    through that call: once per distinct strict downset of f.shape in each
-    of its three memos, those of f.target, of the construction's middle
-    diagram and of the verifier's middle diagram."""
+def spy_on_every_binding(monkeypatch, module, name):
+    """Record every call of module.name, in each profact module that binds
+    it, as the traced run's wrappers do."""
     calls = []
-    original = diagrams.limit_over_poset
+    original = getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(diagrams, "limit_over_poset", spy)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("profact") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_reedy_takes_every_matching_limit_through_the_traced_call(monkeypatch):
+    """The traced run counts diagrams.limit_over_poset and base.pullback
+    calls and reads each limit call's one positional Diagram.  reedy and
+    lift_against_special take every matching pullback in one join and call
+    neither; the generators that still take whole limits pass one Diagram."""
+    limits = spy_on_every_binding(monkeypatch, diagrams, "limit_over_poset")
+    pullbacks = spy_on_every_binding(monkeypatch, base, "pullback")
+    joins = spy_on_every_binding(monkeypatch, diagrams, "matching_pullback")
     rng = random.Random(1805)
-    for _ in range(200):
+    for i in range(200):
         f = random_nattrans(rng, random_poset(rng, 5), 3)
-        calls.clear()
+        problem = random_special_problem(rng, 5, 3) if i % 4 == 0 else None
+        assert limits and all(len(a) == 1 and not k and isinstance(a[0], diagrams.Diagram) for a, k in limits)
+        limits.clear()
+        joins.clear()
         reedy(f)
-        assert all(len(args) == 1 and not kwargs and isinstance(args[0], diagrams.Diagram) for args, kwargs in calls)
-        downsets = {f.shape.strict_downset(x) for x in f.shape.elements}
-        assert len(calls) == 3 * len(downsets)
+        # one join per element in the construction and one in its check
+        assert len(joins) == 2 * len(f.shape.elements)
+        if problem is not None:
+            joins.clear()
+            lift_against_special(problem)
+            assert len(joins) == len(problem.right.shape.elements)
+        assert not limits and not pullbacks
