@@ -96,11 +96,13 @@ fmt_option = click.option("--format", "fmt", type=click.Choice(["json", "text"])
 out_option = click.option("-o", "--output", default=None, help="Write the report to a file.")
 
 
-# the one place a library error becomes an exit code, with its message as
-# the error line; SearchExhausted is not here, as no command reaches the
-# brute-force oracle.  Errors are named, not imported, since a command
-# loads only its own modules; no error here subclasses another.
+# the one place a library or usage error becomes an exit code, with its
+# message as the error line; SearchExhausted is not here, as no command
+# reaches the brute-force oracle.  Errors are named, not imported, since a
+# command loads only its own modules; no error here subclasses another.
+# A usage error is malformed input, not the code 2 that click gives it
 _EXIT_CODES: dict[str, int] = {
+    "click.exceptions.UsageError": EXIT_PARSE,
     "profact.serialize.ParseError": EXIT_PARSE,
     "profact.cofinalize.BudgetExceeded": EXIT_EXHAUSTED,
     "profact.procalc.TruncationExhausted": EXIT_EXHAUSTED,
@@ -121,8 +123,15 @@ def _exit_code(exc: BaseException) -> int | None:
 
 
 class _Commands(click.Group):
-    """The command group: a command that raises an error in _EXIT_CODES
-    ends with that error's line and code."""
+    """The command group: a usage error, or a command that raises an error
+    in _EXIT_CODES, ends with that error's line and code."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        # the group's own arguments are parsed before invoke, outside it
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            _fail(exc.format_message(), _exit_code(exc))
 
     def invoke(self, ctx: click.Context):
         try:
@@ -131,7 +140,8 @@ class _Commands(click.Group):
             code = _exit_code(exc)
             if code is None:
                 raise
-            _fail(str(exc), code)
+            # a click error's full message names the option or argument
+            _fail(exc.format_message() if isinstance(exc, click.ClickException) else str(exc), code)
 
 
 @click.group(cls=_Commands)
@@ -193,7 +203,7 @@ def lift_cmd(input_path: str, output: str | None, fmt: str) -> None:
 @fmt_option
 def cofinalize_cmd(input_path: str, levels: int, reysha_cap: int, output: str | None, fmt: str) -> None:
     """Build the level tower over a directed category and verify it."""
-    # click.IntRange would exit 2, the code kept for resource blow-ups
+    # checked here rather than by click.IntRange, so the line says what the option must be
     for option, value in (("--levels", levels), ("--reysha-cap", reysha_cap)):
         if value < 0:
             _fail(f"{option} must be a non-negative integer, got {value}", EXIT_PARSE)

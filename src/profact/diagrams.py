@@ -84,24 +84,17 @@ class Diagram:
         return self.arrows[(x, y)]
 
     def restrict(self, reysha: Reysha) -> "Diagram":
+        """The restriction of a functor is a functor, so it is built without
+        Diagram.make's checks; its arrows are read off the downsets of the
+        restricted shape, which are the members' own."""
         if reysha.parent != self.shape:
             raise DiagramError("Reysha belongs to a different poset")
-        return _restriction(self, self.shape._restrict_downward(reysha.members))
-
-
-def _restriction(diagram: Diagram | PartialDiagram, shape: FinPoset) -> Diagram:
-    """The part of a Diagram or PartialDiagram over shape, which is its own
-    shape restricted to a downward closed subset.
-
-    The restriction of a functor is a functor, so it is built without
-    Diagram.make's checks; its arrows are read off the downsets of shape.
-    """
-    objects, arrows = diagram.objects, diagram.arrows
-    return Diagram(
-        shape,
-        {x: objects[x] for x in shape.elements},
-        {(x, y): arrows[(x, y)] for x in shape.elements for y in shape.downset(x)},
-    )
+        shape = self.shape.restrict(reysha.members)
+        return Diagram(
+            shape,
+            {x: self.objects[x] for x in shape.elements},
+            {(x, y): self.arrows[(x, y)] for x in shape.elements for y in shape.downset(x)},
+        )
 
 
 @dataclass(frozen=True)
@@ -140,10 +133,9 @@ class NatTrans:
     def restrict(self, reysha: Reysha) -> "NatTrans":
         """The restriction of a natural transformation is natural, so it is
         built without NatTrans.make's checks."""
-        source = self.source.restrict(reysha)
         return NatTrans(
-            source,
-            _restriction(self.target, source.shape),
+            self.source.restrict(reysha),
+            self.target.restrict(reysha),
             {x: self.components[x] for x in reysha.members},
         )
 
@@ -154,8 +146,8 @@ class Limit(tuple):
     index is what cone_into_limit looks a cone's legs up in: the elements
     of the limit's shape, and the carrier element of each compatible
     family of values on them.  It is built on first use, since many limits
-    are never mapped into; a limit that a memo shares shares its index.
-    matching_pullback sets it at once from the columns it already holds.
+    are never mapped into.  matching_pullback sets it at once from the
+    columns it already holds.
     """
 
     # a plain property: functools.cached_property takes a lock on first
@@ -182,6 +174,19 @@ def limit_over_poset(diagram: Diagram) -> Limit:
     positional ("l0", "l1", ...) in the canonical enumeration order, which
     is the lexicographic order on the values at the maximal elements
     (everything else is determined by the arrows).
+    """
+    return _limit(diagram, diagram.shape.elements)
+
+
+def matching_limit(diagram: Diagram, x: str) -> Limit:
+    """The limit of the diagram restricted to the strict downset of x,
+    taken without restricting: the diagram need only be built below x."""
+    return _limit(diagram, diagram.shape.strict_downset(x))
+
+
+def _limit(diagram: Diagram, members: tuple[str, ...]) -> Limit:
+    """The limit over members, a downward closed subset of the shape in
+    canonical order, with a projection to each member.
 
     The families are built as an ordered join: the maximal fibers are added
     one at a time, each bucketed by its values on the elements that earlier
@@ -191,12 +196,12 @@ def limit_over_poset(diagram: Diagram) -> Limit:
     maximal elements; every element reads its value through the first
     maximal element above it.
     """
-    shape = diagram.shape
-    if not shape.elements:
+    if not members:
         return Limit((TERMINAL, {}))
-    # an element is maximal iff it lies in no strict downset
-    covered = {y for x in shape.elements for y in shape.strict_downset(x)}
-    maximal = [x for x in shape.elements if x not in covered]
+    shape = diagram.shape
+    # a member is maximal iff it lies in no member's strict downset
+    covered = {y for x in members for y in shape.strict_downset(x)}
+    maximal = [x for x in members if x not in covered]
     # element -> (position of the first maximal element above it, the
     # arrow's mapping from that maximal fiber)
     through: dict[str, tuple[int, dict[str, str]]] = {}
@@ -219,7 +224,7 @@ def limit_over_poset(diagram: Diagram) -> Limit:
     carrier = BaseObject(ids)
     projections = {
         x: BaseMorphism._trusted(carrier, diagram.at(x), dict(zip(ids, _values_through(through[x], families))))
-        for x in shape.elements
+        for x in members
     }
     return Limit((carrier, projections))
 
@@ -259,15 +264,14 @@ def limit_map(source_limit: Limit, target_limit: Limit, components: dict[str, Ba
     return into_limit(src_obj, columns, target_limit)
 
 
-def matching_pullback(upper, components: dict[str, BaseMorphism], lower, x: str) -> Limit:
+def matching_pullback(upper: Diagram, components: dict[str, BaseMorphism], lower: Diagram, x: str) -> Limit:
     """The matching pullback P(x) = M_x upper ×_{M_x lower} lower(x) of the
     components upper(s) -> lower(s) at the elements s below x.
 
-    upper and lower are Diagrams or PartialDiagrams over one shape, upper
-    built at least below x and lower at least up to x.  A row is a pair
-    (family, d) of a compatible family of upper over the strict downset of
-    x and a d in lower(x) with the same image in every lower(s).  Rows come
-    family-major, the families in limit_over_poset's lexicographic order
+    upper and lower are diagrams over one shape, upper built at least below
+    x and lower at least up to x.  A row is a pair (family, d) of a
+    compatible family of upper over the strict downset of x and a d in
+    lower(x) with the same image in every lower(s).  Rows come family-major, the families in limit_over_poset's lexicographic order
     and each family's d in lower(x)'s carrier order, with ids p0, p1, ....
     The result is the Limit with a projection to upper(s) for each s below
     x and one to lower(x) under x itself, so its index is keyed by the
@@ -350,55 +354,19 @@ def matching_pullback(upper, components: dict[str, BaseMorphism], lower, x: str)
     return pb
 
 
-class PartialDiagram:
-    """A diagram that may still be growing element by element, with each
-    matching limit computed once per strict downset.
-
-    objects and arrows are the caller's dicts and are read as they grow;
-    attach adds an element.  An element is added only after its whole
-    strict downset, and nothing added earlier changes, so a limit over a
-    strict downset stays valid and two elements with the same strict
-    downset share it, together with its index.  The memo lives as long as
-    this object: a generator builds one and drops it when done.
-    """
-
-    def __init__(
-        self,
-        shape: FinPoset,
-        objects: dict[str, BaseObject] | None = None,
-        arrows: dict[tuple[str, str], BaseMorphism] | None = None,
-    ) -> None:
-        self.shape = shape
-        self.objects = {} if objects is None else objects
-        self.arrows = {} if arrows is None else arrows
-        self._limits: dict[tuple[str, ...], Limit] = {}
-
-    @staticmethod
-    def of(diagram: Diagram) -> "PartialDiagram":
-        return PartialDiagram(diagram.shape, diagram.objects, diagram.arrows)
-
-    def matching_limit(self, x: str) -> Limit:
-        """The limit of the diagram restricted to the strict downset of x."""
-        strict = self.shape.strict_downset(x)
-        limit = self._limits.get(strict)
-        if limit is None:
-            below = _restriction(self, self.shape._restrict_downward(strict))
-            limit = self._limits[strict] = limit_over_poset(below)
-        return limit
-
-    def attach(
-        self, x: str, fiber: BaseObject, into: BaseMorphism, projections: dict[str, BaseMorphism] | None = None
-    ) -> None:
-        """Add x with its fiber and into: fiber -> L, where L is
-        matching_limit(x) or, given its projections to each fiber below x,
-        any object over them, as a matching pullback is.  The arrow to each
-        s below x is the projection to s after into, which keeps the grown
-        diagram a functor."""
-        projections = self.matching_limit(x)[1] if projections is None else projections
-        self.objects[x] = fiber
-        self.arrows[(x, x)] = identity(fiber)
-        for s in self.shape.strict_downset(x):
-            self.arrows[(x, s)] = compose(projections[s], into)
+def attach(
+    diagram: Diagram, x: str, fiber: BaseObject, into: BaseMorphism, projections: dict[str, BaseMorphism]
+) -> None:
+    """Add x with its fiber to a diagram under construction, an unchecked
+    Diagram(shape, {}, {}) grown in degree order.  into: fiber -> L maps
+    into any L with the given projections to each fiber below x, as a
+    matching limit or matching pullback has.  The arrow to each s below x
+    is the projection to s after into, which keeps the grown diagram a
+    functor."""
+    diagram.objects[x] = fiber
+    diagram.arrows[(x, x)] = identity(fiber)
+    for s in diagram.shape.strict_downset(x):
+        diagram.arrows[(x, s)] = compose(projections[s], into)
 
 
 def is_levelwise(nt: NatTrans, cls: str) -> bool:

@@ -25,7 +25,7 @@ from .diagrams import (
     DiagramError,
     Limit,
     NatTrans,
-    PartialDiagram,
+    attach,
     into_limit,
     is_levelwise,
     is_special,
@@ -76,7 +76,7 @@ class ReedyFactorization:
 
 def _step(
     f: NatTrans,
-    mid: PartialDiagram,
+    mid: Diagram,
     left: dict[str, BaseMorphism],
     right: dict[str, BaseMorphism],
     details: dict[str, StepData],
@@ -91,7 +91,7 @@ def _step(
     columns.append(map(f.at(x).mapping.__getitem__, apex.carrier))
     u = into_limit(apex, columns, pb)
     triple = factorize_base(u)
-    mid.attach(x, triple.mid, triple.right, projections)
+    attach(mid, x, triple.mid, triple.right, projections)
     left[x] = triple.left
     right[x] = compose(projections[x], triple.right)
     details[x] = StepData(pb, u)
@@ -101,7 +101,7 @@ def _construct(f: NatTrans):
     """Run _step over every element in (degree, canonical) order.  The
     middle diagram is local to this call, so it is gone before the result
     is assembled and verified."""
-    mid = PartialDiagram(f.shape)
+    mid = Diagram(f.shape, {}, {})
     left: dict[str, BaseMorphism] = {}
     right: dict[str, BaseMorphism] = {}
     details: dict[str, StepData] = {}

@@ -207,19 +207,6 @@ class FinPoset:
         down = self._down
         return FinPoset._from_downsets(elems, {x: tuple(y for y in down[x] if y in member_set) for x in elems})
 
-    def _restrict_downward(self, members: tuple[str, ...]) -> "FinPoset":
-        """restrict for members that are downward closed and in canonical
-        order, as a Reysha's are.  A member's downset and strict downset
-        lie inside such a set, so each is copied, not recomputed."""
-        down, strict = self._down, self._strict
-        return FinPoset(
-            members,
-            frozenset((y, x) for x in members for y in down[x]),
-            {x: i for i, x in enumerate(members)},
-            {x: down[x] for x in members},
-            {x: strict[x] for x in members},
-        )
-
     def in_degree_order(self) -> tuple[str, ...]:
         """Elements sorted by (degree, canonical position)."""
         degree = self._degrees()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .base import BaseMorphism, BaseObject, compose
-from .diagrams import Diagram, NatTrans, PartialDiagram, cone_into_limit, limit_over_poset, matching_pullback
+from .diagrams import Diagram, NatTrans, attach, cone_into_limit, limit_over_poset, matching_limit, matching_pullback
 from .factorize import PreMorphism, check_arrow_pre_morphism
 from .poset import FinPoset
 from .procalc import ProObject, RawMorphism, restrict
@@ -78,13 +78,13 @@ def random_diagram(
 ) -> Diagram:
     """Random functor: each fiber maps randomly into the limit of the part
     already built below it."""
-    built = PartialDiagram(shape)
+    built = Diagram(shape, {}, {})
     for x in shape.in_degree_order():
-        lim_obj = built.matching_limit(x)[0]
+        lim_obj, projections = matching_limit(built, x)
         size = rng.randint(1, max_fiber) if lim_obj.carrier else 0
         fiber = BaseObject(tuple(f"{prefix}{x}_{i}" for i in range(size)))
         into = random_map(rng, fiber, lim_obj) if fiber.carrier else BaseMorphism(fiber, lim_obj, {})
-        built.attach(x, fiber, into)
+        attach(built, x, fiber, into, projections)
     return Diagram.make(shape, built.objects, built.arrows)
 
 
@@ -95,7 +95,7 @@ def random_nattrans(rng: random.Random, shape: FinPoset, max_fiber: int) -> NatT
         target = random_diagram(rng, shape, max_fiber, prefix="y")
         if _estimated_cost_ok(shape, {x: len(target.at(x)) for x in shape.elements}):
             break
-    built = PartialDiagram(shape)
+    built = Diagram(shape, {}, {})
     components: dict[str, BaseMorphism] = {}
     for x in shape.in_degree_order():
         carrier, projections = matching_pullback(built, components, target, x)
@@ -107,7 +107,7 @@ def random_nattrans(rng: random.Random, shape: FinPoset, max_fiber: int) -> NatT
         size = rng.randint(1, max_fiber) if rows else 0
         fiber = BaseObject(tuple(f"x{x}_{i}" for i in range(size)))
         into = BaseMorphism(fiber, carrier, {e: rng.choice(rows) for e in fiber.carrier})
-        built.attach(x, fiber, into, projections)
+        attach(built, x, fiber, into, projections)
         components[x] = compose(projections[x], into)
     source = Diagram.make(shape, built.objects, built.arrows)
     return NatTrans.make(source, target, components)
@@ -129,10 +129,10 @@ def junk_extend(
     fiber is the source fiber plus freshly chosen junk mapped into the
     limit of the part below."""
     shape = source.shape
-    built = PartialDiagram(shape)
+    built = Diagram(shape, {}, {})
     components: dict[str, BaseMorphism] = {}
     for b in shape.in_degree_order():
-        limit = built.matching_limit(b)
+        limit = matching_limit(built, b)
         junk_size = rng.randint(0, max_junk) if limit[0].carrier else 0
         originals = tuple("o:" + x for x in source.at(b).carrier)
         junk = tuple(f"{prefix}:{i}" for i in range(junk_size))
@@ -145,7 +145,7 @@ def junk_extend(
         families = cone_into_limit(source.at(b), legs, limit).mapping
         into = {"o:" + x: families[x] for x in source.at(b).carrier}
         into.update({j: rng.choice(limit[0].carrier) for j in junk})
-        built.attach(b, fiber, BaseMorphism(fiber, limit[0], into))
+        attach(built, b, fiber, BaseMorphism(fiber, limit[0], into), limit[1])
     extended = Diagram.make(shape, built.objects, built.arrows)
     return extended, NatTrans.make(source, extended, components)
 

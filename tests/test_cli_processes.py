@@ -60,8 +60,37 @@ TOWERS = ["-F", fixture("merge_tower_F.json"), "-G", fixture("merge_tower_G.json
         ),
         (["reedy", "no_such_file.json"], {}, 3, "no_such_file.json: file not found"),
         (["reedy", fixture("broken_naturality.json")], {}, 3, "naturality fails on 't' >= 'x0'"),
+        # usage errors are malformed input: 3, not click's 2, which a budget blow-up gives
+        (
+            ["cofinalize", fixture("chain3.json"), "--levels", "abc"],
+            {},
+            3,
+            "Invalid value for '--levels': 'abc' is not a valid integer",
+        ),
+        (["suite", "--seed", "x"], {}, 3, "Invalid value for '--seed': 'x' is not a valid integer"),
+        (["reedy"], {}, 3, "Missing argument 'INPUT_PATH'"),
+        (["reedy", "a", "b"], {}, 3, "Got unexpected extra argument (b)"),
+        (["reedy", "--bogus", "x"], {}, 3, "No such option '--bogus'"),
+        (["check", "nope", "x"], {}, 3, "'nope' is not one of 'directed-category'"),
+        (["nosuch"], {}, 3, "No such command 'nosuch'"),
+        (["--bogus"], {}, 3, "No such option '--bogus'"),
     ],
-    ids=["reedy", "cofinalize-error", "merge-unequal", "budget", "missing-file", "parse-error"],
+    ids=[
+        "reedy",
+        "cofinalize-error",
+        "merge-unequal",
+        "budget",
+        "missing-file",
+        "parse-error",
+        "usage-bad-int",
+        "usage-suite-seed",
+        "usage-missing-argument",
+        "usage-extra-argument",
+        "usage-unknown-option",
+        "usage-bad-choice",
+        "usage-unknown-command",
+        "usage-unknown-group-option",
+    ],
 )
 def test_exit_code_in_a_fresh_interpreter(args, extra, code, error):
     result = python("-m", "profact.cli", *args, **extra)
@@ -73,6 +102,14 @@ def test_exit_code_in_a_fresh_interpreter(args, extra, code, error):
         assert result.stderr.startswith("error: ")
         assert error in result.stderr
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args", [["--help"], ["reedy", "--help"]])
+def test_help_exits_0_with_the_usage_text(args):
+    # click ends --help with an exit that the usage-error line lets through
+    result = python("-m", "profact.cli", *args)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("Usage: ") and result.stderr == ""
 
 
 def test_every_error_in_the_table_is_a_distinct_class():

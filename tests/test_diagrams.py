@@ -11,13 +11,14 @@ from profact.diagrams import (
     DiagramError,
     NatTrans,
     NotSpecial,
-    PartialDiagram,
+    attach,
     cone_into_limit,
     is_levelwise,
     is_special,
     limit_map,
     limit_over_poset,
     matching_data,
+    matching_limit,
     matching_pullback,
     special_matching_data,
 )
@@ -264,23 +265,14 @@ def test_is_special_refuses_a_component_with_another_target():
         lift_against_special(problem)
 
 
-def test_elements_with_one_strict_downset_share_one_matching_limit(monkeypatch):
-    from profact import diagrams
-
+def test_elements_with_one_strict_downset_have_one_matching_limit():
     # x0 < t1 and x0 < t2: the two tops have the strict downset (x0,)
     shape = FinPoset.make(("x0", "t1", "t2"), [("x0", "t1"), ("x0", "t2")])
     diagram = random_diagram(random.Random(3), shape, 3)
-    calls = []
-    monkeypatch.setattr(diagrams, "limit_over_poset", lambda d: calls.append(d) or limit_over_poset(d))
-    limits = PartialDiagram.of(diagram)
-    first = limits.matching_limit("t1")
-    assert limits.matching_limit("t2") is first
-    assert len(calls) == 1
+    first = matching_limit(diagram, "t1")
+    assert matching_limit(diagram, "t2") == first
     below = diagram.restrict(Reysha(shape, ("x0",)))
     assert first == limit_over_poset(below)
-    # a fresh owner computes its own
-    assert PartialDiagram.of(diagram).matching_limit("t2") is not first
-    assert len(calls) == 2
 
 
 def test_limit_follows_the_maximal_elements_in_canonical_order():
@@ -295,20 +287,17 @@ def test_limit_follows_the_maximal_elements_in_canonical_order():
     assert [(proj["t"](e), proj["u"](e)) for e in lim.carrier] == [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
 
 
-def test_matching_index_is_shared_and_its_cone_check_stays_exact():
-    # 0 < 1 < t and 0 < 1 < u: t and u share the strict downset (0, 1)
+def test_matching_limit_equals_the_restricted_limit_and_its_cone_check_stays_exact():
+    # 0 < 1 < t and 0 < 1 < u: t and u have the strict downset (0, 1)
     shape = FinPoset.make(("0", "1", "t", "u"), [("0", "1"), ("1", "t"), ("1", "u")])
     ab = BaseObject(("a", "b"))
-    limits = PartialDiagram.of(constant_diagram(shape, ab))
-    limit = limits.matching_limit("t")
-    assert limits.matching_limit("u") is limit
-    index = limit.index
-    assert limits.matching_limit("u").index is index
-    # a limit taken afresh is equal, but builds an index of its own
-    fresh = limit_over_poset(constant_diagram(shape, ab).restrict(Reysha(shape, ("0", "1"))))
-    assert fresh == limit and fresh.index == index and fresh.index is not index
+    diagram = constant_diagram(shape, ab)
+    limit = matching_limit(diagram, "t")
+    assert matching_limit(diagram, "u") == limit
+    restricted = limit_over_poset(diagram.restrict(Reysha(shape, ("0", "1"))))
+    assert restricted == limit and restricted.index == limit.index
     cone = {"0": identity(ab), "1": identity(ab)}
-    assert cone_into_limit(ab, cone, limit) == cone_into_limit(ab, cone, fresh)
+    assert cone_into_limit(ab, cone, limit) == cone_into_limit(ab, cone, restricted)
     assert cone_into_limit(ab, cone, limit).mapping == {"a": "l0", "b": "l1"}
     # the legs disagree along 1 >= 0
     swapped = {"0": identity(ab), "1": morphism(ab, ab, {"a": "b", "b": "a"})}
@@ -318,13 +307,13 @@ def test_matching_index_is_shared_and_its_cone_check_stays_exact():
 
 def test_attach_writes_each_arrow_as_a_projection_after_the_map_into_the_limit():
     ab, p = BaseObject(("a", "b")), BaseObject(("p", "q"))
-    built = PartialDiagram(vee())
-    built.attach("x0", ab, morphism(ab, TERMINAL, {"a": "*", "b": "*"}))
-    built.attach("x1", ab, morphism(ab, TERMINAL, {"a": "*", "b": "*"}))
-    limit = built.matching_limit("t")
+    built = Diagram(vee(), {}, {})
+    attach(built, "x0", ab, morphism(ab, TERMINAL, {"a": "*", "b": "*"}), {})
+    attach(built, "x1", ab, morphism(ab, TERMINAL, {"a": "*", "b": "*"}), {})
+    limit = matching_limit(built, "t")
     # the families (x0, x1) in order: (a, a), (a, b), (b, a), (b, b)
     into = morphism(p, limit[0], {"p": "l1", "q": "l2"})
-    built.attach("t", p, into)
+    attach(built, "t", p, into, limit[1])
     assert built.objects["t"] is p
     assert built.arrows[("t", "t")] == identity(p)
     assert built.arrows[("t", "x0")].mapping == {"p": "a", "q": "b"}
@@ -397,6 +386,17 @@ def test_limit_equals_the_lexicographic_reference(diagram):
     for x, column in columns.items():
         assert proj[x].source == lim and proj[x].target == diagram.at(x)
         assert list(proj[x].mapping.items()) == column
+    # each matching limit, taken without restricting, is the limit of the
+    # restriction to the strict downset, projection by projection
+    shape = diagram.shape
+    for x in shape.elements:
+        got = matching_limit(diagram, x)
+        expected = limit_over_poset(diagram.restrict(Reysha(shape, shape.strict_downset(x))))
+        assert got[0] == expected[0]
+        assert [(s, p, list(p.mapping.items())) for s, p in got[1].items()] == [
+            (s, p, list(p.mapping.items())) for s, p in expected[1].items()
+        ]
+        assert got.index == expected.index
 
 
 def test_legs_that_are_not_a_cone_are_rejected_with_and_without_an_index():
@@ -416,16 +416,16 @@ def test_legs_that_are_not_a_cone_are_rejected_with_and_without_an_index():
 @pytest.mark.parametrize("size", [0, 1, 3])
 def test_every_apex_element_maps_into_the_terminal_limit(size):
     apex = BaseObject(tuple(f"w{i}" for i in range(size)))
-    limits = PartialDiagram.of(constant_diagram(vee(), apex))
+    diagram = constant_diagram(vee(), apex)
     # x0 is minimal: its matching limit is over the empty shape
-    terminal = limits.matching_limit("x0")
+    terminal = matching_limit(diagram, "x0")
     assert terminal == limit_over_poset(Diagram.make(FinPoset.make(()), {}))
     # before the index is built, and again once it is
     for _ in range(2):
         into = cone_into_limit(apex, {}, terminal)
         assert into.target == terminal[0]
         assert into.mapping == {w: "*" for w in apex.carrier}
-    source = limits.matching_limit("t")
+    source = matching_limit(diagram, "t")
     assert limit_map(source, terminal, {}).mapping == {e: "*" for e in source[0].carrier}
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from profact.base import TARGET_TAG, BaseMorphism, BaseObject, compose, factorize_base, identity, morphism
 from profact import diagrams, factorize
-from profact.diagrams import Diagram, NatTrans, PartialDiagram, is_levelwise, is_special, matching_pullback
+from profact.diagrams import Diagram, NatTrans, is_levelwise, is_special, matching_pullback
 from profact.factorize import (
     FactorizeError,
     PreMorphism,
@@ -399,6 +399,7 @@ def test_verify_shares_nothing_with_the_construction(monkeypatch):
     for module in (diagrams, factorize):
         monkeypatch.setattr(module, "matching_pullback", spy)
     monkeypatch.setattr(diagrams, "limit_over_poset", refuse)
+    monkeypatch.setattr(diagrams, "_limit", refuse)
     for f in inputs:
         calls.clear()
         rf = reedy(f)
@@ -407,6 +408,6 @@ def test_verify_shares_nothing_with_the_construction(monkeypatch):
         built, checked = calls[: len(order)], calls[len(order) :]
         assert [c[3] for c in built] == order and [c[3] for c in checked] == order
         for (upper, _, lower, x, pb), (mid, components, target, _, again) in zip(built, checked):
-            assert isinstance(upper, PartialDiagram) and lower is f.target
+            assert isinstance(upper, Diagram) and upper is not rf.mid and lower is f.target
             assert mid is rf.mid and components is rf.right.components and target is f.target
             assert pb is rf.details[x].pullback and again == pb and again is not pb

@@ -278,6 +278,7 @@ def test_lift_takes_each_matching_limit_once(monkeypatch):
 
     monkeypatch.setattr(diagrams, "matching_pullback", lambda *args: calls.append(args) or matching_pullback(*args))
     monkeypatch.setattr(diagrams, "limit_over_poset", refuse)
+    monkeypatch.setattr(diagrams, "_limit", refuse)
     for problem in problems:
         calls.clear()
         cone = lift_against_special(problem)

@@ -56,7 +56,8 @@ def test_reedy_takes_every_matching_limit_through_the_traced_call(monkeypatch):
     """The traced run counts diagrams.limit_over_poset and base.pullback
     calls and reads each limit call's one positional Diagram.  reedy and
     lift_against_special take every matching pullback in one join and call
-    neither; the generators that still take whole limits pass one Diagram."""
+    neither; the generators take their matching limits without it, and
+    random_special_problem's two whole limits pass one Diagram each."""
     limits = spy_on_every_binding(monkeypatch, diagrams, "limit_over_poset")
     pullbacks = spy_on_every_binding(monkeypatch, base, "pullback")
     joins = spy_on_every_binding(monkeypatch, diagrams, "matching_pullback")
@@ -64,7 +65,8 @@ def test_reedy_takes_every_matching_limit_through_the_traced_call(monkeypatch):
     for i in range(200):
         f = random_nattrans(rng, random_poset(rng, 5), 3)
         problem = random_special_problem(rng, 5, 3) if i % 4 == 0 else None
-        assert limits and all(len(a) == 1 and not k and isinstance(a[0], diagrams.Diagram) for a, k in limits)
+        assert bool(limits) == (problem is not None)
+        assert all(len(a) == 1 and not k and isinstance(a[0], diagrams.Diagram) for a, k in limits)
         limits.clear()
         joins.clear()
         reedy(f)
