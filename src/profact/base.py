@@ -109,6 +109,10 @@ def is_in_m(f: BaseMorphism) -> bool:
     return set(f.mapping.values()) == set(f.target.carrier)
 
 
+# the two classes by the names is_levelwise, is_special and check --cls take
+CLASSES = {"N": is_in_n, "M": is_in_m}
+
+
 def pullback(f: BaseMorphism, g: BaseMorphism) -> tuple[BaseObject, BaseMorphism, BaseMorphism]:
     """The fiber product of f: X -> Z and g: Y -> Z with coordinate projections.
 

@@ -18,6 +18,7 @@ import sys
 import click
 
 from . import serialize
+from .base import CLASSES
 from .poset import is_directed_poset
 from .serialize import ParseError, dumps
 
@@ -175,7 +176,7 @@ def chi_cmd(f_path: str, t_path: str, pm_path: str, output: str | None, fmt: str
     pm = serialize.arrow_pre_morphism_from_json(_load(pm_path), f, t, pm_path)
     from .factorize import chi_construct, reedy, verify_chi
     rf_f, rf_t = reedy(f), reedy(t)
-    chim = chi_construct(f, t, pm, rf_f, rf_t)
+    chim = chi_construct(pm, rf_f, rf_t)
     verification = verify_chi(chim, pm, rf_f, rf_t)
     _emit(serialize.chi_to_json(chim, verification), output, fmt)
     sys.exit(EXIT_OK if all(verification.values()) else EXIT_VERIFICATION)
@@ -256,7 +257,7 @@ def merge_cmd(f_path: str, g_path: str, p_path: str, q_path: str, output: str | 
     ),
 )
 @click.argument("input_path")
-@click.option("--cls", type=click.Choice(["N", "M"]), default=None, help="Morphism class for levelwise/special checks.")
+@click.option("--cls", type=click.Choice(list(CLASSES)), default=None, help="Morphism class for levelwise/special checks.")
 @click.option("-F", "--source-tower", "f_path", default=None)
 @click.option("-G", "--target-tower", "g_path", default=None)
 @click.option("-q", "--second", "q_path", default=None, help="Second pre-morphism for pm-leq.")

@@ -56,10 +56,14 @@ class CofinalTower:
             for c in top.elements
             for c2 in top.downset(c)
         )
+        # a chain through a repeated element is a composite with an
+        # identity, so once every (c, c) leg is one only strict chains remain
         functorial = all(
+            self.mor_map[(c, c)] == self.source.identity(self.obj_map[c]) for c in top.elements
+        ) and all(
             self.source.compose(self.mor_map[(c2, c3)], self.mor_map[(c, c2)])
             == self.mor_map[(c, c3)]
-            for c, c2, c3 in top.chains()
+            for c, c2, c3 in top.strict_chains()
         )
         # the order big induces on small's elements, read off big's downsets
         coherent = all(

@@ -15,12 +15,11 @@ from .base import (
     BaseError,
     BaseMorphism,
     BaseObject,
+    CLASSES,
     TERMINAL,
     compose,
     composite_mapping,
     identity,
-    is_in_m,
-    is_in_n,
 )
 from .poset import FinPoset, Reysha
 
@@ -145,26 +144,11 @@ class Limit(tuple):
 
     index is what cone_into_limit looks a cone's legs up in: the elements
     of the limit's shape, and the carrier element of each compatible
-    family of values on them.  It is built on first use, since many limits
-    are never mapped into.  matching_pullback sets it at once from the
-    columns it already holds.
+    family of values on them.  Each builder sets it from the value columns
+    its projections are read off.
     """
 
-    # a plain property: functools.cached_property takes a lock on first
-    # access on Python 3.11 and earlier
-    _index = None
-
-    @property
-    def index(self) -> tuple[tuple[str, ...], dict[tuple[str, ...], str]]:
-        if self._index is None:
-            carrier, projections = self
-            order = tuple(projections)
-            if not order:
-                self._index = order, {(): e for e in carrier.carrier}
-            else:
-                columns = [[projections[x].mapping[e] for e in carrier.carrier] for x in order]
-                self._index = order, dict(zip(zip(*columns), carrier.carrier))
-        return self._index
+    index: tuple[tuple[str, ...], dict[tuple[str, ...], str]]
 
 
 def limit_over_poset(diagram: Diagram) -> Limit:
@@ -197,7 +181,9 @@ def _limit(diagram: Diagram, members: tuple[str, ...]) -> Limit:
     maximal element above it.
     """
     if not members:
-        return Limit((TERMINAL, {}))
+        limit = Limit((TERMINAL, {}))
+        limit.index = (), {(): "*"}
+        return limit
     shape = diagram.shape
     # a member is maximal iff it lies in no member's strict downset
     covered = {y for x in members for y in shape.strict_downset(x)}
@@ -220,13 +206,20 @@ def _limit(diagram: Diagram, members: tuple[str, ...]) -> Limit:
             families = [family + (v,) for family in families for v in fiber]
         for y, mapping in below:
             through.setdefault(y, (i, mapping))
-    ids = tuple([f"l{i}" for i in range(len(families))])
+    columns = [_values_through(through[x], families) for x in members]
+    return _from_columns("l", members, [diagram.at(x) for x in members], columns)
+
+
+def _from_columns(prefix: str, order: tuple[str, ...], fibers: list[BaseObject], columns: list[list[str]]) -> Limit:
+    """The Limit whose i-th element, prefix + str(i), has the i-th value of
+    each column: the projection to the fiber of order[k] and the index
+    are both read off columns[k]."""
+    ids = tuple([f"{prefix}{i}" for i in range(len(columns[0]))])
     carrier = BaseObject(ids)
-    projections = {
-        x: BaseMorphism._trusted(carrier, diagram.at(x), dict(zip(ids, _values_through(through[x], families))))
-        for x in members
-    }
-    return Limit((carrier, projections))
+    projections = {s: BaseMorphism._trusted(carrier, o, dict(zip(ids, c))) for s, o, c in zip(order, fibers, columns)}
+    limit = Limit((carrier, projections))
+    limit.index = order, dict(zip(zip(*columns), ids))
+    return limit
 
 
 def _values_through(through: tuple[int, dict[str, str]], families: list[tuple[str, ...]]) -> list[str]:
@@ -339,19 +332,11 @@ def matching_pullback(upper: Diagram, components: dict[str, BaseMorphism], lower
         for y, mapping in fresh:
             through[y] = (i, mapping)
     rows = [(family, d) for family, node in zip(families, nodes) for d in leaves.get(node, ())]
-    ids = tuple([f"p{i}" for i in range(len(rows))])
-    carrier = BaseObject(ids)
     # a column of values per projection: each s below x, then x in lower
     columns = [_values_through(through[s], [family for family, _ in rows]) for s in below]
     columns.append([d for _, d in rows])
     fibers = [upper.objects[s] for s in below] + [lower.objects[x]]
-    order = (*below, x)
-    projections = {s: BaseMorphism._trusted(carrier, o, dict(zip(ids, c))) for s, o, c in zip(order, fibers, columns)}
-    pb = Limit((carrier, projections))
-    # nearly every caller maps into P(x), so the index is built here from
-    # the columns at hand
-    pb._index = order, dict(zip(zip(*columns), ids))
-    return pb
+    return _from_columns("p", (*below, x), fibers, columns)
 
 
 def attach(
@@ -371,7 +356,7 @@ def attach(
 
 def is_levelwise(nt: NatTrans, cls: str) -> bool:
     """True iff every component lies in the named class ("N" or "M")."""
-    pred = {"N": is_in_n, "M": is_in_m}[cls]
+    pred = CLASSES[cls]
     return all(pred(nt.at(x)) for x in nt.shape.elements)
 
 
@@ -401,7 +386,7 @@ def special_matching_data(nt: NatTrans, cls: str = "M"):
     for a family built without NatTrans.make that is ill-typed or whose
     squares do not commute.
     """
-    pred = {"N": is_in_n, "M": is_in_m}[cls]
+    pred = CLASSES[cls]
     for x in nt.shape.in_degree_order():
         try:
             data = matching_data(nt, x)

@@ -199,24 +199,17 @@ def verify_chi(
     return {"left_rectangle": top, "right_rectangle": bottom, "natural": natural}
 
 
-def chi_construct(
-    f: NatTrans,
-    t: NatTrans,
-    pm: PreMorphism,
-    rf_f: ReedyFactorization | None = None,
-    rf_t: ReedyFactorization | None = None,
-) -> PreMorphism:
-    """Build the middle component family by degree recursion over the
-    target index poset, using the strict base functoriality at each step.
+def chi_construct(pm: PreMorphism, rf_f: ReedyFactorization, rf_t: ReedyFactorization) -> PreMorphism:
+    """Build the middle component family of pm: f -> t, where rf_f and rf_t
+    factor f and t, by degree recursion over the target index poset, using
+    the strict base functoriality at each step.
 
     At b over a = alpha(b), the map k between the matching pullbacks is
     induced by chi below b after the projections and by psi after the
     projection to F(a); FactorizeError when those legs do not form a cone
     over the target's matching cospan."""
-    check_arrow_pre_morphism(pm, f, t)
-    rf_f = rf_f if rf_f is not None else reedy(f)
-    rf_t = rf_t if rf_t is not None else reedy(t)
-    b_shape = t.shape
+    check_arrow_pre_morphism(pm, rf_f.input, rf_t.input)
+    b_shape = rf_t.input.shape
     chi: dict[str, BaseMorphism] = {}
     for b in b_shape.in_degree_order():
         sd_f = rf_f.details[pm.alpha[b]]
@@ -233,15 +226,9 @@ def chi_construct(
 
 
 def functorial_factorization_pro(
-    f: NatTrans,
-    t: NatTrans | None = None,
-    pm: PreMorphism | None = None,
-) -> tuple[ReedyFactorization, ReedyFactorization | None, PreMorphism | None]:
-    """The arrow-level section: factor both arrow objects and, when a
-    pre-morphism between them is given, produce the middle map."""
-    rf_f = reedy(f)
-    if t is None or pm is None:
-        return rf_f, None, None
-    rf_t = reedy(t)
-    chim = chi_construct(f, t, pm, rf_f, rf_t)
-    return rf_f, rf_t, chim
+    f: NatTrans, t: NatTrans, pm: PreMorphism
+) -> tuple[ReedyFactorization, ReedyFactorization, PreMorphism]:
+    """The arrow-level section: factor both arrow objects and produce the
+    middle map of the pre-morphism between them."""
+    rf_f, rf_t = reedy(f), reedy(t)
+    return rf_f, rf_t, chi_construct(pm, rf_f, rf_t)

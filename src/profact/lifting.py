@@ -87,7 +87,6 @@ def has_lift_bruteforce(
     f: BaseMorphism,
     top: BaseMorphism,
     bottom: BaseMorphism,
-    cap: int = SEARCH_CAP,
 ) -> tuple[bool, BaseMorphism | None]:
     """Decide a single lifting square by enumerating maps B -> X.
 
@@ -97,16 +96,16 @@ def has_lift_bruteforce(
     different top values (there is then no lift), and any other b ranges
     over its preimage.  Each choice keeps X's carrier order, so the walk is
     a subsequence of the order of all maps B -> X and the first lift found
-    is the same.  Raises SearchExhausted when |X| ** |B| exceeds the cap,
+    is the same.  Raises SearchExhausted when |X| ** |B| exceeds SEARCH_CAP,
     however short the walk.
     """
     if compose(f, top) != compose(bottom, g):
         raise LiftingError("lifting square does not commute")
     domain = g.target.carrier
     codomain = f.source.carrier
-    if len(codomain) ** len(domain) > cap:
+    if len(codomain) ** len(domain) > SEARCH_CAP:
         raise SearchExhausted(
-            f"search exhausted: {len(codomain)} ** {len(domain)} candidates exceed cap {cap}"
+            f"search exhausted: {len(codomain)} ** {len(domain)} candidates exceed cap {SEARCH_CAP}"
         )
     forced: dict[str, str] = {}
     for a in g.source.carrier:

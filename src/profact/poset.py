@@ -140,14 +140,6 @@ class FinPoset:
                 for z in strict[y]:
                     yield x, y, z
 
-    def chains(self) -> Iterator[tuple[str, str, str]]:
-        """Every chain x >= y >= z: x in canonical order, then y through
-        the downset of x, then z through the downset of y."""
-        for x in self.elements:
-            for y in self._down[x]:
-                for z in self._down[y]:
-                    yield x, y, z
-
     def upset(self, x: str) -> tuple[str, ...]:
         """Every y >= x, in canonical order."""
         if self._up is None:

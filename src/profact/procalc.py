@@ -33,17 +33,18 @@ class TruncationExhausted(RuntimeError):
 class ProObject:
     """A diagram over a truncated directed shape."""
 
-    shape: FinPoset
     diagram: Diagram
     height_cap: int
 
     def __post_init__(self) -> None:
-        if self.diagram.shape != self.shape:
-            raise ProCalcError("diagram shape differs from the declared shape")
         if not is_directed_poset(self.shape):
             raise ProCalcError("shape is not directed")
         if any(self.shape.degree(x) >= self.height_cap for x in self.shape.elements):
             raise ProCalcError("element degree reaches the height cap")
+
+    @property
+    def shape(self) -> FinPoset:
+        return self.diagram.shape
 
     def at(self, a: str):
         return self.diagram.at(a)

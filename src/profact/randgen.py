@@ -19,14 +19,14 @@ from .poset import FinPoset
 from .procalc import ProObject, RawMorphism, restrict
 
 
-def random_poset(rng: random.Random, max_elems: int, edge_prob: float = 0.45) -> FinPoset:
+def random_poset(rng: random.Random, max_elems: int) -> FinPoset:
     n = rng.randint(1, max_elems)
     elements = tuple(f"e{i}" for i in range(n))
     pairs = [
         (elements[i], elements[j])
         for i in range(n)
         for j in range(i + 1, n)
-        if rng.random() < edge_prob
+        if rng.random() < 0.45
     ]
     return FinPoset.make(elements, pairs)
 
@@ -56,10 +56,10 @@ def random_injection(rng: random.Random, source: BaseObject, target: BaseObject)
     return BaseMorphism(source, target, dict(zip(source.carrier, values)))
 
 
-def _estimated_cost_ok(shape: FinPoset, fiber_sizes: dict[str, int], cap: int = 20000) -> bool:
-    """A cheap upper bound on the intermediate limit sizes the Reedy
-    construction would see over this shape, used to resample pathological
-    antichain-heavy inputs instead of grinding through them."""
+def _estimated_cost_ok(shape: FinPoset, fiber_sizes: dict[str, int]) -> bool:
+    """Whether a cheap upper bound on the intermediate limit sizes the Reedy
+    construction would see over this shape stays within 20000, so that
+    pathological antichain-heavy inputs are resampled, not ground through."""
     bound: dict[str, int] = {}
     for x in shape.in_degree_order():
         strict = shape.strict_downset(x)
@@ -67,7 +67,7 @@ def _estimated_cost_ok(shape: FinPoset, fiber_sizes: dict[str, int], cap: int = 
         lim = 1
         for m in maximal:
             lim *= bound[m]
-        if lim > cap:
+        if lim > 20000:
             return False
         bound[x] = fiber_sizes[x] + lim * fiber_sizes[x] + 1
     return True
@@ -207,9 +207,7 @@ def pushout_diagram(
     return pushout, in_left, in_right
 
 
-def random_arrow_pre_morphism(
-    rng: random.Random, f: NatTrans, max_junk: int = 2
-) -> tuple[NatTrans, PreMorphism]:
+def random_arrow_pre_morphism(rng: random.Random, f: NatTrans) -> tuple[NatTrans, PreMorphism]:
     """A random target arrow object plus a valid pre-morphism from f to it.
 
     The index map is a random subposet inclusion; the top layer is a junk
@@ -220,9 +218,9 @@ def random_arrow_pre_morphism(
     e_alpha = reindex(f.source, alpha, b_shape)
     f_alpha_tgt = reindex(f.target, alpha, b_shape)
     f_alpha = NatTrans.make(e_alpha, f_alpha_tgt, {b: f.at(alpha[b]) for b in b_shape.elements})
-    top_diagram, phi = junk_extend(rng, e_alpha, max_junk, prefix="k")
+    top_diagram, phi = junk_extend(rng, e_alpha, prefix="k")
     pushed, in_top, in_bottom = pushout_diagram(phi, f_alpha)
-    bottom_diagram, theta = junk_extend(rng, pushed, max_junk, prefix="g")
+    bottom_diagram, theta = junk_extend(rng, pushed, prefix="g")
     t = NatTrans.make(
         top_diagram,
         bottom_diagram,
@@ -287,7 +285,7 @@ def random_directed_poset(rng: random.Random, max_elems: int) -> FinPoset:
 def random_pro_object(rng: random.Random, max_elems: int, max_fiber: int) -> ProObject:
     shape = random_directed_poset(rng, max_elems)
     diagram = random_diagram(rng, shape, max_fiber, prefix="f")
-    return ProObject(shape, diagram, shape.max_degree() + 1)
+    return ProObject(diagram, shape.max_degree() + 1)
 
 
 def random_pre_morphism(
@@ -302,7 +300,7 @@ def random_pre_morphism(
         alpha["etop"] = "etop"
     reindexed = reindex(F.diagram, alpha, b_shape)
     target, theta = junk_extend(rng, reindexed, max_junk, prefix="g")
-    G = ProObject(b_shape, target, b_shape.max_degree() + 1)
+    G = ProObject(target, b_shape.max_degree() + 1)
     pm = PreMorphism(dict(alpha), {"phi": {b: theta.at(b) for b in b_shape.elements}})
     return G, pm
 

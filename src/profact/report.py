@@ -57,7 +57,7 @@ def _check_chi_identity(rng: random.Random, poset_max: int, set_max: int) -> tup
     nt = random_nattrans(rng, random_poset(rng, min(poset_max, 4)), min(set_max, 3))
     rf = reedy(nt)
     pm = pm_identity({"phi": nt.source, "psi": nt.target})
-    chim = chi_construct(nt, nt, pm, rf, rf)
+    chim = chi_construct(pm, rf, rf)
     for x in nt.shape.elements:
         if chim.chi[x] != identity(rf.mid.at(x)):
             return False, f"non-identity middle component at {x!r}"
@@ -69,9 +69,9 @@ def _check_chi_composition(rng: random.Random, poset_max: int, set_max: int) -> 
     t, pm1 = random_arrow_pre_morphism(rng, f)
     w, pm2 = random_arrow_pre_morphism(rng, t)
     rf_f, rf_t, rf_w = reedy(f), reedy(t), reedy(w)
-    c1 = chi_construct(f, t, pm1, rf_f, rf_t)
-    c2 = chi_construct(t, w, pm2, rf_t, rf_w)
-    c12 = chi_construct(f, w, pm_compose(pm2, pm1), rf_f, rf_w)
+    c1 = chi_construct(pm1, rf_f, rf_t)
+    c2 = chi_construct(pm2, rf_t, rf_w)
+    c12 = chi_construct(pm_compose(pm2, pm1), rf_f, rf_w)
     c21 = pm_compose(c2, c1)
     for c in pm2.alpha:
         if c12.chi[c] != c21.chi[c]:

@@ -285,7 +285,7 @@ def pro_object_from_json(data: Any, path: str = "$") -> ProObject:
     if isinstance(cap, bool) or not isinstance(cap, int):
         raise ParseError("expected an integer height cap", path + ".height_cap")
     try:
-        return ProObject(diagram.shape, diagram, cap)
+        return ProObject(diagram, cap)
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc
 

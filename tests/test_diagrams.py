@@ -376,10 +376,23 @@ def shaped_diagrams(draw):
     return random_diagram(rng, shape, 3)
 
 
+def index_off_projections(limit):
+    """The elements of the limit's shape, and the carrier element of each
+    family of its projections' values on them."""
+    carrier, projections = limit
+    order = tuple(projections)
+    if not order:
+        return order, {(): e for e in carrier.carrier}
+    columns = [[projections[x].mapping[e] for e in carrier.carrier] for x in order]
+    return order, dict(zip(zip(*columns), carrier.carrier))
+
+
 @settings(max_examples=300, deadline=None)
 @given(diagram=shaped_diagrams())
 def test_limit_equals_the_lexicographic_reference(diagram):
-    lim, proj = limit_over_poset(diagram)
+    limit = limit_over_poset(diagram)
+    lim, proj = limit
+    assert limit.index == index_off_projections(limit)
     carrier, columns = limit_reference(diagram)
     assert lim.carrier == carrier
     assert list(proj) == list(diagram.shape.elements)
@@ -396,7 +409,7 @@ def test_limit_equals_the_lexicographic_reference(diagram):
         assert [(s, p, list(p.mapping.items())) for s, p in got[1].items()] == [
             (s, p, list(p.mapping.items())) for s, p in expected[1].items()
         ]
-        assert got.index == expected.index
+        assert got.index == expected.index == index_off_projections(got)
 
 
 def test_legs_that_are_not_a_cone_are_rejected_with_and_without_an_index():
@@ -405,7 +418,7 @@ def test_legs_that_are_not_a_cone_are_rejected_with_and_without_an_index():
     swap = morphism(ab, ab, {"a": "b", "b": "a"})
     # the legs at x0 and t agree along t >= x0, the leg at x1 does not
     legs = {"x0": identity(ab), "x1": swap, "t": identity(ab)}
-    # before the index is built, and again once it is
+    # twice: a refused cone leaves the limit's index as it was
     for _ in range(2):
         with pytest.raises(DiagramError, match="the legs do not form a cone"):
             cone_into_limit(ab, legs, limit)
@@ -420,7 +433,7 @@ def test_every_apex_element_maps_into_the_terminal_limit(size):
     # x0 is minimal: its matching limit is over the empty shape
     terminal = matching_limit(diagram, "x0")
     assert terminal == limit_over_poset(Diagram.make(FinPoset.make(()), {}))
-    # before the index is built, and again once it is
+    # twice: each lookup only reads the index the limit was built with
     for _ in range(2):
         into = cone_into_limit(apex, {}, terminal)
         assert into.target == terminal[0]

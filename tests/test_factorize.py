@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -176,7 +177,7 @@ def test_chi_identity_pre_morphism_gives_identity():
             "psi": {x: identity(f.target.at(x)) for x in f.shape.elements},
         },
     )
-    chim = chi_construct(f, f, pm, rf, rf)
+    chim = chi_construct(pm, rf, rf)
     for x in f.shape.elements:
         assert chim.chi[x] == identity(rf.mid.at(x))
 
@@ -187,7 +188,7 @@ def test_chi_rectangles_randomized():
         f = random_nattrans(rng, random_poset(rng, 4), 3)
         t, pm = random_arrow_pre_morphism(rng, f)
         rf_f, rf_t = reedy(f), reedy(t)
-        chim = chi_construct(f, t, pm, rf_f, rf_t)
+        chim = chi_construct(pm, rf_f, rf_t)
         verdicts = verify_chi(chim, pm, rf_f, rf_t)
         assert all(verdicts.values()), verdicts
 
@@ -210,8 +211,8 @@ def test_chi_monotone_pair_agrees_after_right_leg():
         t, pm = random_arrow_pre_morphism(rng, f)
         pm2 = refine_arrow_pre_morphism(rng, f, t, pm)
         rf_f, rf_t = reedy(f), reedy(t)
-        lo = chi_construct(f, t, pm, rf_f, rf_t)
-        hi = chi_construct(f, t, pm2, rf_f, rf_t)
+        lo = chi_construct(pm, rf_f, rf_t)
+        hi = chi_construct(pm2, rf_f, rf_t)
         for b in pm.alpha:
             lhs = compose(rf_t.right.at(b), hi.chi[b])
             rhs = compose(
@@ -235,8 +236,8 @@ def test_chi_monotone_counterexample_on_chain():
         {"0": "1"}, {"phi": {"0": f.source.arrow("1", "0")}, "psi": {"0": f.target.arrow("1", "0")}}
     )
     rf_f, rf_t = reedy(f), reedy(t)
-    lo = chi_construct(f, t, pm, rf_f, rf_t)
-    hi = chi_construct(f, t, pm2, rf_f, rf_t)
+    lo = chi_construct(pm, rf_f, rf_t)
+    hi = chi_construct(pm2, rf_f, rf_t)
     restricted = PreMorphism(pm2.alpha, {"chi": {"0": compose(lo.chi["0"], rf_f.mid.arrow("1", "0"))}})
     differ = {
         e: (hi.chi["0"](e), restricted.chi["0"](e))
@@ -259,28 +260,38 @@ def test_chi_rejects_non_strict_index_map():
             "psi": {"0": morphism(f.target.at("1"), f.target.at("0"), {"y1": "y0"}), "1": identity(f.target.at("1"))},
         },
     )
+    rf = reedy(f)
     with pytest.raises(FactorizeError):
-        chi_construct(f, f, pm)
+        chi_construct(pm, rf, rf)
 
 
 def test_chi_against_another_arrows_factorization_has_no_induced_map():
     # pm is a pre-morphism into t, but the factorization handed in is that
-    # of another arrow t2 over the same shape: its matching pullbacks do not
-    # receive psi, so the map k between the pullbacks does not exist
+    # of another arrow t2 over the same shape.  chi_construct checks pm
+    # against the arrow the factorization factors, so t2's own is refused.
+    # Relabelled as t's, its matching pullbacks do not receive psi, so the
+    # map k between the pullbacks does not exist
     rng = random.Random(5)
     for _ in range(20):
         f = random_nattrans(rng, random_poset(rng, 3), 3)
         t, pm = random_arrow_pre_morphism(rng, f)
         t2 = random_nattrans(rng, t.shape, 3)
+        rf_f, rf_t2 = reedy(f), reedy(t2)
+        with pytest.raises(FactorizeError, match="ill-typed top component at"):
+            chi_construct(pm, rf_f, rf_t2)
         with pytest.raises(FactorizeError, match="induced pullback map undefined at"):
-            chi_construct(f, t, pm, reedy(f), reedy(t2))
+            chi_construct(pm, rf_f, dataclasses.replace(rf_t2, input=t))
 
 
 def test_functorial_factorization_single_arrow():
-    f = chain_arrow()
-    rf, rf_t, chim = functorial_factorization_pro(f)
-    assert rf_t is None and chim is None
-    assert all(rf.report.values())
+    # each arrow's factorization in the section is the arrow's own
+    rng = random.Random(7)
+    for _ in range(5):
+        f = random_nattrans(rng, random_poset(rng, 4), 3)
+        t, pm = random_arrow_pre_morphism(rng, f)
+        rf_f, rf_t, _ = functorial_factorization_pro(f, t, pm)
+        assert rf_f == reedy(f) and rf_t == reedy(t)
+        assert all(rf_f.report.values()) and all(rf_t.report.values())
 
 
 def test_functorial_factorization_with_morphism():

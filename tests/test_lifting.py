@@ -37,14 +37,14 @@ class RetractDiagram:
         }
 
 
-def retract_exhibitor(h: BaseMorphism, cap: int = SEARCH_CAP) -> RetractDiagram:
+def retract_exhibitor(h: BaseMorphism) -> RetractDiagram:
     """Exhibit h as a retract of the surjection in its canonical factorization.
 
     Requires h to have the right lifting property against its own
     factorization's injective part.
     """
     triple = factorize_base(h)
-    ok, k = has_lift_bruteforce(triple.left, h, identity(h.source), triple.right, cap)
+    ok, k = has_lift_bruteforce(triple.left, h, identity(h.source), triple.right)
     if not ok:
         raise LiftingError("arrow lacks the right lifting property against its injective part")
     diagram = RetractDiagram(h, triple.right, triple.left, k)
@@ -126,13 +126,20 @@ def test_bruteforce_rejects_non_commuting_square():
 
 
 def test_bruteforce_cap():
-    big = BaseObject(tuple(f"x{i}" for i in range(101)))
+    # |X| ** 3 candidates: 100 ** 3 is SEARCH_CAP itself, 101 ** 3 is past it
+    assert SEARCH_CAP == 100**3
     one = BaseObject(("y",))
     b = BaseObject(("b1", "b2", "b3"))
     g = morphism(BaseObject(()), b, {})
-    f = morphism(big, one, {c: "y" for c in big.carrier})
+
+    def square(size):
+        big = BaseObject(tuple(f"x{i}" for i in range(size)))
+        f = morphism(big, one, {c: "y" for c in big.carrier})
+        return g, f, morphism(g.source, big, {}), morphism(b, one, {c: "y" for c in b.carrier})
+
+    assert has_lift_bruteforce(*square(100))[0]
     with pytest.raises(SearchExhausted):
-        has_lift_bruteforce(g, f, morphism(g.source, big, {}), morphism(b, one, {c: "y" for c in b.carrier}), cap=10**6)
+        has_lift_bruteforce(*square(101))
 
 
 def _first_lift_over_all_maps(g, f, top, bottom):

@@ -50,7 +50,7 @@ def chain_tower():
                     arrows[(x, y)] = morphism(fibers[x], one, {c: "w" for c in fibers[x].carrier})
                 else:
                     arrows[(x, y)] = identity(two)
-    return ProObject(ch, Diagram.make(ch, fibers, arrows), 4)
+    return ProObject(Diagram.make(ch, fibers, arrows), 4)
 
 
 def connected_component_directed_check(
@@ -71,20 +71,20 @@ def connected_component_directed_check(
 
 def point_tower(fiber):
     pt = FinPoset.make(("b",))
-    return ProObject(pt, Diagram.make(pt, {"b": fiber}), 1)
+    return ProObject(Diagram.make(pt, {"b": fiber}), 1)
 
 
 def test_pro_object_requires_directed_shape():
     anti = FinPoset.make(("a", "b"))
     one = BaseObject(("w",))
     with pytest.raises(ProCalcError):
-        ProObject(anti, Diagram.make(anti, {"a": one, "b": one}), 1)
+        ProObject(Diagram.make(anti, {"a": one, "b": one}), 1)
 
 
 def test_pro_object_height_cap():
     F = chain_tower()
     with pytest.raises(ProCalcError):
-        ProObject(F.shape, F.diagram, 3)
+        ProObject(F.diagram, 3)
 
 
 def test_eq_in_colim_reflexive():
@@ -122,7 +122,7 @@ def test_is_pre_morphism_rejects_non_strict_alpha():
     F = chain_tower()
     ch2 = FinPoset.make(("b0", "b1"), [("b0", "b1")])
     one = BaseObject(("w",))
-    G = ProObject(ch2, Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
+    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
     collapse = {"b0": morphism(F.at("1"), one, {"w": "w"}), "b1": morphism(F.at("1"), one, {"w": "w"})}
     assert not is_pre_morphism(F, G, {"b0": "1", "b1": "1"}, collapse)
     assert is_pre_morphism(
@@ -175,7 +175,7 @@ def test_straighten_valid_raw_keeps_low_indices():
     F = chain_tower()
     one = BaseObject(("w",))
     ch2 = FinPoset.make(("b0", "b1"), [("b0", "b1")])
-    G = ProObject(ch2, Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
+    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
     raw = RawMorphism(
         {
             "b0": ("0", morphism(F.at("0"), one, {"w": "w"})),
@@ -190,7 +190,7 @@ def test_straighten_constant_index_reindexes_upward():
     F = chain_tower()
     one = BaseObject(("w",))
     ch2 = FinPoset.make(("b0", "b1"), [("b0", "b1")])
-    G = ProObject(ch2, Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
+    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
     raw = RawMorphism(
         {
             "b0": ("0", morphism(F.at("0"), one, {"w": "w"})),
@@ -213,7 +213,7 @@ def test_straighten_truncation_exhausted():
     F = chain_tower()
     one = BaseObject(("w",))
     ch2 = FinPoset.make(("b0", "b1"), [("b0", "b1")])
-    G = ProObject(ch2, Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
+    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
     top_map = morphism(F.at("3"), one, {"u": "w", "v": "w"})
     raw = RawMorphism({"b0": ("3", top_map), "b1": ("3", top_map)})
     with pytest.raises(TruncationExhausted):

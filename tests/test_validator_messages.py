@@ -1,8 +1,9 @@
 """Each law check on a one-fault input: the exact message it raises, or the
 report it returns.  The checks walk the strict pairs x > y x-major, and the
-chains x >= y >= z, in canonical order; these cases pin which failure is
-reported first."""
+strict chains x > y > z, in canonical order; these cases pin which failure
+is reported first."""
 
+import dataclasses
 import json
 from importlib import resources
 
@@ -10,6 +11,8 @@ import pytest
 
 from profact import serialize
 from profact.base import BaseObject, identity, morphism
+from profact.category import FinCategory
+from profact.cofinalize import build_tower
 from profact.diagrams import Diagram, NatTrans
 from profact.factorize import PreMorphism, check_pre_morphism, chi_construct, reedy, verify_chi
 from profact.lifting import ConeLift, LiftingProblem
@@ -84,7 +87,7 @@ def chi_report():
     t = serialize.nattrans_from_json(load("chi_t.json"))
     pm = serialize.arrow_pre_morphism_from_json(load("chi_pm.json"), f, t)
     rf_f, rf_t = reedy(f), reedy(t)
-    chim = chi_construct(f, t, pm, rf_f, rf_t)
+    chim = chi_construct(pm, rf_f, rf_t)
     low = chim.chi["e0"]
     moved = morphism(low.source, low.target, {**low.mapping, "t:p0": "s:o:xe0_1"})
     return verify_chi(PreMorphism(chim.alpha, {"chi": {**chim.chi, "e0": moved}}), pm, rf_f, rf_t)
@@ -93,9 +96,26 @@ def chi_report():
 def raw_report():
     """Two representatives at one index that differ there, the only index."""
     point = FinPoset.make(("i",))
-    F = ProObject(point, Diagram.make(point, {"i": TWO}), 1)
-    G = ProObject(PAIR, flat(PAIR), 2)
+    F = ProObject(Diagram.make(point, {"i": TWO}), 1)
+    G = ProObject(flat(PAIR), 2)
     return is_raw_morphism(F, G, RawMorphism({"s": ("i", SWAP), "t": ("i", identity(TWO))}))
+
+
+def tower_report():
+    """The tower over one object with an idempotent e, with the identity
+    leg at the cone c1_0 replaced by e: well typed, and every chain through
+    c1_0 composes e with itself to e."""
+    monoid = FinCategory.make(
+        ["i"],
+        ["1", "e"],
+        {"1": "i", "e": "i"},
+        {"1": "i", "e": "i"},
+        {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"},
+        {"i": "1"},
+    )
+    tower = build_tower(monoid, levels=1, reysha_cap=2)
+    assert tower.top.elements == ("i", "c1_0", "c1_1", "c1_2")
+    return dataclasses.replace(tower, mor_map={**tower.mor_map, ("c1_0", "c1_0"): "e"}).verify()
 
 
 CASES = {
@@ -167,6 +187,11 @@ CASES = {
         {"left_rectangle": True, "right_rectangle": True, "natural": False},
     ),
     "raw_morphism": (raw_report, False),
+    # an idempotent at (c, c) passes every chain through c, as in a diagram
+    "tower_identity": (
+        tower_report,
+        {"projection_typed": True, "projection_functorial": False, "levels_coherent": True},
+    ),
 }
 
 
