@@ -28,7 +28,6 @@ class FinCategory:
     tgt: dict[str, str]
     compose_table: dict[tuple[str, str], str]  # (g, f) with tgt(f) == src(g)
     identities: dict[str, str]
-    _index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     # built on first use, like FinPoset's upsets
     _homs: dict[tuple[str, str], tuple[str, ...]] | None = field(default=None, compare=False, repr=False)
 
@@ -44,28 +43,28 @@ class FinCategory:
         cat = FinCategory(
             tuple(objects), tuple(morphisms), dict(src), dict(tgt), dict(compose_table), dict(identities)
         )
-        object.__setattr__(cat, "_index", {m: i for i, m in enumerate(cat.morphisms)})
         cat._validate()
         return cat
 
     def _validate(self) -> None:
         if len(set(self.objects)) != len(self.objects):
             raise CategoryError("duplicate object ids")
-        if len(set(self.morphisms)) != len(self.morphisms):
+        morphisms = set(self.morphisms)
+        if len(morphisms) != len(self.morphisms):
             raise CategoryError("duplicate morphism ids")
         for m in self.morphisms:
             if self.src.get(m) not in self.objects or self.tgt.get(m) not in self.objects:
                 raise CategoryError(f"morphism {m!r} has unknown source or target")
         for x in self.objects:
             i = self.identities.get(x)
-            if i not in self._index or self.src[i] != x or self.tgt[i] != x:
+            if i not in morphisms or self.src[i] != x or self.tgt[i] != x:
                 raise CategoryError(f"missing or ill-typed identity on {x!r}")
         for g, f in itertools.product(self.morphisms, repeat=2):
             if self.tgt[f] == self.src[g]:
                 h = self.compose_table.get((g, f))
                 if h is None:
                     raise CategoryError(f"composition table missing entry for ({g!r}, {f!r})")
-                if h not in self._index:
+                if h not in morphisms:
                     raise CategoryError(f"composite {h!r} of ({g!r}, {f!r}) is not a morphism")
                 if self.src[h] != self.src[f] or self.tgt[h] != self.tgt[g]:
                     raise CategoryError(f"ill-typed composite {h!r} of ({g!r}, {f!r})")

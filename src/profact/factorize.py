@@ -97,24 +97,17 @@ def _step(
     details[x] = StepData(pb, u)
 
 
-def _construct(f: NatTrans):
-    """Run _step over every element in (degree, canonical) order.  The
-    middle diagram is local to this call, so it is gone before the result
-    is assembled and verified."""
+def reedy(f: NatTrans) -> ReedyFactorization:
+    """Factor f into a levelwise-injective map followed by a special
+    surjective map, running _step in (degree, canonical) order."""
     mid = Diagram(f.shape, {}, {})
     left: dict[str, BaseMorphism] = {}
     right: dict[str, BaseMorphism] = {}
     details: dict[str, StepData] = {}
     for x in f.shape.in_degree_order():
         _step(f, mid, left, right, details, x)
-    return mid.objects, mid.arrows, left, right, details
-
-
-def reedy(f: NatTrans) -> ReedyFactorization:
-    """Factor f into a levelwise-injective map followed by a special
-    surjective map, processing elements in (degree, canonical) order."""
-    mid_objects, mid_arrows, left, right, details = _construct(f)
-    mid = Diagram.make(f.shape, mid_objects, mid_arrows)
+    # rebinding mid frees the unchecked middle diagram before verification
+    mid = Diagram.make(f.shape, mid.objects, mid.arrows)
     left_nt = NatTrans.make(f.source, mid, left)
     right_nt = NatTrans.make(mid, f.target, right)
     rf = ReedyFactorization(f, mid, left_nt, right_nt, details)

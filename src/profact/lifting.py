@@ -3,7 +3,6 @@ against special surjective transformations."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .base import (
@@ -88,16 +87,16 @@ def has_lift_bruteforce(
     top: BaseMorphism,
     bottom: BaseMorphism,
 ) -> tuple[bool, BaseMorphism | None]:
-    """Decide a single lifting square by enumerating maps B -> X.
+    """Decide a single lifting square by building its least admissible map.
 
     A lift h sends each b into the preimage f^-1(bottom(b)) and each g(a)
     to top(a), a point of that preimage since the square commutes.  So a b
     in g's image takes only that point, or none when two a over it have
-    different top values (there is then no lift), and any other b ranges
-    over its preimage.  Each choice keeps X's carrier order, so the walk is
-    a subsequence of the order of all maps B -> X and the first lift found
-    is the same.  Raises SearchExhausted when |X| ** |B| exceeds SEARCH_CAP,
-    however short the walk.
+    different top values, and any other b takes its first preimage in X's
+    carrier order.  The conditions on each b are independent, so every
+    admissible map is a lift, and the least one is the first lift in the
+    order of all maps B -> X.  Raises SearchExhausted when |X| ** |B|
+    exceeds SEARCH_CAP, as the search over all maps would.
     """
     if compose(f, top) != compose(bottom, g):
         raise LiftingError("lifting square does not commute")
@@ -107,18 +106,18 @@ def has_lift_bruteforce(
         raise SearchExhausted(
             f"search exhausted: {len(codomain)} ** {len(domain)} candidates exceed cap {SEARCH_CAP}"
         )
-    forced: dict[str, str] = {}
+    values: dict[str, str] = {}
     for a in g.source.carrier:
-        if forced.setdefault(g(a), top(a)) != top(a):
+        if values.setdefault(g(a), top(a)) != top(a):
             return False, None
-    preimages = [
-        [forced[b]] if b in forced else [x for x in codomain if f(x) == bottom(b)]
-        for b in domain
-    ]
-    for values in itertools.product(*preimages):
-        cand = BaseMorphism(g.target, f.source, dict(zip(domain, values)))
-        if compose(cand, g) == top and compose(f, cand) == bottom:
-            return True, cand
+    for b in domain:
+        if b not in values:
+            values[b] = next((x for x in codomain if f(x) == bottom(b)), None)
+            if values[b] is None:
+                return False, None
+    lift = BaseMorphism(g.target, f.source, {b: values[b] for b in domain})
+    if compose(lift, g) == top and compose(f, lift) == bottom:
+        return True, lift
     return False, None
 
 

@@ -1,6 +1,6 @@
-"""The pre-morphism calculus at finite truncation: validity, the partial
-order, composition, straightening of raw representative data, and the
-common-dominator merge.
+"""The pre-morphism calculus on finite towers, whose finite directed shape
+is the truncation: validity, the partial order, composition, straightening
+of raw representative data, and the common-dominator merge.
 
 Maps between towers are presented by a strictly increasing index map plus a
 natural family of components: a factorize.PreMorphism with the one family
@@ -31,16 +31,13 @@ class TruncationExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class ProObject:
-    """A diagram over a truncated directed shape."""
+    """A diagram over a finite directed poset, which is its own truncation."""
 
     diagram: Diagram
-    height_cap: int
 
     def __post_init__(self) -> None:
         if not is_directed_poset(self.shape):
             raise ProCalcError("shape is not directed")
-        if any(self.shape.degree(x) >= self.height_cap for x in self.shape.elements):
-            raise ProCalcError("element degree reaches the height cap")
 
     @property
     def shape(self) -> FinPoset:

@@ -285,7 +285,7 @@ def random_directed_poset(rng: random.Random, max_elems: int) -> FinPoset:
 def random_pro_object(rng: random.Random, max_elems: int, max_fiber: int) -> ProObject:
     shape = random_directed_poset(rng, max_elems)
     diagram = random_diagram(rng, shape, max_fiber, prefix="f")
-    return ProObject(diagram, shape.max_degree() + 1)
+    return ProObject(diagram)
 
 
 def random_pre_morphism(
@@ -300,7 +300,7 @@ def random_pre_morphism(
         alpha["etop"] = "etop"
     reindexed = reindex(F.diagram, alpha, b_shape)
     target, theta = junk_extend(rng, reindexed, max_junk, prefix="g")
-    G = ProObject(target, b_shape.max_degree() + 1)
+    G = ProObject(target)
     pm = PreMorphism(dict(alpha), {"phi": {b: theta.at(b) for b in b_shape.elements}})
     return G, pm
 

@@ -281,11 +281,8 @@ def cone_lift_to_json(cone: ConeLift, verification: dict[str, bool]) -> dict:
 def pro_object_from_json(data: Any, path: str = "$") -> ProObject:
     from .procalc import ProObject
     diagram = diagram_from_json(_require(data, "diagram", path), path + ".diagram")
-    cap = data.get("height_cap", diagram.shape.max_degree() + 1)
-    if isinstance(cap, bool) or not isinstance(cap, int):
-        raise ParseError("expected an integer height cap", path + ".height_cap")
     try:
-        return ProObject(diagram, cap)
+        return ProObject(diagram)
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc
 

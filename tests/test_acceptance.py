@@ -245,13 +245,13 @@ def _random_chain_raw(rng):
     n = rng.choice((5, 6))
     names = tuple(f"a{i}" for i in range(n))
     chain = FinPoset.make(names, [(names[i], names[i + 1]) for i in range(n - 1)])
-    F = ProObject(random_diagram(rng, chain, 3, prefix="f"), n)
+    F = ProObject(random_diagram(rng, chain, 3, prefix="f"))
     m = rng.randint(1, 2)
     b_names = tuple(f"b{i}" for i in range(m))
     b_shape = FinPoset.make(b_names, [(b_names[i], b_names[i + 1]) for i in range(m - 1)])
     alpha = {b_names[i]: names[i] for i in range(m)}
     target, theta = junk_extend(rng, reindex(F.diagram, alpha, b_shape), 1, prefix="g")
-    G = ProObject(target, m)
+    G = ProObject(target)
     pm = PreMorphism(alpha, {"phi": {b: theta.at(b) for b in b_names}})
     rep = {}
     for i, b in enumerate(b_names):

@@ -178,8 +178,8 @@ def _random_square(rng, max_a=2):
 
 
 def test_bruteforce_witness_is_the_first_over_all_maps():
-    # the oracle walks only the preimages f^-1(bottom(b)); its answer must
-    # be the first lift of the walk over every map B -> X
+    # the oracle builds only the least admissible map; it must be the first
+    # lift of the walk over every map B -> X
     rng = random.Random(29)
     checked = solvable = 0
     while checked < 300:
@@ -445,3 +445,77 @@ def test_bruteforce_witness_is_the_first_over_all_maps_for_any_g():
             solvable += 1
             assert witness.mapping == expected
     assert 0 < solvable < checked
+
+
+def _all_maps(source, target):
+    """Every map source -> target, in product order over target's carrier."""
+    for values in itertools.product(target.carrier, repeat=len(source.carrier)):
+        yield morphism(source, target, dict(zip(source.carrier, values)))
+
+
+def _square_sides(sizes):
+    """Every g: A -> B, f: X -> Y, top: A -> X and bottom: B -> Y with the
+    given carrier sizes, one list per side of the square."""
+    a, b, x, y = (BaseObject(tuple(f"{name}{i}" for i in range(n))) for name, n in zip("abxy", sizes))
+    return [list(_all_maps(a, b)), list(_all_maps(x, y)), list(_all_maps(a, x)), list(_all_maps(b, y))]
+
+
+def _meets_definition(g, f, top, bottom):
+    """Assert the oracle's answer on one square against the definition:
+    LiftingError when the square does not commute, else (True, h) for the
+    first map h: B -> X that meets both triangles, else (False, None).
+    Returns which of the three it was."""
+    if any(f(top(e)) != bottom(g(e)) for e in g.source.carrier):
+        with pytest.raises(LiftingError, match="^lifting square does not commute$"):
+            has_lift_bruteforce(g, f, top, bottom)
+        return "not commuting"
+    expected = _first_lift_over_all_maps(g, f, top, bottom)
+    if expected is None:
+        assert has_lift_bruteforce(g, f, top, bottom) == (False, None)
+        return "no lift"
+    assert has_lift_bruteforce(g, f, top, bottom) == (True, morphism(g.target, f.source, expected))
+    return "lift"
+
+
+def _misses_a_bottom_value(g, f, top, bottom):
+    return any(bottom(e) not in f.mapping.values() for e in g.target.carrier)
+
+
+def _tops_disagree_over_one_point(g, f, top, bottom):
+    return any(
+        g(e) == g(e2) and top(e) != top(e2) for e, e2 in itertools.combinations(g.source.carrier, 2)
+    )
+
+
+def test_bruteforce_meets_its_definition_on_every_small_square():
+    # every square with |A| <= 1, |B| <= 2 and |X|, |Y| <= 2
+    outcomes = {"not commuting": 0, "no lift": 0, "lift": 0}
+    missing = 0
+    for sizes in itertools.product(range(2), range(3), range(3), range(3)):
+        for square in itertools.product(*_square_sides(sizes)):
+            outcome = _meets_definition(*square)
+            outcomes[outcome] += 1
+            missing += outcome == "no lift" and _misses_a_bottom_value(*square)
+    # 168 squares in all; with |A| <= 1 a b in g's image always has a value,
+    # so a square with no lift is one whose f misses a bottom value
+    assert outcomes == {"not commuting": 50, "no lift": 36, "lift": 82}
+    assert missing == 36
+
+
+def test_bruteforce_meets_its_definition_on_sampled_squares():
+    # a seeded sample of squares with |A| <= 2 and |B|, |X|, |Y| <= 3
+    rng = random.Random(37)
+    outcomes = {"not commuting": 0, "no lift": 0, "lift": 0}
+    disagreeing = missing = 0
+    while sum(outcomes.values()) < 2000:
+        sides = _square_sides((rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)))
+        if not all(sides):
+            continue
+        square = [rng.choice(maps) for maps in sides]
+        outcome = _meets_definition(*square)
+        outcomes[outcome] += 1
+        if outcome != "not commuting":
+            disagreeing += _tops_disagree_over_one_point(*square)
+            missing += _misses_a_bottom_value(*square)
+    assert all(outcomes.values())
+    assert disagreeing and missing

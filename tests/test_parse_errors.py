@@ -79,17 +79,6 @@ def test_chi_index_outside_source_poset_is_parse_error(tmp_path):
     assert f"{bad}.alpha: unknown index 'zz'" in result.output
 
 
-@pytest.mark.parametrize("cap", ["x", 1.5, True, None, [1]])
-def test_non_integer_height_cap_is_parse_error(tmp_path, cap):
-    tower = load("merge_tower_F.json")
-    tower["height_cap"] = cap
-    bad = _write(tmp_path, "F.json", tower)
-    pm = fixture("merge_p.json")
-    result = run(["merge", "-F", bad, "-G", fixture("merge_tower_G.json"), "-p", pm, "-q", pm])
-    assert result.exit_code == 3
-    assert f"{bad}.height_cap: expected an integer height cap" in result.output
-
-
 def _id_positions(node, trail=()):
     """Every place an element id sits in a document: its string leaves."""
     if isinstance(node, str):

@@ -50,7 +50,7 @@ def chain_tower():
                     arrows[(x, y)] = morphism(fibers[x], one, {c: "w" for c in fibers[x].carrier})
                 else:
                     arrows[(x, y)] = identity(two)
-    return ProObject(Diagram.make(ch, fibers, arrows), 4)
+    return ProObject(Diagram.make(ch, fibers, arrows))
 
 
 def connected_component_directed_check(
@@ -71,20 +71,14 @@ def connected_component_directed_check(
 
 def point_tower(fiber):
     pt = FinPoset.make(("b",))
-    return ProObject(Diagram.make(pt, {"b": fiber}), 1)
+    return ProObject(Diagram.make(pt, {"b": fiber}))
 
 
 def test_pro_object_requires_directed_shape():
     anti = FinPoset.make(("a", "b"))
     one = BaseObject(("w",))
     with pytest.raises(ProCalcError):
-        ProObject(Diagram.make(anti, {"a": one, "b": one}), 1)
-
-
-def test_pro_object_height_cap():
-    F = chain_tower()
-    with pytest.raises(ProCalcError):
-        ProObject(F.diagram, 3)
+        ProObject(Diagram.make(anti, {"a": one, "b": one}))
 
 
 def test_eq_in_colim_reflexive():
@@ -122,7 +116,7 @@ def test_is_pre_morphism_rejects_non_strict_alpha():
     F = chain_tower()
     ch2 = FinPoset.make(("b0", "b1"), [("b0", "b1")])
     one = BaseObject(("w",))
-    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
+    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}))
     collapse = {"b0": morphism(F.at("1"), one, {"w": "w"}), "b1": morphism(F.at("1"), one, {"w": "w"})}
     assert not is_pre_morphism(F, G, {"b0": "1", "b1": "1"}, collapse)
     assert is_pre_morphism(
@@ -175,7 +169,7 @@ def test_straighten_valid_raw_keeps_low_indices():
     F = chain_tower()
     one = BaseObject(("w",))
     ch2 = FinPoset.make(("b0", "b1"), [("b0", "b1")])
-    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
+    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}))
     raw = RawMorphism(
         {
             "b0": ("0", morphism(F.at("0"), one, {"w": "w"})),
@@ -190,7 +184,7 @@ def test_straighten_constant_index_reindexes_upward():
     F = chain_tower()
     one = BaseObject(("w",))
     ch2 = FinPoset.make(("b0", "b1"), [("b0", "b1")])
-    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
+    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}))
     raw = RawMorphism(
         {
             "b0": ("0", morphism(F.at("0"), one, {"w": "w"})),
@@ -213,7 +207,7 @@ def test_straighten_truncation_exhausted():
     F = chain_tower()
     one = BaseObject(("w",))
     ch2 = FinPoset.make(("b0", "b1"), [("b0", "b1")])
-    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}), 2)
+    G = ProObject(Diagram.make(ch2, {"b0": one, "b1": one}, {("b1", "b0"): identity(one)}))
     top_map = morphism(F.at("3"), one, {"u": "w", "v": "w"})
     raw = RawMorphism({"b0": ("3", top_map), "b1": ("3", top_map)})
     with pytest.raises(TruncationExhausted):
@@ -283,8 +277,16 @@ def test_pre_morphism_json_round_trip():
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_pro_object_json_round_trip(seed):
     F = random_pro_object(random.Random(seed), 4, 3)
-    document = {"diagram": diagram_to_json(F.diagram), "height_cap": F.height_cap}
-    assert pro_object_from_json(document) == F
+    assert pro_object_from_json({"diagram": diagram_to_json(F.diagram)}) == F
+
+
+def test_tower_height_cap_key_is_ignored():
+    # a tower's finite directed shape is its own truncation, so a
+    # "height_cap" key is one more ignored key, whatever its value
+    document = {"diagram": diagram_to_json(chain_tower().diagram)}
+    F = pro_object_from_json(document)
+    for cap in ("x", 1.5, True, None, [1], 0):
+        assert pro_object_from_json({**document, "height_cap": cap}) == F
 
 
 def test_pm_laws_on_arrow_pre_morphisms_over_any_poset():

@@ -96,8 +96,8 @@ def chi_report():
 def raw_report():
     """Two representatives at one index that differ there, the only index."""
     point = FinPoset.make(("i",))
-    F = ProObject(Diagram.make(point, {"i": TWO}), 1)
-    G = ProObject(flat(PAIR), 2)
+    F = ProObject(Diagram.make(point, {"i": TWO}))
+    G = ProObject(flat(PAIR))
     return is_raw_morphism(F, G, RawMorphism({"s": ("i", SWAP), "t": ("i", identity(TWO))}))
 
 
