@@ -65,9 +65,6 @@ class BaseMorphism:
     def __call__(self, x: str) -> str:
         return self.mapping[x]
 
-    def __hash__(self) -> int:
-        return hash((self.source.carrier, self.target.carrier, tuple(sorted(self.mapping.items()))))
-
 
 # the slots' member descriptors set a field directly, past the frozen
 # __setattr__, in half the time object.__setattr__ takes
@@ -138,25 +135,6 @@ def pullback(f: BaseMorphism, g: BaseMorphism) -> tuple[BaseObject, BaseMorphism
     proj_f = BaseMorphism._trusted(carrier, f.source, dict(zip(ids, xs)))
     proj_g = BaseMorphism._trusted(carrier, g.source, dict(zip(ids, ys)))
     return carrier, proj_f, proj_g
-
-
-def induced_into_pullback(
-    pb: tuple[BaseObject, BaseMorphism, BaseMorphism],
-    to_f_source: BaseMorphism,
-    to_g_source: BaseMorphism,
-) -> BaseMorphism:
-    """The canonical map into a pullback from a compatible span."""
-    carrier, proj_f, proj_g = pb
-    f_map, g_map = proj_f.mapping, proj_g.mapping
-    lookup = {(f_map[p], g_map[p]): p for p in carrier.carrier}
-    domain = to_f_source.source.carrier
-    a_map, b_map = to_f_source.mapping, to_g_source.mapping
-    keys = [(a_map[w], b_map[w]) for w in domain]
-    try:
-        mapping = dict(zip(domain, map(lookup.__getitem__, keys)))
-    except KeyError:
-        raise BaseError("span does not commute with the pullback legs") from None
-    return BaseMorphism._trusted(to_f_source.source, carrier, mapping)
 
 
 SOURCE_TAG = "s:"

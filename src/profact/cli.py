@@ -49,6 +49,8 @@ def _emit(payload: dict, output: str | None, fmt: str) -> None:
     if fmt == "json":
         text = dumps(payload)
     else:
+        # the text form carries the version line that dumps adds to JSON
+        payload = {"schema_version": serialize.SCHEMA_VERSION, **payload}
         lines = []
 
         def render(prefix: str, value) -> None:
@@ -98,8 +100,7 @@ out_option = click.option("-o", "--output", default=None, help="Write the report
 
 
 # the one place a library or usage error becomes an exit code, with its
-# message as the error line; SearchExhausted is not here, as no command
-# reaches the brute-force oracle.  Errors are named, not imported, since a
+# message as the error line.  Errors are named, not imported, since a
 # command loads only its own modules; no error here subclasses another.
 # A usage error is malformed input, not the code 2 that click gives it
 _EXIT_CODES: dict[str, int] = {

@@ -136,11 +136,13 @@ def check_tower_directedness(tower: CofinalTower, reysha_cap: int | None = None)
 
 @dataclass(frozen=True)
 class OverCategoryReport:
+    """The projection's over-category at object, read on the penultimate
+    level: whether it has objects there, and in how many components."""
+
     object: str
     nonempty: bool
     verdict: str  # "true" or "inconclusive"
     components: int
-    zigzag: tuple[tuple[tuple[str, str], tuple[str, str]], ...]
 
 
 def _over_category(tower: CofinalTower, i: str):
@@ -167,7 +169,8 @@ def check_cofinality(tower: CofinalTower) -> list[OverCategoryReport]:
     connected at this truncation?
 
     Connectivity is judged on the objects indexed by the penultimate level;
-    zigzags may pass through elements adjoined at the final level.
+    the paths joining them may pass through elements adjoined at the final
+    level.
     Disconnection is never refuted: components may merge once higher levels
     adjoin equalizing cones, so a multi-component answer is "inconclusive".
     """
@@ -183,16 +186,12 @@ def check_cofinality(tower: CofinalTower) -> list[OverCategoryReport]:
                 o = parent[o]
             return o
 
-        witnesses = []
         for a, b in edges:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
-                witnesses.append((a, b))
         base_objects = [o for o in objects if o[0] in base_elems]
         components = len({find(o) for o in base_objects})
         verdict = "true" if components == 1 and base_objects else "inconclusive"
-        reports.append(
-            OverCategoryReport(i, bool(base_objects), verdict, components, tuple(witnesses))
-        )
+        reports.append(OverCategoryReport(i, bool(base_objects), verdict, components))
     return reports

@@ -9,7 +9,6 @@ deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -116,9 +115,6 @@ class FinPoset:
         if x not in self._index:
             raise PosetError(f"unknown element {x!r}")
         return self._degrees()[x]
-
-    def max_degree(self) -> int:
-        return max(self._degrees().values(), default=-1)
 
     def downset(self, x: str) -> tuple[str, ...]:
         return self._down.get(x, ())
@@ -231,18 +227,9 @@ class Reysha:
         object.__setattr__(reysha, "members", members)
         return reysha
 
-    def __contains__(self, x: str) -> bool:
-        return x in set(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def is_directed_poset(poset: FinPoset) -> bool:
-    """Nonempty, and every pair (hence every finite Reysha) has an upper bound."""
-    if not poset.elements:
-        return False
-    for x, y in itertools.combinations_with_replacement(poset.elements, 2):
-        if not poset.upper_bounds((x, y)):
-            return False
-    return True
+    """Nonempty, and every pair has an upper bound.  For a finite poset that
+    is having a greatest element: bounding pairs one after another bounds
+    all the elements, and a greatest element bounds every pair."""
+    return any(len(poset.downset(x)) == len(poset.elements) for x in poset.elements)

@@ -231,7 +231,6 @@ def arrow_pre_morphism_from_json(data: Any, f: NatTrans, t: NatTrans, path: str 
 
 def reedy_to_json(rf: ReedyFactorization) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "mid": diagram_to_json(rf.mid),
         "left": {x: dict(rf.left.at(x).mapping) for x in rf.input.shape.elements},
         "right": {x: dict(rf.right.at(x).mapping) for x in rf.input.shape.elements},
@@ -241,7 +240,6 @@ def reedy_to_json(rf: ReedyFactorization) -> dict:
 
 def chi_to_json(chim: PreMorphism, verification: dict[str, bool]) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "alpha": dict(chim.alpha),
         "chi": {b: morphism_to_json(m) for b, m in chim.chi.items()},
         "report": dict(verification),
@@ -272,7 +270,6 @@ def lifting_problem_from_json(data: Any, path: str = "$") -> LiftingProblem:
 
 def cone_lift_to_json(cone: ConeLift, verification: dict[str, bool]) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "components": {t: morphism_to_json(m) for t, m in cone.components.items()},
         "report": dict(verification),
     }
@@ -299,7 +296,6 @@ def tower_to_json(
     tower: CofinalTower, verification: dict[str, bool], reports: list[OverCategoryReport], directed: bool
 ) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "levels": [poset_to_json(level) for level in tower.levels],
         "projection": {
             "objects": dict(tower.obj_map),

@@ -266,7 +266,7 @@ def test_acceptance_5_straighten():
     rng = random.Random(505)
     for _ in range(100):
         F, G, raw = _random_chain_raw(rng)
-        assert F.shape.max_degree() >= 4
+        assert max(F.shape.degree(x) for x in F.shape.elements) >= 4
         pm = straighten(F, G, raw)
         assert is_pre_morphism(F, G, pm.alpha, pm.phi)
         for b in G.shape.elements:

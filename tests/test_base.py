@@ -12,7 +12,6 @@ from profact.base import (
     factorize_base,
     factorize_mid_map,
     identity,
-    induced_into_pullback,
     is_in_m,
     is_in_n,
     lift_base,
@@ -52,18 +51,6 @@ def test_pullback_matches_bruteforce():
     expected = {(a, b) for a in x.carrier for b in y.carrier if f(a) == g(b)}
     assert pairs == expected
     assert len(carrier) == len(expected)
-
-
-def test_induced_into_pullback():
-    x = BaseObject(("x1", "x2"))
-    z = BaseObject(("z",))
-    f = morphism(x, z, {"x1": "z", "x2": "z"})
-    pb = pullback(f, f)
-    diagonal = induced_into_pullback(pb, identity(x), identity(x))
-    carrier, proj_f, proj_g = pb
-    for e in x.carrier:
-        assert proj_f(diagonal(e)) == e
-        assert proj_g(diagonal(e)) == e
 
 
 def test_factorize_base_shape():

@@ -262,6 +262,38 @@ def write_json(tmp_path, name, data):
     return str(path)
 
 
+TOWERS = ["-F", fixture("merge_tower_F.json"), "-G", fixture("merge_tower_G.json")]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["reedy", fixture("identity_over_v.json")],
+        ["chi", "-f", fixture("chi_f.json"), "-t", fixture("chi_t.json"), "-p", fixture("chi_pm.json")],
+        ["lift", fixture("lift_over_v.json")],
+        ["cofinalize", fixture("chain2.json"), "--levels", "1"],
+        ["merge", *TOWERS, "-p", fixture("merge_p.json"), "-q", fixture("merge_p.json")],
+        ["check", "directed-category", fixture("chain3.json")],
+        ["check", "directed-poset", None],
+        ["check", "levelwise", fixture("identity_over_v.json")],
+        ["check", "special", fixture("identity_over_v.json")],
+        ["check", "pm-valid", fixture("merge_p.json"), *TOWERS],
+        ["check", "pm-leq", fixture("merge_p.json"), *TOWERS, "-q", fixture("merge_p.json")],
+        ["suite", "--cases", "1"],
+    ],
+    ids=[
+        "reedy", "chi", "lift", "cofinalize", "merge", "directed-category", "directed-poset",
+        "levelwise", "special", "pm-valid", "pm-leq", "suite",
+    ],
+)
+def test_text_format_carries_the_schema_version(runner, tmp_path, args):
+    poset = write_json(tmp_path, "poset.json", {"elements": ["a", "b"], "le": [["a", "b"]]})
+    args = [poset if arg is None else arg for arg in args]
+    result = runner.invoke(main, [*args, "--format", "text"])
+    assert result.exit_code == 0, result.output
+    assert "schema_version: 1" in result.output.splitlines()
+
+
 def chain_diagram(lower, upper, objects, arrow):
     """A diagram over the chain lower < upper."""
     return {

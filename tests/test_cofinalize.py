@@ -145,14 +145,6 @@ def test_cofinality_chain3_never_refuted():
         assert report.verdict in ("true", "inconclusive")
 
 
-def test_zigzag_witnesses_are_edges():
-    tower = build_tower(chain2(), levels=1, reysha_cap=2)
-    for report in check_cofinality(tower):
-        for (c2, m2), (c, m) in report.zigzag:
-            assert tower.top.le(c, c2)
-            assert tower.source.compose(m, tower.mor_map[(c2, c)]) == m2
-
-
 def test_non_directed_category_rejected():
     with pytest.raises(CofinalizeError):
         build_tower(load_category("parallel_pair.json"))

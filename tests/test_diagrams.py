@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profact.base import TERMINAL, BaseObject, identity, induced_into_pullback, is_in_m, is_in_n, morphism, pullback
+from profact.base import TERMINAL, BaseObject, identity, is_in_m, is_in_n, morphism, pullback
 from profact.diagrams import (
     Diagram,
     DiagramError,
@@ -180,6 +180,27 @@ def test_matching_data_over_random_transformations():
                 assert projections[x](relative(e)) == nt.at(x)(e)
                 for s in below:
                     assert projections[s](relative(e)) == nt.source.arrow(x, s)(e)
+
+
+def induced_into_pullback(pb, to_f_source, to_g_source):
+    """The canonical map into a pullback from a compatible span: each w
+    goes to the point over (to_f_source(w), to_g_source(w))."""
+    carrier, proj_f, proj_g = pb
+    lookup = {(proj_f(p), proj_g(p)): p for p in carrier.carrier}
+    source = to_f_source.source
+    return morphism(source, carrier, {w: lookup[to_f_source(w), to_g_source(w)] for w in source.carrier})
+
+
+def test_induced_into_pullback():
+    x = BaseObject(("x1", "x2"))
+    z = BaseObject(("z",))
+    f = morphism(x, z, {"x1": "z", "x2": "z"})
+    pb = pullback(f, f)
+    diagonal = induced_into_pullback(pb, identity(x), identity(x))
+    carrier, proj_f, proj_g = pb
+    for e in x.carrier:
+        assert proj_f(diagonal(e)) == e
+        assert proj_g(diagonal(e)) == e
 
 
 def pullback_reference(nt, x):

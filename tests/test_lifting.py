@@ -11,7 +11,6 @@ from profact.lifting import (
     SEARCH_CAP,
     LiftingError,
     LiftingProblem,
-    SearchExhausted,
     has_lift_bruteforce,
     lift_against_special,
 )
@@ -125,23 +124,6 @@ def test_bruteforce_rejects_non_commuting_square():
         )
 
 
-def test_bruteforce_cap():
-    # |X| ** 3 candidates: 100 ** 3 is SEARCH_CAP itself, 101 ** 3 is past it
-    assert SEARCH_CAP == 100**3
-    one = BaseObject(("y",))
-    b = BaseObject(("b1", "b2", "b3"))
-    g = morphism(BaseObject(()), b, {})
-
-    def square(size):
-        big = BaseObject(tuple(f"x{i}" for i in range(size)))
-        f = morphism(big, one, {c: "y" for c in big.carrier})
-        return g, f, morphism(g.source, big, {}), morphism(b, one, {c: "y" for c in b.carrier})
-
-    assert has_lift_bruteforce(*square(100))[0]
-    with pytest.raises(SearchExhausted):
-        has_lift_bruteforce(*square(101))
-
-
 def _first_lift_over_all_maps(g, f, top, bottom):
     """The first lift among all maps B -> X in product order, or None."""
     domain = g.target.carrier
@@ -177,13 +159,15 @@ def _random_square(rng, max_a=2):
     return g, f, morphism(a, x, top), bottom
 
 
-def test_bruteforce_witness_is_the_first_over_all_maps():
+@pytest.mark.parametrize("seed, max_a", [(29, 2), (31, 3)])
+def test_bruteforce_witness_is_the_first_over_all_maps(seed, max_a):
     # the oracle builds only the least admissible map; it must be the first
-    # lift of the walk over every map B -> X
-    rng = random.Random(29)
+    # lift of the walk over every map B -> X.  With max_a 3, A can be as
+    # large as B, so g can be non-injective and tops can disagree
+    rng = random.Random(seed)
     checked = solvable = 0
     while checked < 300:
-        square = _random_square(rng)
+        square = _random_square(rng, max_a)
         if square is None:
             continue
         checked += 1
@@ -244,12 +228,7 @@ def test_randomized_special_problems_with_oracle_crosscheck():
         cone = lift_against_special(problem)
         assert all(cone.verify(problem).values())
         for t in problem.right.shape.elements:
-            try:
-                found, _ = has_lift_bruteforce(
-                    problem.left, problem.right.at(t), problem.top[t], problem.bottom[t]
-                )
-            except SearchExhausted:
-                continue
+            found, _ = has_lift_bruteforce(problem.left, problem.right.at(t), problem.top[t], problem.bottom[t])
             assert found
 
 
@@ -415,36 +394,34 @@ def test_bruteforce_disagreeing_tops_over_one_point(monkeypatch):
     assert built == []
 
 
-def test_bruteforce_cap_counts_all_maps_not_the_walk():
-    # g is a bijection, so the walk has one map, but 101 ** 3 maps B -> X
-    # exceed the cap
+def test_bruteforce_lifts_squares_with_more_maps_than_the_search_cap():
+    # 101 ** 3 maps B -> X, past SEARCH_CAP, with g empty and with g a
+    # bijection; the least admissible map is built all the same, and the
+    # walk over all maps reaches it after 0 and 103 others
+    assert SEARCH_CAP == 10**6 < 101**3
     big = BaseObject(tuple(f"x{i}" for i in range(101)))
     one = BaseObject(("y",))
     a, b = BaseObject(("a1", "a2", "a3")), BaseObject(("b1", "b2", "b3"))
-    g = morphism(a, b, {"a1": "b1", "a2": "b2", "a3": "b3"})
     f = morphism(big, one, {c: "y" for c in big.carrier})
-    top = morphism(a, big, {"a1": "x0", "a2": "x1", "a3": "x2"})
     bottom = morphism(b, one, {c: "y" for c in b.carrier})
-    with pytest.raises(SearchExhausted, match=r"^search exhausted: 101 \*\* 3 candidates exceed cap 1000000$"):
-        has_lift_bruteforce(g, f, top, bottom)
-
-
-def test_bruteforce_witness_is_the_first_over_all_maps_for_any_g():
-    # A as large as B, so g can be non-injective and tops can disagree
-    rng = random.Random(31)
-    checked = solvable = 0
-    while checked < 300:
-        square = _random_square(rng, max_a=3)
-        if square is None:
-            continue
-        checked += 1
-        expected = _first_lift_over_all_maps(*square)
+    squares = [
+        (morphism(BaseObject(()), b, {}), f, morphism(BaseObject(()), big, {}), bottom),
+        (
+            morphism(a, b, {"a1": "b1", "a2": "b2", "a3": "b3"}),
+            f,
+            morphism(a, big, {"a1": "x0", "a2": "x1", "a3": "x2"}),
+            bottom,
+        ),
+    ]
+    ranks = []
+    for square in squares:
         found, witness = has_lift_bruteforce(*square)
-        assert found == (expected is not None)
-        if found:
-            solvable += 1
-            assert witness.mapping == expected
-    assert 0 < solvable < checked
+        assert found and witness.mapping == _first_lift_over_all_maps(*square)
+        rank = 0
+        for x in witness.mapping.values():
+            rank = rank * len(big.carrier) + big.carrier.index(x)
+        ranks.append(rank)
+    assert ranks == [0, 103]
 
 
 def _all_maps(source, target):

@@ -36,7 +36,6 @@ def test_degrees_and_levels():
     assert v.degree("x0") == 0
     assert v.degree("x1") == 0
     assert v.degree("t") == 1
-    assert v.max_degree() == 1
 
 
 def test_degree_longest_chain():
@@ -95,6 +94,24 @@ def test_directedness():
     assert is_directed_poset(vee())
     assert not is_directed_poset(FinPoset.make(("a", "b")))
     assert not is_directed_poset(FinPoset.make((), ()))
+
+
+def test_directedness_meets_its_definition_on_every_small_poset():
+    # every edge set over i < j on n <= 5 elements, against the definition:
+    # nonempty, and every pair has an upper bound
+    posets = directed = 0
+    for n in range(6):
+        elements = tuple(str(i) for i in range(n))
+        edges = list(itertools.combinations(elements, 2))
+        for chosen in itertools.product((False, True), repeat=len(edges)):
+            poset = FinPoset.make(elements, [e for e, keep in zip(edges, chosen) if keep])
+            expected = bool(elements) and all(
+                any(poset.le(x, c) and poset.le(y, c) for c in elements) for x in elements for y in elements
+            )
+            assert is_directed_poset(poset) == expected, poset
+            posets += 1
+            directed += expected
+    assert (posets, directed) == (1100, 341)
 
 
 def test_in_degree_order():
@@ -166,4 +183,4 @@ def test_restriction_to_a_reysha_keeps_every_downset(seed):
             assert sub.downset(x) == poset.downset(x)
             assert sub.strict_downset(x) == poset.strict_downset(x)
             assert sub.degree(x) == poset.degree(x)
-        assert sub.in_degree_order() == tuple(x for x in poset.in_degree_order() if x in reysha)
+        assert sub.in_degree_order() == tuple(x for x in poset.in_degree_order() if x in reysha.members)
