@@ -394,34 +394,48 @@ def test_bruteforce_disagreeing_tops_over_one_point(monkeypatch):
     assert built == []
 
 
-def test_bruteforce_lifts_squares_with_more_maps_than_the_search_cap():
-    # 101 ** 3 maps B -> X, past SEARCH_CAP, with g empty and with g a
-    # bijection; the least admissible map is built all the same, and the
-    # walk over all maps reaches it after 0 and 103 others
-    assert SEARCH_CAP == 10**6 < 101**3
+def _rank_over_all_maps(witness, x):
+    """How many maps B -> X come before the witness in product order."""
+    rank = 0
+    for value in witness.mapping.values():
+        rank = rank * len(x.carrier) + x.carrier.index(value)
+    return rank
+
+
+def test_bruteforce_cap():
+    # |X| ** 3 maps B -> X: 100 ** 3 is SEARCH_CAP itself, 101 ** 3 is past
+    # it; g is empty, so the least map of all is the lift either way
+    assert SEARCH_CAP == 100**3
+    one = BaseObject(("y",))
+    b = BaseObject(("b1", "b2", "b3"))
+    g = morphism(BaseObject(()), b, {})
+
+    def square(size):
+        big = BaseObject(tuple(f"x{i}" for i in range(size)))
+        f = morphism(big, one, {c: "y" for c in big.carrier})
+        return g, f, morphism(g.source, big, {}), morphism(b, one, {c: "y" for c in b.carrier})
+
+    for size in (100, 101):
+        found, witness = has_lift_bruteforce(*square(size))
+        assert found and witness.mapping == _first_lift_over_all_maps(*square(size))
+        assert _rank_over_all_maps(witness, witness.target) == 0
+
+
+def test_bruteforce_cap_counts_all_maps_not_the_walk():
+    # g is a bijection, so one map extends the top, and 101 ** 3 maps B -> X
+    # exceed the cap; the lift is built all the same, and the walk over all
+    # maps reaches it after 103 others
     big = BaseObject(tuple(f"x{i}" for i in range(101)))
     one = BaseObject(("y",))
     a, b = BaseObject(("a1", "a2", "a3")), BaseObject(("b1", "b2", "b3"))
+    g = morphism(a, b, {"a1": "b1", "a2": "b2", "a3": "b3"})
     f = morphism(big, one, {c: "y" for c in big.carrier})
+    top = morphism(a, big, {"a1": "x0", "a2": "x1", "a3": "x2"})
     bottom = morphism(b, one, {c: "y" for c in b.carrier})
-    squares = [
-        (morphism(BaseObject(()), b, {}), f, morphism(BaseObject(()), big, {}), bottom),
-        (
-            morphism(a, b, {"a1": "b1", "a2": "b2", "a3": "b3"}),
-            f,
-            morphism(a, big, {"a1": "x0", "a2": "x1", "a3": "x2"}),
-            bottom,
-        ),
-    ]
-    ranks = []
-    for square in squares:
-        found, witness = has_lift_bruteforce(*square)
-        assert found and witness.mapping == _first_lift_over_all_maps(*square)
-        rank = 0
-        for x in witness.mapping.values():
-            rank = rank * len(big.carrier) + big.carrier.index(x)
-        ranks.append(rank)
-    assert ranks == [0, 103]
+    assert len(big.carrier) ** len(b.carrier) > SEARCH_CAP
+    found, witness = has_lift_bruteforce(g, f, top, bottom)
+    assert found and witness.mapping == _first_lift_over_all_maps(g, f, top, bottom)
+    assert _rank_over_all_maps(witness, big) == 103
 
 
 def _all_maps(source, target):
