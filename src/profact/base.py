@@ -199,20 +199,25 @@ def lift_base(
     """Solve the lifting problem for g injective against f surjective.
 
     Off the image of g, the lift picks the least f-preimage (in carrier
-    order) of the bottom value, so outputs are reproducible.
+    order) of the bottom value, so outputs are reproducible.  The least
+    preimages come from one table, built in a single pass over f's source.
     """
     if not is_in_n(g):
         raise BaseError("left map is not injective")
     if not is_in_m(f):
         raise BaseError("right map is not surjective")
-    if compose(f, top) != compose(bottom, g):
+    # as in factorize_mid_map: composite_mapping checks the inner
+    # endpoints, and the outer ones are compared before the mappings
+    f_top, bottom_g = composite_mapping(f, top), composite_mapping(bottom, g)
+    if top.source != g.source or bottom.target != f.target or f_top != bottom_g:
         raise BaseError("lifting square does not commute")
     image = {g(a): a for a in g.source.carrier}
+    # the least x over each point: the first x in f's source overwrites last
+    preimage = {f(x): x for x in reversed(f.source.carrier)}
     mapping = {}
     for b in g.target.carrier:
         if b in image:
             mapping[b] = top(image[b])
         else:
-            y = bottom(b)
-            mapping[b] = next(x for x in f.source.carrier if f(x) == y)
+            mapping[b] = preimage[bottom(b)]
     return BaseMorphism(g.target, f.source, mapping)

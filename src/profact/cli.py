@@ -53,11 +53,12 @@ def _emit(payload: dict, output: str | None, fmt: str) -> None:
         payload = {"schema_version": serialize.SCHEMA_VERSION, **payload}
         lines = []
 
+        # an empty list or dict is a value of its own, printed as [] or {}
         def render(prefix: str, value) -> None:
-            if isinstance(value, dict):
+            if isinstance(value, dict) and value:
                 for key in sorted(value):
                     render(f"{prefix}{key}.", value[key])
-            elif isinstance(value, list):
+            elif isinstance(value, list) and value:
                 for i, item in enumerate(value):
                     render(f"{prefix}{i}.", item)
             else:

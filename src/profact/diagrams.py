@@ -279,6 +279,10 @@ def matching_pullback(upper: Diagram, components: dict[str, BaseMorphism], lower
     """
     shape = upper.shape
     below = shape.strict_downset(x)
+    if not below:
+        # at a minimal element P(x) is lower(x) itself, as the join builds it
+        fiber = lower.objects[x]
+        return _from_columns("p", (x,), [fiber], [list(fiber.carrier)])
     # the types first: the join reads each component's values by id
     for s in below:
         comp = components.get(s)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from .base import (
     BaseMorphism,
     compose,
+    composite_mapping,
     is_in_n,
     lift_base,
 )
@@ -42,6 +43,7 @@ class LiftingProblem:
     bottom: dict[str, BaseMorphism]
 
     def validate(self) -> None:
+        # the endpoints are checked first, so each law compares mappings
         shape = self.right.shape
         for t in shape.elements:
             top = self.top.get(t)
@@ -50,12 +52,12 @@ class LiftingProblem:
                 raise LiftingError(f"missing or ill-typed top cone component at {t!r}")
             if bottom is None or bottom.source != self.left.target or bottom.target != self.right.target.at(t):
                 raise LiftingError(f"missing or ill-typed bottom cone component at {t!r}")
-            if compose(self.right.at(t), top) != compose(bottom, self.left):
+            if composite_mapping(self.right.at(t), top) != composite_mapping(bottom, self.left):
                 raise LiftingError(f"lifting square does not commute at {t!r}")
         for t, s in shape.strict_pairs():
-            if compose(self.right.source.arrow(t, s), self.top[t]) != self.top[s]:
+            if composite_mapping(self.right.source.arrow(t, s), self.top[t]) != self.top[s].mapping:
                 raise LiftingError(f"top cone incompatible on {t!r} >= {s!r}")
-            if compose(self.right.target.arrow(t, s), self.bottom[t]) != self.bottom[s]:
+            if composite_mapping(self.right.target.arrow(t, s), self.bottom[t]) != self.bottom[s].mapping:
                 raise LiftingError(f"bottom cone incompatible on {t!r} >= {s!r}")
 
 
@@ -91,26 +93,32 @@ def has_lift_bruteforce(
     to top(a), a point of that preimage since the square commutes.  So a b
     in g's image takes only that point, or none when two a over it have
     different top values, and any other b takes its first preimage in X's
-    carrier order.  The conditions on each b are independent, so every
-    admissible map is a lift, and the least one is the first lift in the
-    order of all maps B -> X.  It takes O(|A| + |B|·|X|) steps, however
-    many maps B -> X there are.
+    carrier order, read from a table of each point's least preimage built
+    in one pass over X.  The conditions on each b are independent, so
+    every admissible map is a lift, and the least one is the first lift in
+    the order of all maps B -> X.  It takes O(|A| + |B| + |X|) steps,
+    however many maps B -> X there are.
     """
-    if compose(f, top) != compose(bottom, g):
+    # composite_mapping checks that top ends at f's source and bottom
+    # starts at g's target; with the other two endpoints equal, the square
+    # commutes iff the mappings agree
+    f_top, bottom_g = composite_mapping(f, top), composite_mapping(bottom, g)
+    if top.source != g.source or bottom.target != f.target or f_top != bottom_g:
         raise LiftingError("lifting square does not commute")
     domain = g.target.carrier
-    codomain = f.source.carrier
     values: dict[str, str] = {}
     for a in g.source.carrier:
         if values.setdefault(g(a), top(a)) != top(a):
             return False, None
+    # the least x over each point: the first x in X's order overwrites last
+    preimage = {f(x): x for x in reversed(f.source.carrier)}
     for b in domain:
         if b not in values:
-            values[b] = next((x for x in codomain if f(x) == bottom(b)), None)
+            values[b] = preimage.get(bottom(b))
             if values[b] is None:
                 return False, None
     lift = BaseMorphism(g.target, f.source, {b: values[b] for b in domain})
-    if compose(lift, g) == top and compose(f, lift) == bottom:
+    if composite_mapping(lift, g) == top.mapping and composite_mapping(f, lift) == bottom.mapping:
         return True, lift
     return False, None
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -176,3 +177,59 @@ def test_lift_base_rejects_wrong_classes():
     collapse = morphism(two, one, {"1": "p", "2": "p"})
     with pytest.raises(BaseError):
         lift_base(collapse, collapse, collapse, identity(one))
+
+
+def _all_maps(source, target):
+    """Every map source -> target, in product order over target's carrier."""
+    for values in itertools.product(target.carrier, repeat=len(source.carrier)):
+        yield morphism(source, target, dict(zip(source.carrier, values)))
+
+
+def test_lift_base_meets_its_definition_on_every_small_square():
+    # every commuting square with g injective and f surjective, |A| <= 1,
+    # |B| <= 2, |X| <= 3 and |Y| <= 2.  X's carrier runs against the order
+    # of its ids, so "least in carrier order" is not "least id"
+    squares = 0
+    for size_a, size_b, size_x, size_y in itertools.product(range(2), range(3), range(4), range(3)):
+        a, b, y = (BaseObject(tuple(f"{name}{i}" for i in range(n))) for name, n in zip("aby", (size_a, size_b, size_y)))
+        x = BaseObject(tuple(f"x{i}" for i in reversed(range(size_x))))
+        for g, f in itertools.product(_all_maps(a, b), _all_maps(x, y)):
+            if not (is_in_n(g) and is_in_m(f)):
+                continue
+            for top, bottom in itertools.product(_all_maps(a, x), _all_maps(b, y)):
+                if compose(f, top) != compose(bottom, g):
+                    continue
+                squares += 1
+                # top(a) on g's image, elsewhere the least preimage of bottom(b)
+                expected = {e: next(c for c in x.carrier if f(c) == bottom(e)) for e in b.carrier}
+                expected.update({g(e): top(e) for e in a.carrier})
+                lift = lift_base(g, f, top, bottom)
+                assert lift == BaseMorphism(b, x, expected)
+                assert list(lift.mapping) == list(b.carrier)
+    assert squares == 194
+
+
+def test_lift_base_refusals_keep_their_messages():
+    a, a_reordered = BaseObject(("1", "2")), BaseObject(("2", "1"))
+    b = BaseObject(("1", "2", "3"))
+    x = BaseObject(("u", "v"))
+    y, y_reordered = BaseObject(("p", "q")), BaseObject(("q", "p"))
+    g = morphism(a, b, {"1": "1", "2": "2"})
+    f = morphism(x, y, {"u": "p", "v": "q"})
+    top = {"1": "u", "2": "v"}
+    bottom = {"1": "p", "2": "q", "3": "q"}
+    assert lift_base(g, f, morphism(a, x, top), morphism(b, y, bottom)).mapping == {"1": "u", "2": "v", "3": "v"}
+    collapse = morphism(a, BaseObject(("1",)), {"1": "1", "2": "1"})
+    with pytest.raises(BaseError, match="^left map is not injective$"):
+        lift_base(collapse, f, morphism(a, x, top), morphism(BaseObject(("1",)), y, {"1": "p"}))
+    into = morphism(BaseObject(("u",)), y, {"u": "p"})
+    with pytest.raises(BaseError, match="^right map is not surjective$"):
+        lift_base(g, into, morphism(a, into.source, {"1": "u", "2": "u"}), morphism(b, y, bottom))
+    with pytest.raises(BaseError, match="^lifting square does not commute$"):
+        lift_base(g, f, morphism(a, x, top), morphism(b, y, {**bottom, "2": "p"}))
+    # the composites agree as assignments, but one starts at another A or
+    # ends at another Y: the same points in another carrier order
+    with pytest.raises(BaseError, match="^lifting square does not commute$"):
+        lift_base(g, f, morphism(a_reordered, x, top), morphism(b, y, bottom))
+    with pytest.raises(BaseError, match="^lifting square does not commute$"):
+        lift_base(g, f, morphism(a, x, top), morphism(b, y_reordered, bottom))

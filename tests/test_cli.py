@@ -294,6 +294,32 @@ def test_text_format_carries_the_schema_version(runner, tmp_path, args):
     assert "schema_version: 1" in result.output.splitlines()
 
 
+def test_text_format_prints_an_empty_value(runner, tmp_path):
+    # a category with no objects fails axiom 1 with an empty detail
+    empty = write_json(
+        tmp_path, "empty.json", {"objects": [], "morphisms": [], "src": {}, "tgt": {}, "identities": {}}
+    )
+    as_json = runner.invoke(main, ["check", "directed-category", empty])
+    assert json.loads(as_json.output)["witness"] == {"axiom": 1, "detail": []}
+    as_text = runner.invoke(main, ["check", "directed-category", empty, "--format", "text"])
+    assert as_text.output.splitlines() == [
+        "directed: False", "schema_version: 1", "witness.axiom: 1", "witness.detail: []",
+    ]
+    # every law of a passing suite has an empty failures list
+    suite = runner.invoke(main, ["suite", "--cases", "1", "--format", "text"]).output.splitlines()
+    laws = json.loads(runner.invoke(main, ["suite", "--cases", "1"]).output)["results"]
+    assert [line for line in suite if line.endswith(".failures: []")] == [
+        f"results.{law}.failures: []" for law in sorted(laws)
+    ]
+
+
+def test_text_format_prints_an_empty_dict(capsys):
+    from profact.cli import _emit
+
+    _emit({"a": {}, "b": [{}, []], "c": {"d": 0}}, None, "text")
+    assert capsys.readouterr().out.splitlines() == ["a: {}", "b.0: {}", "b.1: []", "c.d: 0", "schema_version: 1"]
+
+
 def chain_diagram(lower, upper, objects, arrow):
     """A diagram over the chain lower < upper."""
     return {

@@ -239,6 +239,32 @@ def test_matching_pullback_equals_the_pullback_of_the_matching_limits():
             assert {e: rows[relative(e)] for e in nt.source.at(x).carrier} == relative_rows
 
 
+def test_matching_pullback_at_a_minimal_element_is_the_lower_fiber():
+    # what the join builds over an empty strict downset: one row per d in
+    # lower(x)'s carrier order, a single projection to lower(x), and an
+    # index keyed by d alone
+    rng = random.Random(2401)
+    minimal = 0
+    for _ in range(200):
+        nt = random_nattrans(rng, random_poset(rng, 5), 3)
+        for x in nt.shape.elements:
+            if nt.shape.strict_downset(x):
+                continue
+            minimal += 1
+            pb = matching_pullback(nt.source, nt.components, nt.target, x)
+            carrier, projections = pb
+            fiber = nt.target.at(x)
+            ids = tuple(f"p{i}" for i in range(len(fiber.carrier)))
+            assert carrier == BaseObject(ids)
+            assert list(projections) == [x]
+            assert projections[x].source == carrier and projections[x].target == fiber
+            assert list(projections[x].mapping.items()) == list(zip(ids, fiber.carrier))
+            order, families = pb.index
+            assert order == (x,)
+            assert list(families.items()) == [((d,), p) for p, d in zip(ids, fiber.carrier)]
+    assert minimal == 339
+
+
 def test_matching_pullback_refuses_legs_that_are_no_cone_or_lie_over_another_d():
     # 0 < 1 < t, the identity on a constant diagram: P(t) holds the
     # families (a, a) and (b, b) below t, each over its own value at t

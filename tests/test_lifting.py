@@ -124,6 +124,22 @@ def test_bruteforce_rejects_non_commuting_square():
         )
 
 
+def test_bruteforce_refuses_a_square_whose_outer_endpoints_differ():
+    # the composites agree as assignments, but the top starts at another A
+    # or the bottom ends at another Y: the same points in another order
+    a, a_reordered = BaseObject(("1", "2")), BaseObject(("2", "1"))
+    x = BaseObject(("u", "v"))
+    y, y_reordered = BaseObject(("p", "q")), BaseObject(("q", "p"))
+    g = morphism(a, a, {"1": "1", "2": "2"})
+    f = morphism(x, y, {"u": "p", "v": "q"})
+    top, bottom = {"1": "u", "2": "v"}, {"1": "p", "2": "q"}
+    assert has_lift_bruteforce(g, f, morphism(a, x, top), morphism(a, y, bottom))[0]
+    with pytest.raises(LiftingError, match="^lifting square does not commute$"):
+        has_lift_bruteforce(g, f, morphism(a_reordered, x, top), morphism(a, y, bottom))
+    with pytest.raises(LiftingError, match="^lifting square does not commute$"):
+        has_lift_bruteforce(g, f, morphism(a, x, top), morphism(a, y_reordered, bottom))
+
+
 def _first_lift_over_all_maps(g, f, top, bottom):
     """The first lift among all maps B -> X in product order, or None."""
     domain = g.target.carrier

@@ -166,6 +166,15 @@ CASES = {
         lambda: pre_morphism(IDENTITY_ALPHA, phi_swapped="d", psi_swapped="b"),
         "FactorizeError: bottom family not natural on 'b' >= 'a'",
     ),
+    # the square commutes at s and not at t; the cones are checked later
+    "lifting_square": (
+        lambda: raised(
+            lifting_problem(
+                {"s": {"a": "0"}, "t": {"a": "0"}}, {"s": {"a": "0", "b": "0"}, "t": {"a": "1", "b": "0"}}
+            ).validate
+        ),
+        "LiftingError: lifting square does not commute at 't'",
+    ),
     "lifting_top_cone": (
         lambda: raised(
             lifting_problem(
