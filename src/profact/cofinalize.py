@@ -91,10 +91,13 @@ def build_tower(
         # each level extends the one before: a new cone lies above exactly
         # the members of its Reysha, which is downward closed in prev
         new: list[tuple[str, tuple[str, ...]]] = []
+        homs = {apex: {c: I.hom(apex, obj_map[c]) for c in prev.elements} for apex in I.objects}
         for reysha in prev.reyshas(max_size=reysha_cap):
             members = reysha.members
             for apex in I.objects:
-                leg_choices = [I.hom(apex, obj_map[c]) for c in members]
+                leg_choices = [homs[apex][c] for c in members]
+                if not all(leg_choices):
+                    continue
                 for legs in itertools.product(*leg_choices):
                     legs_by = dict(zip(members, legs))
                     if not all(
@@ -145,25 +148,6 @@ class OverCategoryReport:
     components: int
 
 
-def _over_category(tower: CofinalTower, i: str):
-    """The objects (c, m), m: obj(c) -> i, c-major in canonical order then
-    m in morphism order, and the edges (c2, m2) -> (c, m) for c < c2 with
-    m after the projection of c2 > c equal to m2, (c2, m2)-major in
-    object order.  c = c2 is left out: through the identity leg it gives
-    only the self-edge (c2, m2) -> (c2, m2), which joins no components."""
-    top, source, mor_map = tower.top, tower.source, tower.mor_map
-    over = {c: source.hom(tower.obj_map[c], i) for c in top.elements}
-    objects = [(c, m) for c in top.elements for m in over[c]]
-    edges = []
-    for c2, m2 in objects:
-        for c in top.strict_downset(c2):
-            leg = mor_map[(c2, c)]
-            for m in over[c]:
-                if source.compose(m, leg) == m2:
-                    edges.append(((c2, m2), (c, m)))
-    return objects, edges
-
-
 def check_cofinality(tower: CofinalTower) -> list[OverCategoryReport]:
     """For each object: is the over-category of the projection nonempty and
     connected at this truncation?
@@ -174,24 +158,44 @@ def check_cofinality(tower: CofinalTower) -> list[OverCategoryReport]:
     Disconnection is never refuted: components may merge once higher levels
     adjoin equalizing cones, so a multi-component answer is "inconclusive".
     """
-    base_elems = set(tower.base.elements)
-    reports = []
-    for i in tower.source.objects:
-        objects, edges = _over_category(tower, i)
-        parent = {o: o for o in objects}
+    top, source, obj_map, mor_map = tower.top, tower.source, tower.obj_map, tower.mor_map
+    out: dict[str, list[str]] = {x: [] for x in source.objects}
+    slot = {}  # a morphism's place among those out of its source
+    for m in source.morphisms:
+        slot[m] = len(out[source.src[m]])
+        out[source.src[m]].append(m)
+    # the pair (c, m), m out of obj_map[c], is number first[c] + slot[m]
+    first, count = {}, 0
+    for c in top.elements:
+        first[c] = count
+        count += len(out[obj_map[c]])
+    parent = list(range(count))
 
-        def find(o):
-            while parent[o] != o:
-                parent[o] = parent[parent[o]]
-                o = parent[o]
-            return o
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
 
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        base_objects = [o for o in objects if o[0] in base_elems]
-        components = len({find(o) for o in base_objects})
-        verdict = "true" if components == 1 and base_objects else "inconclusive"
-        reports.append(OverCategoryReport(i, bool(base_objects), verdict, components))
-    return reports
+    # one partition of all the pairs: (c2, m2) and (c, m) are joined when
+    # c < c2 and m2 is m after the leg of c2 > c.  Composing keeps m's
+    # target, so the components of the over-category at i are the classes
+    # of the pairs whose m ends at i.  c = c2 is left out: through the
+    # identity leg it joins a pair only to itself.  A leg out of another
+    # object than obj_map[c2] joins nothing, as in the over-category
+    for c2 in top.elements:
+        for c in top.strict_downset(c2):
+            leg = mor_map[(c2, c)]
+            if source.src[leg] != obj_map[c2]:
+                continue
+            for m in out[obj_map[c]]:
+                ra, rb = find(first[c2] + slot[source.compose(m, leg)]), find(first[c] + slot[m])
+                if ra != rb:
+                    parent[ra] = rb
+    roots: dict[str, set[int]] = {i: set() for i in source.objects}
+    for c in tower.base.elements:
+        for m in out[obj_map[c]]:
+            roots[source.tgt[m]].add(find(first[c] + slot[m]))
+    return [
+        OverCategoryReport(i, bool(roots[i]), "true" if len(roots[i]) == 1 else "inconclusive", len(roots[i]))
+        for i in source.objects
+    ]

@@ -83,10 +83,18 @@ class FinPoset:
         """This poset with each (name, members) of new added above exactly
         members, which are downward closed here and in canonical order.
         An element's downset stays as it was; names are taken as given."""
-        down = dict(self._down)
+        index, down, strict = dict(self._index), dict(self._down), dict(self._strict)
         for name, members in new:
+            index[name] = len(index)
             down[name] = members + (name,)
-        return FinPoset._from_downsets(self.elements + tuple(name for name, _ in new), down)
+            strict[name] = members
+        return FinPoset(
+            self.elements + tuple(name for name, _ in new),
+            self.le_pairs.union((y, name) for name, members in new for y in down[name]),
+            index,
+            down,
+            strict,
+        )
 
     def __contains__(self, x: str) -> bool:
         return x in self._index
@@ -172,21 +180,22 @@ class FinPoset:
         """
         elements = self.elements
         largest = len(elements) if max_size is None else min(len(elements), max_size)
-        # bit i stands for elements[i]
-        below = [sum(1 << self._index[y] for y in self._strict[x]) for x in elements]
-        level: list[tuple[int, ...]] = [()]
+        index = self._index
+        # bit i stands for elements[i]; each element with its strict downset
+        table = [(1 << i, sum(1 << index[y] for y in self._strict[x])) for i, x in enumerate(elements)]
+        # the sets of one size: their canonical positions, each with its mask
+        level: list[tuple[tuple[int, ...], int]] = [((), 0)]
         for r in range(largest + 1):
-            for combo in level:
+            for combo, _ in level:
                 yield Reysha._trusted(self, tuple(elements[i] for i in combo))
             if r == largest:
                 return
-            grown: set[tuple[int, ...]] = set()
-            for combo in level:
-                mask = sum(1 << i for i in combo)
-                for i, strict in enumerate(below):
-                    if not mask & (1 << i) and not strict & ~mask:
-                        grown.add(tuple(sorted(combo + (i,))))
-            level = sorted(grown)
+            grown: dict[int, tuple[int, ...]] = {}
+            for combo, mask in level:
+                for i, (bit, strict) in enumerate(table):
+                    if not mask & bit and not strict & ~mask and mask | bit not in grown:
+                        grown[mask | bit] = tuple(sorted(combo + (i,)))
+            level = sorted((combo, mask) for mask, combo in grown.items())
 
     def restrict(self, members: Iterable[str]) -> "FinPoset":
         member_set = set(members)

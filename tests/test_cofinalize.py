@@ -10,7 +10,6 @@ from profact.category import FinCategory, poset_as_category
 from profact.cofinalize import (
     BudgetExceeded,
     CofinalizeError,
-    _over_category,
     build_tower,
     check_cofinality,
     check_tower_directedness,
@@ -193,18 +192,82 @@ def random_directed_categories(count):
     return [poset_as_category(random_directed_poset(rng, 4)) for _ in range(count)]
 
 
+def pairwise_reports(tower):
+    """(object, nonempty, verdict, components) for each object, from a
+    union-find over each over-category's own pairwise scan."""
+    base = set(tower.base.elements)
+    reports = []
+    for i in tower.source.objects:
+        objects, edges = pairwise_over_category(tower, i)
+        parent = {o: o for o in objects}
+
+        def find(o):
+            while parent[o] != o:
+                o = parent[o]
+            return o
+
+        for a, b in edges:
+            parent[find(a)] = find(b)
+        roots = {find(o) for o in objects if o[0] in base}
+        verdict = "true" if len(roots) == 1 else "inconclusive"
+        reports.append((i, bool(roots), verdict, len(roots)))
+    return reports
+
+
+def swapped_leg_towers(count):
+    """Two-level towers over the one-object idempotent monoid at caps 1-3,
+    each strict leg swapped for the other morphism, e for 1 with
+    probability 0.9 and 1 for e with 0.1: still well typed, but no longer
+    functorial, and with fewer e legs to join them some over-categories
+    split."""
+    rng = random.Random(2025)
+    towers = []
+    for k in range(count):
+        tower = build_tower(idempotent_monoid(), levels=2, reysha_cap=1 + k % 3)
+        swap = {}
+        for p in tower.top.strict_pairs():
+            leg = tower.mor_map[p]
+            if rng.random() < (0.9 if leg == "e" else 0.1):
+                swap[p] = "1" if leg == "e" else "e"
+        towers.append(dataclasses.replace(tower, mor_map={**tower.mor_map, **swap}))
+    return towers
+
+
+def legs_out_of_another_object(cap):
+    """A two-level tower over chain2 with every leg x>=y swapped for y>=y,
+    which ends at y but starts at the wrong object."""
+    tower = build_tower(chain2(), levels=2, reysha_cap=cap)
+    swap = {p: "y>=y" for p in tower.top.strict_pairs() if tower.mor_map[p] == "x>=y"}
+    return dataclasses.replace(tower, mor_map={**tower.mor_map, **swap})
+
+
+def test_swapped_leg_towers_split_the_over_category():
+    # so the comparison below also meets over-categories in 2-4 pieces
+    components = [report[3] for tower in swapped_leg_towers(9) for report in pairwise_reports(tower)]
+    assert components == [3, 1, 1, 4, 1, 1, 2, 1, 1]
+
+
 @pytest.mark.parametrize(
-    "category, cap",
-    [pytest.param(load_category(name), cap, id=f"{name}-{cap}") for name in DIRECTED for cap in (2, 3)]
-    + [pytest.param(idempotent_monoid(), cap, id=f"idempotent_monoid-{cap}") for cap in (2, 3)]
-    + [pytest.param(cat, 2, id=f"random{k}-2") for k, cat in enumerate(random_directed_categories(12))],
+    "tower",
+    [
+        pytest.param(build_tower(load_category(name), levels=2, reysha_cap=cap), id=f"{name}-{cap}")
+        for name in DIRECTED
+        for cap in (2, 3)
+    ]
+    + [
+        pytest.param(build_tower(idempotent_monoid(), levels=2, reysha_cap=cap), id=f"idempotent_monoid-{cap}")
+        for cap in (2, 3)
+    ]
+    + [
+        pytest.param(build_tower(cat, levels=2, reysha_cap=2), id=f"random{k}-2")
+        for k, cat in enumerate(random_directed_categories(12))
+    ]
+    + [pytest.param(tower, id=f"swapped_legs{k}") for k, tower in enumerate(swapped_leg_towers(9))]
+    + [pytest.param(legs_out_of_another_object(cap), id=f"legs_out_of_y-{cap}") for cap in (1, 2, 3)],
 )
-def test_over_category_matches_the_pairwise_scan(category, cap):
-    tower = build_tower(category, levels=2, reysha_cap=cap)
-    for i in category.objects:
-        objects, edges = _over_category(tower, i)
-        assert (objects, edges) == pairwise_over_category(tower, i)
-        assert all(a != b for a, b in edges)
+def test_over_category_matches_the_pairwise_scan(tower):
+    reports = [(r.object, r.nonempty, r.verdict, r.components) for r in check_cofinality(tower)]
+    assert reports == pairwise_reports(tower)
 
 
 def directed_towers():

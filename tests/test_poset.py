@@ -150,6 +150,31 @@ def test_reyshas_match_filtered_combinations(seed, max_size):
     assert reyshas == [Reysha(poset, r.members) for r in reyshas]
 
 
+def labelled_posets(n):
+    """Every partial order on the elements "0", ..., str(n - 1), each kept
+    in that element order, which is seldom a linear extension of it."""
+    elements = tuple(str(i) for i in range(n))
+    pairs = list(itertools.permutations(elements, 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        lt = {p for p, keep in zip(pairs, chosen) if keep}
+        if all((y, x) not in lt for x, y in lt) and all(
+            (x, z) in lt for x, y in lt for y2, z in lt if y == y2 and x != z
+        ):
+            yield FinPoset.make(elements, lt)
+
+
+def test_reyshas_match_filtered_combinations_on_every_small_poset():
+    posets = 0
+    for n in range(5):
+        for poset in labelled_posets(n):
+            for max_size in (None, *range(-1, 6)):
+                reyshas = [r.members for r in poset.reyshas(max_size=max_size)]
+                assert reyshas == filtered_combinations(poset, max_size), (poset, max_size)
+            posets += 1
+    # 1 + 1 + 3 + 19 + 219 labelled posets on 0-4 elements
+    assert posets == 243
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_upper_bounds_match_the_pairwise_scan(seed):
