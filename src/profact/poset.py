@@ -82,7 +82,8 @@ class FinPoset:
     def _extended(self, new: Sequence[tuple[str, tuple[str, ...]]]) -> "FinPoset":
         """This poset with each (name, members) of new added above exactly
         members, which are downward closed here and in canonical order.
-        An element's downset stays as it was; names are taken as given."""
+        An element's downset stays as it was, so this poset's tables are
+        copied and only the new entries added; names are taken as given."""
         index, down, strict = dict(self._index), dict(self._down), dict(self._strict)
         for name, members in new:
             index[name] = len(index)
