@@ -57,8 +57,9 @@ class CofinalTower:
             for c2 in top.downset(c)
         )
         # a chain through a repeated element is a composite with an
-        # identity, so once every (c, c) leg is one only strict chains remain
-        functorial = all(
+        # identity, so once every (c, c) leg is one only strict chains
+        # remain.  Legs that do not compose have no functoriality to check
+        functorial = typed and all(
             self.mor_map[(c, c)] == self.source.identity(self.obj_map[c]) for c in top.elements
         ) and all(
             self.source.compose(self.mor_map[(c2, c3)], self.mor_map[(c, c2)])

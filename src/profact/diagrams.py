@@ -145,7 +145,8 @@ class Limit(tuple):
     index is what cone_into_limit looks a cone's legs up in: the elements
     of the limit's shape, and the carrier element of each compatible
     family of values on them.  Each builder sets it from the value columns
-    its projections are read off.
+    the limit is built from.  The pullback matching_data returns has the
+    index and an empty dict of projections, since no caller reads them.
     """
 
     index: tuple[tuple[str, ...], dict[tuple[str, ...], str]]
@@ -210,15 +211,24 @@ def _limit(diagram: Diagram, members: tuple[str, ...]) -> Limit:
     return _from_columns("l", members, [diagram.at(x) for x in members], columns)
 
 
-def _from_columns(prefix: str, order: tuple[str, ...], fibers: list[BaseObject], columns: list[list[str]]) -> Limit:
+def _indexed(prefix: str, order: tuple[str, ...], columns: list[list[str]]) -> Limit:
     """The Limit whose i-th element, prefix + str(i), has the i-th value of
-    each column: the projection to the fiber of order[k] and the index
-    are both read off columns[k]."""
+    each column, with the index read off the columns and no projections:
+    all that into_limit and cone_into_limit read."""
     ids = tuple([f"{prefix}{i}" for i in range(len(columns[0]))])
-    carrier = BaseObject(ids)
-    projections = {s: BaseMorphism._trusted(carrier, o, dict(zip(ids, c))) for s, o, c in zip(order, fibers, columns)}
-    limit = Limit((carrier, projections))
+    limit = Limit((BaseObject(ids), {}))
     limit.index = order, dict(zip(zip(*columns), ids))
+    return limit
+
+
+def _from_columns(prefix: str, order: tuple[str, ...], fibers: list[BaseObject], columns: list[list[str]]) -> Limit:
+    """_indexed's Limit with its projections: the one to the fiber of
+    order[k] is read off columns[k]."""
+    limit = _indexed(prefix, order, columns)
+    carrier, projections = limit
+    ids = carrier.carrier
+    for s, o, c in zip(order, fibers, columns):
+        projections[s] = BaseMorphism._trusted(carrier, o, dict(zip(ids, c)))
     return limit
 
 
@@ -264,12 +274,22 @@ def matching_pullback(upper: Diagram, components: dict[str, BaseMorphism], lower
     upper and lower are diagrams over one shape, upper built at least below
     x and lower at least up to x.  A row is a pair (family, d) of a
     compatible family of upper over the strict downset of x and a d in
-    lower(x) with the same image in every lower(s).  Rows come family-major, the families in limit_over_poset's lexicographic order
+    lower(x) with the same image in every lower(s).  Rows come
+    family-major, the families in limit_over_poset's lexicographic order
     and each family's d in lower(x)'s carrier order, with ids p0, p1, ....
     The result is the Limit with a projection to upper(s) for each s below
     x and one to lower(x) under x itself, so its index is keyed by the
     values at every s below x and then d, and a leg family that is no
     cone, or lies over another d, is missing from it.
+    """
+    below = upper.shape.strict_downset(x)
+    fibers = [upper.objects[s] for s in below] + [lower.objects[x]]
+    return _from_columns("p", (*below, x), fibers, _matching_join(upper, components, lower, x))
+
+
+def _matching_join(upper: Diagram, components: dict[str, BaseMorphism], lower: Diagram, x: str) -> list[list[str]]:
+    """The rows of matching_pullback's P(x), in its order, as columns of
+    values: one for each s below x, then one of d.
 
     Neither M_x upper nor the map of limits is built.  limit_over_poset's
     ordered join runs over the strict downset, and after each maximal
@@ -281,8 +301,7 @@ def matching_pullback(upper: Diagram, components: dict[str, BaseMorphism], lower
     below = shape.strict_downset(x)
     if not below:
         # at a minimal element P(x) is lower(x) itself, as the join builds it
-        fiber = lower.objects[x]
-        return _from_columns("p", (x,), [fiber], [list(fiber.carrier)])
+        return [list(lower.objects[x].carrier)]
     # the types first: the join reads each component's values by id
     for s in below:
         comp = components.get(s)
@@ -336,11 +355,9 @@ def matching_pullback(upper: Diagram, components: dict[str, BaseMorphism], lower
         for y, mapping in fresh:
             through[y] = (i, mapping)
     rows = [(family, d) for family, node in zip(families, nodes) for d in leaves.get(node, ())]
-    # a column of values per projection: each s below x, then x in lower
     columns = [_values_through(through[s], [family for family, _ in rows]) for s in below]
     columns.append([d for _, d in rows])
-    fibers = [upper.objects[s] for s in below] + [lower.objects[x]]
-    return _from_columns("p", (*below, x), fibers, columns)
+    return columns
 
 
 def attach(
@@ -364,16 +381,24 @@ def is_levelwise(nt: NatTrans, cls: str) -> bool:
     return all(pred(nt.at(x)) for x in nt.shape.elements)
 
 
-def matching_data(nt: NatTrans, x: str) -> tuple[Limit, BaseMorphism]:
-    """The matching pullback at x and the relative map into it, whose legs
-    are the source's arrows out of x and the component at x.  Every walk
-    takes its own: nothing is shared with a construction or another walk.
+def matching_data(nt: NatTrans, x: str) -> tuple[Limit | None, BaseMorphism]:
+    """The matching pullback P(x) at x and the relative map C(x) -> P(x),
+    whose legs are the source's arrows out of x and the component at x.
+
+    P(x) has matching_pullback's carrier and index but no projections.  At
+    a minimal element P(x) is the target's fiber and the relative map is
+    the component itself, so no pullback is built and None stands in its
+    place.  Every walk takes its own: nothing is shared with a construction
+    or another walk.
     """
     comp, source = nt.components.get(x), nt.source
     if comp is None or comp.source != source.at(x) or comp.target != nt.target.at(x):
         raise DiagramError(f"missing or ill-typed component at {x!r}")
-    pb = matching_pullback(source, nt.components, nt.target, x)
-    legs = {s: source.arrows[(x, s)] for s in nt.shape.strict_downset(x)}
+    below = nt.shape.strict_downset(x)
+    if not below:
+        return None, comp
+    pb = _indexed("p", (*below, x), _matching_join(source, nt.components, nt.target, x))
+    legs = {s: source.arrows[(x, s)] for s in below}
     legs[x] = comp
     return pb, cone_into_limit(source.at(x), legs, pb)
 

@@ -66,16 +66,19 @@ class ConeLift:
     components: dict[str, BaseMorphism]
 
     def verify(self, problem: LiftingProblem) -> dict[str, bool]:
-        shape = problem.right.shape
-        upper = all(
-            compose(self.components[t], problem.left) == problem.top[t] for t in shape.elements
-        )
-        lower = all(
-            compose(problem.right.at(t), self.components[t]) == problem.bottom[t]
-            for t in shape.elements
-        )
+        right, left = problem.right, problem.left
+        shape = right.shape
+        # a component that is missing or not B -> right.source(t) fails
+        # every triangle and compatibility check it takes part in
+        lifts = {
+            t: h
+            for t, h in self.components.items()
+            if t in shape and h.source == left.target and h.target == right.source.at(t)
+        }
+        upper = all(t in lifts and compose(lifts[t], left) == problem.top[t] for t in shape.elements)
+        lower = all(t in lifts and compose(right.at(t), lifts[t]) == problem.bottom[t] for t in shape.elements)
         compatible = all(
-            compose(problem.right.source.arrow(t, s), self.components[t]) == self.components[s]
+            t in lifts and s in lifts and compose(right.source.arrow(t, s), lifts[t]) == lifts[s]
             for t, s in shape.strict_pairs()
         )
         return {"upper_triangles": upper, "lower_triangles": lower, "cone_compatible": compatible}
@@ -128,10 +131,12 @@ def lift_against_special(problem: LiftingProblem) -> ConeLift:
 
     At each element the already-built lifts and the bottom component
     assemble into a map to the matching pullback, and the base lift against
-    the relative matching map fills the square.  The one matching walk both
-    checks that the right map is special and supplies the data: an
-    element's lift needs only the elements below it, all already found
-    special.
+    the relative matching map fills the square.  At a minimal element the
+    matching pullback is the target's fiber, the bottom component is the
+    map into it and the component of the right map is the relative map.
+    The one matching walk both checks that the right map is special and
+    supplies the data: an element's lift needs only the elements below it,
+    all already found special.
     """
     problem.validate()
     if not is_in_n(problem.left):
@@ -141,9 +146,12 @@ def lift_against_special(problem: LiftingProblem) -> ConeLift:
     lifts: dict[str, BaseMorphism] = {}
     try:
         for t, (pb, relative) in special_matching_data(f, "M"):
-            legs = {s: lifts[s] for s in shape.strict_downset(t)}
-            legs[t] = problem.bottom[t]
-            into_pb = cone_into_limit(problem.left.target, legs, pb)
+            if pb is None:
+                into_pb = problem.bottom[t]
+            else:
+                legs = {s: lifts[s] for s in shape.strict_downset(t)}
+                legs[t] = problem.bottom[t]
+                into_pb = cone_into_limit(problem.left.target, legs, pb)
             lifts[t] = lift_base(problem.left, relative, problem.top[t], into_pb)
     except NotSpecial as exc:
         raise LiftingError("right transformation is not special surjective") from exc

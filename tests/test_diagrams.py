@@ -142,10 +142,9 @@ def test_relative_matching_map_at_minimal_element_is_component():
     const = constant_diagram(vee(), ab)
     ident = NatTrans.make(const, const, {x: identity(ab) for x in vee().elements})
     pb, rel = matching_data(ident, "x0")
-    # the strict downset is empty, so the matching pullback is the fiber
-    assert rel.target == pb[0] and list(pb[1]) == ["x0"]
-    assert pb[1]["x0"].mapping == {"p0": "a", "p1": "b"}
-    assert rel.mapping == {"a": "p0", "b": "p1"}
+    # the strict downset is empty, so the matching pullback is the fiber:
+    # none is built, and the relative map is the component itself
+    assert pb is None and rel is ident.at("x0")
     assert is_in_n(rel) and is_in_m(rel)
 
 
@@ -172,14 +171,19 @@ def test_matching_data_over_random_transformations():
     for _ in range(10):
         nt = random_nattrans(rng, random_poset(rng, 4), 3)
         for x in nt.shape.elements:
-            (carrier, projections), relative = matching_data(nt, x)
+            pb, relative = matching_data(nt, x)
             below = nt.shape.strict_downset(x)
-            assert list(projections) == [*below, x]
+            if not below:
+                assert pb is None and relative is nt.at(x)
+                continue
+            # a carrier and an index, and no projection maps
+            (carrier, projections), (order, families) = pb, pb.index
+            assert projections == {} and order == (*below, x)
             assert relative.source == nt.source.at(x) and relative.target == carrier
+            assert sorted(families.values(), key=carrier.carrier.index) == list(carrier.carrier)
+            rows = {p: key for key, p in families.items()}
             for e in nt.source.at(x).carrier:
-                assert projections[x](relative(e)) == nt.at(x)(e)
-                for s in below:
-                    assert projections[s](relative(e)) == nt.source.arrow(x, s)(e)
+                assert rows[relative(e)] == (*(nt.source.arrow(x, s)(e) for s in below), nt.at(x)(e))
 
 
 def induced_into_pullback(pb, to_f_source, to_g_source):
@@ -227,15 +231,21 @@ def test_matching_pullback_equals_the_pullback_of_the_matching_limits():
     for _ in range(200):
         nt = random_nattrans(rng, random_poset(rng, 5), 3)
         for x in nt.shape.elements:
-            carrier, projections = matching_pullback(nt.source, nt.components, nt.target, x)
+            pb = matching_pullback(nt.source, nt.components, nt.target, x)
+            carrier, projections = pb
             below = nt.shape.strict_downset(x)
             rows = {p: (tuple(projections[s](p) for s in below), projections[x](p)) for p in carrier.carrier}
             ids, expected, relative_rows = pullback_reference(nt, x)
             # the same ids with the same rows, in the same order
             assert carrier.carrier == ids
             assert list(rows.items()) == list(expected.items())
-            # the relative map sends each source element to the same (family, d)
-            relative = matching_data(nt, x)[1]
+            # the relative map sends each source element to the same (family,
+            # d); at a minimal element it is the component, into d itself
+            walked, relative = matching_data(nt, x)
+            if walked is None:
+                rows = {d: ((), d) for d in nt.target.at(x).carrier}
+            else:
+                assert walked[0] == carrier and walked.index == pb.index
             assert {e: rows[relative(e)] for e in nt.source.at(x).carrier} == relative_rows
 
 

@@ -5,9 +5,9 @@ from collections import Counter
 
 import pytest
 
-from profact.base import TARGET_TAG, BaseMorphism, BaseObject, compose, factorize_base, identity, morphism
+from profact.base import TARGET_TAG, BaseMorphism, BaseObject, compose, factorize_base, identity, lift_base, morphism
 from profact import diagrams, factorize
-from profact.diagrams import Diagram, NatTrans, is_levelwise, is_special, matching_pullback
+from profact.diagrams import Diagram, NatTrans, cone_into_limit, is_levelwise, is_special, matching_pullback
 from profact.factorize import (
     FactorizeError,
     PreMorphism,
@@ -24,6 +24,7 @@ from profact.randgen import (
     random_poset,
     refine_arrow_pre_morphism,
 )
+from profact.lifting import LiftingProblem, lift_against_special
 from profact.report import PROPERTIES
 
 
@@ -153,6 +154,116 @@ def test_is_special_verdicts_match_the_bruteforce_walk_both_ways():
         special = reedy(nt).right
         assert is_special(special, "M") and special_bruteforce(special)
     assert verdicts[True] and verdicts[False]
+
+
+SMALL_POSETS = [
+    FinPoset.make(()),
+    FinPoset.make(("0",)),
+    FinPoset.make(("0", "1")),
+    FinPoset.make(("0", "1"), [("0", "1")]),
+    FinPoset.make(("0", "1"), [("1", "0")]),
+]
+SMALL_FIBERS = [BaseObject(("a",)), BaseObject(("a", "b"))]
+
+
+def all_maps(source, target):
+    for values in itertools.product(target.carrier, repeat=len(source)):
+        yield morphism(source, target, dict(zip(source.carrier, values)))
+
+
+def all_diagrams(shape, fibers):
+    """Every diagram over shape with the given fibers."""
+    pairs = list(shape.strict_pairs())
+    for fiber_choice in itertools.product(fibers, repeat=len(shape.elements)):
+        objects = dict(zip(shape.elements, fiber_choice))
+        for arrows in itertools.product(*(list(all_maps(objects[x], objects[y])) for x, y in pairs)):
+            yield Diagram.make(shape, objects, dict(zip(pairs, arrows)))
+
+
+def all_transformations(shape):
+    """Every transformation over shape with fibers of one or two points."""
+    diagrams_ = list(all_diagrams(shape, SMALL_FIBERS))
+    for source, target in itertools.product(diagrams_, repeat=2):
+        maps = [list(all_maps(source.at(x), target.at(x))) for x in shape.elements]
+        for components in itertools.product(*maps):
+            components = dict(zip(shape.elements, components))
+            if all(
+                compose(components[y], source.arrow(x, y)) == compose(target.arrow(x, y), components[x])
+                for x, y in shape.strict_pairs()
+            ):
+                yield NatTrans.make(source, target, components)
+
+
+def relative_injective_bruteforce(nt):
+    """Whether the relative matching map is injective at every x: no two
+    source elements have the same values below x and the same image."""
+    for x in nt.shape.elements:
+        below = nt.shape.strict_downset(x)
+        rows = {(tuple(nt.source.arrow(x, s)(e) for s in below), nt.at(x)(e)) for e in nt.source.at(x).carrier}
+        if len(rows) != len(nt.source.at(x)):
+            return False
+    return True
+
+
+def all_cones(apex, diagram):
+    """Every compatible cone of maps apex -> diagram(t)."""
+    shape = diagram.shape
+    for legs in itertools.product(*(list(all_maps(apex, diagram.at(t))) for t in shape.elements)):
+        cone = dict(zip(shape.elements, legs))
+        if all(compose(diagram.arrow(t, s), cone[t]) == cone[s] for t, s in shape.strict_pairs()):
+            yield cone
+
+
+def small_squares(f):
+    """Every lifting problem of an injection g: A -> B with |B| <= 2
+    against f."""
+    points = ("u", "v")
+    for size_b in range(3):
+        B = BaseObject(points[:size_b])
+        bottoms = list(all_cones(B, f.target))
+        for size_a in range(size_b + 1):
+            A = BaseObject(tuple(f"a{i}" for i in range(size_a)))
+            tops = list(all_cones(A, f.source))
+            for image in itertools.permutations(points[:size_b], size_a):
+                g = morphism(A, B, dict(zip(A.carrier, image)))
+                for top, bottom in itertools.product(tops, bottoms):
+                    if all(compose(f.at(t), top[t]) == compose(bottom[t], g) for t in f.shape.elements):
+                        yield LiftingProblem(g, f, top, bottom)
+
+
+def lift_reference(problem):
+    """The cone of lifts as the walk took it before it built only what it
+    reads: the full matching pullback at every element, the relative map
+    and the bottom map into it through cone_into_limit, then lift_base."""
+    f, B = problem.right, problem.left.target
+    lifts = {}
+    for t in f.shape.in_degree_order():
+        pb = matching_pullback(f.source, f.components, f.target, t)
+        below = f.shape.strict_downset(t)
+        relative = cone_into_limit(f.source.at(t), {**{s: f.source.arrow(t, s) for s in below}, t: f.at(t)}, pb)
+        into_pb = cone_into_limit(B, {**{s: lifts[s] for s in below}, t: problem.bottom[t]}, pb)
+        lifts[t] = lift_base(problem.left, relative, problem.top[t], into_pb)
+    return lifts
+
+
+def test_special_walk_and_lift_on_every_small_transformation():
+    # every transformation over each poset of at most two elements with
+    # fibers of one or two points; for each special surjection, every
+    # square of an injection into a B of at most two points
+    verdicts, squares = Counter(), 0
+    for shape in SMALL_POSETS:
+        for nt in all_transformations(shape):
+            special = special_bruteforce(nt)
+            assert is_special(nt, "M") == special
+            assert is_special(nt, "N") == relative_injective_bruteforce(nt)
+            verdicts[special, is_special(nt, "N")] += 1
+            if not special:
+                continue
+            for problem in small_squares(nt):
+                squares += 1
+                assert lift_against_special(problem).components == lift_reference(problem)
+    assert all(verdicts[key] for key in itertools.product((True, False), repeat=2))
+    assert squares
 
 
 def test_mid_object_cardinality_two_chain():
@@ -394,31 +505,64 @@ def test_constructed_maps_pass_the_public_checks():
 
 def test_verify_shares_nothing_with_the_construction(monkeypatch):
     # the construction takes one matching pullback per element of the
-    # growing middle diagram; verify takes each again from rf.mid, equal
-    # but its own, and neither takes a matching limit
+    # growing middle diagram.  verify takes its own matching data at every
+    # element: a join of its own on rf.mid at each element with a strict
+    # downset, a carrier and an index with no projection maps, and no
+    # pullback at all at a minimal element.  Neither takes a matching limit
     rng = random.Random(59)
     inputs = [random_nattrans(rng, random_poset(rng, 5), 3) for _ in range(10)]
-    calls = []
 
-    def spy(upper, components, lower, x):
-        calls.append((upper, components, lower, x, matching_pullback(upper, components, lower, x)))
-        return calls[-1][-1]
+    def spy(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def record(*args):
+            calls.append((*args, original(*args)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(module, name, record)
+        return calls
 
     def refuse(*args):
         raise AssertionError("a matching limit was taken")
 
-    for module in (diagrams, factorize):
-        monkeypatch.setattr(module, "matching_pullback", spy)
+    built = spy(factorize, "matching_pullback")
+    joins = spy(diagrams, "_matching_join")
+    assembled = spy(diagrams, "_from_columns")
+    walked = spy(diagrams, "matching_data")
     monkeypatch.setattr(diagrams, "limit_over_poset", refuse)
     monkeypatch.setattr(diagrams, "_limit", refuse)
     for f in inputs:
-        calls.clear()
+        calls = (built, joins, assembled, walked)
+        for c in calls:
+            c.clear()
         rf = reedy(f)
         assert all(rf.report.values())
         order = list(f.shape.in_degree_order())
-        built, checked = calls[: len(order)], calls[len(order) :]
-        assert [c[3] for c in built] == order and [c[3] for c in checked] == order
-        for (upper, _, lower, x, pb), (mid, components, target, _, again) in zip(built, checked):
-            assert isinstance(upper, Diagram) and upper is not rf.mid and lower is f.target
+        inner = [x for x in order if f.shape.strict_downset(x)]
+        # the construction's pullbacks, each assembled with its projections
+        assert [c[3] for c in built] == [c[1][-1] for c in assembled] == order
+        assert [c[3] for c in joins[: len(order)]] == order
+        for (upper, _, lower, x, pb), assembly in zip(built, assembled):
+            assert upper is not rf.mid and lower is f.target
+            assert pb is rf.details[x].pullback and pb is assembly[-1]
+        # verify's: its own joins on rf.mid, and no projection maps
+        assert len(assembled) == len(order) and len(joins) == len(order) + len(inner)
+        assert [c[1] for c in walked] == order and all(c[0] is rf.right for c in walked)
+        checked = dict(zip(inner, joins[len(order) :]))
+        for nt, x, (pb, relative) in walked:
+            if x not in checked:
+                assert pb is None and relative is rf.right.at(x)
+                continue
+            mid, components, target, _, columns = checked[x]
             assert mid is rf.mid and components is rf.right.components and target is f.target
-            assert pb is rf.details[x].pullback and again == pb and again is not pb
+            assert pb[1] == {} and pb is not rf.details[x].pullback
+            assert pb[0] == rf.details[x].pullback[0] and pb.index == rf.details[x].pullback.index
+            assert dict(zip(zip(*columns), pb[0].carrier)) == pb.index[1]
+        # the report again, read off the finished factorization alone
+        for c in calls:
+            c.clear()
+        assert rf.verify() == rf.report
+        assert not built and not assembled
+        assert [c[3] for c in joins] == inner and all(c[0] is rf.mid for c in joins)
+        assert [c[1] for c in walked] == order

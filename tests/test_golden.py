@@ -37,6 +37,7 @@ CASES = {
     "merge_p_p": ["merge", *TOWERS, "-p", fixture("merge_p.json"), "-q", fixture("merge_p.json")],
     "merge_p_q": ["merge", *TOWERS, "-p", fixture("merge_p.json"), "-q", fixture("merge_q.json")],
     "check_special_identity_over_v": ["check", "special", fixture("identity_over_v.json")],
+    "check_special_cls_n_identity_over_v": ["check", "special", "--cls", "N", fixture("identity_over_v.json")],
     "check_pm_valid": ["check", "pm-valid", fixture("merge_p.json"), *TOWERS],
     "suite_seed7": ["suite", "--seed", "7", "--cases", "50"],
 }

@@ -268,25 +268,31 @@ def test_lift_rejects_non_special_right():
 
 def test_lift_takes_each_matching_limit_once(monkeypatch):
     # the specialness check and the lift share one walk, which takes one
-    # limit per element: the right map's matching pullback, in degree
-    # order; no matching limit is built
+    # join per element with a strict downset: the right map's matching
+    # pullback, in degree order, as a carrier and an index.  No projection
+    # map, no pullback at a minimal element and no matching limit is built
     rng = random.Random(53)
     problems = [random_special_problem(rng, 5, 3) for _ in range(10)]
-    matching_pullback = diagrams.matching_pullback
+    join = diagrams._matching_join
     calls = []
 
     def refuse(*args):
-        raise AssertionError("a matching limit was taken")
+        raise AssertionError("a matching limit or a projection map was built")
 
-    monkeypatch.setattr(diagrams, "matching_pullback", lambda *args: calls.append(args) or matching_pullback(*args))
-    monkeypatch.setattr(diagrams, "limit_over_poset", refuse)
-    monkeypatch.setattr(diagrams, "_limit", refuse)
+    monkeypatch.setattr(diagrams, "_matching_join", lambda *args: calls.append(args) or join(*args))
+    for name in ("limit_over_poset", "_limit", "matching_pullback", "_from_columns"):
+        monkeypatch.setattr(diagrams, name, refuse)
+    minimal = joined = 0
     for problem in problems:
         calls.clear()
         cone = lift_against_special(problem)
         assert all(cone.verify(problem).values())
         f = problem.right
-        assert calls == [(f.source, f.components, f.target, x) for x in f.shape.in_degree_order()]
+        inner = [x for x in f.shape.in_degree_order() if f.shape.strict_downset(x)]
+        minimal += len(f.shape.elements) - len(inner)
+        joined += len(inner)
+        assert calls == [(f.source, f.components, f.target, x) for x in inner]
+    assert minimal and joined
 
 
 def test_lift_rejects_right_family_whose_squares_do_not_commute():

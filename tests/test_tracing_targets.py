@@ -54,13 +54,18 @@ def spy_on_every_binding(monkeypatch, module, name):
 
 def test_reedy_takes_every_matching_limit_through_the_traced_call(monkeypatch):
     """The traced run counts diagrams.limit_over_poset and base.pullback
-    calls and reads each limit call's one positional Diagram.  reedy and
-    lift_against_special take every matching pullback in one join and call
-    neither; the generators take their matching limits without it, and
-    random_special_problem's two whole limits pass one Diagram each."""
+    calls, reads each limit call's one positional Diagram, and times the
+    specialness walk by its diagrams.matching_data span.  reedy and
+    lift_against_special call neither counted function: the construction
+    takes every matching pullback in one join, and the walk calls
+    matching_data once an element, which joins at each element with a
+    strict downset.  The generators take their matching limits without
+    limit_over_poset, and random_special_problem's two whole limits pass
+    one Diagram each."""
     limits = spy_on_every_binding(monkeypatch, diagrams, "limit_over_poset")
     pullbacks = spy_on_every_binding(monkeypatch, base, "pullback")
-    joins = spy_on_every_binding(monkeypatch, diagrams, "matching_pullback")
+    joins = spy_on_every_binding(monkeypatch, diagrams, "_matching_join")
+    walked = spy_on_every_binding(monkeypatch, diagrams, "matching_data")
     rng = random.Random(1805)
     for i in range(200):
         f = random_nattrans(rng, random_poset(rng, 5), 3)
@@ -69,11 +74,18 @@ def test_reedy_takes_every_matching_limit_through_the_traced_call(monkeypatch):
         assert all(len(a) == 1 and not k and isinstance(a[0], diagrams.Diagram) for a, k in limits)
         limits.clear()
         joins.clear()
+        walked.clear()
         reedy(f)
-        # one join per element in the construction and one in its check
-        assert len(joins) == 2 * len(f.shape.elements)
+        # one join per element in the construction, and one per element
+        # with a strict downset in its check, whose walk visits them all
+        inner = [x for x in f.shape.elements if f.shape.strict_downset(x)]
+        assert len(joins) == len(f.shape.elements) + len(inner)
+        assert len(walked) == len(f.shape.elements)
         if problem is not None:
             joins.clear()
+            walked.clear()
             lift_against_special(problem)
-            assert len(joins) == len(problem.right.shape.elements)
+            shape = problem.right.shape
+            assert len(joins) == len([x for x in shape.elements if shape.strict_downset(x)])
+            assert len(walked) == len(shape.elements)
         assert not limits and not pullbacks

@@ -79,6 +79,22 @@ BOTTOM_INCOMPATIBLE = lifting_problem(
 )
 
 
+# the identity over s < t, where the bottom cone is the lift
+SOLVABLE = lifting_problem({"s": {"a": "0"}, "t": {"a": "0"}}, {"s": {"a": "0", "b": "1"}, "t": {"a": "0", "b": "1"}})
+THREE = BaseObject(("0", "1", "2"))
+
+
+def tower_mistyped_report():
+    """The two-level tower over the chain x >= y with each x>=y leg
+    replaced by y>=y, which starts at the wrong object: no leg composes
+    with the one after it, so functoriality is not asked."""
+    load = lambda name: json.loads(resources.files("profact").joinpath("fixtures", name).read_text())
+    tower = build_tower(serialize.category_from_json(load("chain2.json")), levels=2, reysha_cap=2)
+    legs = [leg for leg, m in tower.mor_map.items() if m == "x>=y"]
+    assert len(legs) == 13
+    return dataclasses.replace(tower, mor_map={**tower.mor_map, **dict.fromkeys(legs, "y>=y")}).verify()
+
+
 def chi_report():
     """The fixture middle map with one value moved inside its fiber of the
     right map: both rectangles still commute, naturality does not."""
@@ -191,6 +207,16 @@ CASES = {
         lambda: ConeLift(dict(BOTTOM_INCOMPATIBLE.bottom)).verify(BOTTOM_INCOMPATIBLE),
         {"upper_triangles": True, "lower_triangles": True, "cone_compatible": False},
     ),
+    # a lift component that is missing, or lands outside the source's
+    # fiber, reads false in every check it takes part in, and raises nothing
+    "cone_lift_missing": (
+        lambda: ConeLift({"s": SOLVABLE.bottom["s"]}).verify(SOLVABLE),
+        {"upper_triangles": False, "lower_triangles": False, "cone_compatible": False},
+    ),
+    "cone_lift_mistyped": (
+        lambda: ConeLift({**SOLVABLE.bottom, "s": morphism(B, THREE, {"a": "0", "b": "1"})}).verify(SOLVABLE),
+        {"upper_triangles": False, "lower_triangles": False, "cone_compatible": False},
+    ),
     "chi_natural": (
         chi_report,
         {"left_rectangle": True, "right_rectangle": True, "natural": False},
@@ -200,6 +226,10 @@ CASES = {
     "tower_identity": (
         tower_report,
         {"projection_typed": True, "projection_functorial": False, "levels_coherent": True},
+    ),
+    "tower_mistyped": (
+        tower_mistyped_report,
+        {"projection_typed": False, "projection_functorial": False, "levels_coherent": True},
     ),
 }
 
