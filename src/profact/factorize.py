@@ -182,13 +182,25 @@ def verify_chi(
 ) -> dict[str, bool]:
     """The report of a middle map chi: H_f(alpha(b)) -> H_t(b) for pm: its
     rectangles against the left and right legs, and its naturality in b."""
-    alpha, chi = chim.alpha, chim.chi
-    # the left rectangle fails for a chi[b] whose target is not H_t(b) and
-    # raises for one whose source is not H_f(alpha(b)), so naturality
-    # compares mappings only
-    top = all(compose(chi[b], rf_f.left.at(alpha[b])) == compose(rf_t.left.at(b), pm.phi[b]) for b in chi)
-    bottom = all(compose(pm.psi[b], rf_f.right.at(alpha[b])) == compose(rf_t.right.at(b), chi[b]) for b in chi)
-    natural = all(_natural_at(alpha, rf_f.mid, rf_t.mid, chi, b, b2) for b, b2 in rf_t.input.shape.strict_pairs())
+    alpha, shape = chim.alpha, rf_t.input.shape
+    # a chi[b] that is missing or not H_f(alpha(b)) -> H_t(b) fails every
+    # check it takes part in, so the checks compose typed components only
+    chi = {
+        b: h
+        for b, h in chim.chi.items()
+        if b in shape and h.source == rf_f.mid.at(alpha[b]) and h.target == rf_t.mid.at(b)
+    }
+    top = all(
+        b in chi and compose(chi[b], rf_f.left.at(alpha[b])) == compose(rf_t.left.at(b), pm.phi[b])
+        for b in shape.elements
+    )
+    bottom = all(
+        b in chi and compose(pm.psi[b], rf_f.right.at(alpha[b])) == compose(rf_t.right.at(b), chi[b])
+        for b in shape.elements
+    )
+    natural = all(
+        b in chi and b2 in chi and _natural_at(alpha, rf_f.mid, rf_t.mid, chi, b, b2) for b, b2 in shape.strict_pairs()
+    )
     return {"left_rectangle": top, "right_rectangle": bottom, "natural": natural}
 
 

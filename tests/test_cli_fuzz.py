@@ -11,12 +11,11 @@ import copy
 import json
 from importlib import resources
 
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import invoke
 from profact import serialize
-from profact.cli import main
 from profact.serialize import ParseError
 
 
@@ -180,7 +179,7 @@ def test_mutated_fixture_exits_with_a_documented_code(tmp_path_factory, case):
         parses = True
     except ParseError:
         parses = False
-    result = CliRunner().invoke(main, command(str(path)))
+    result = invoke(command(str(path)))
     # an uncaught exception leaves something other than SystemExit behind
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output

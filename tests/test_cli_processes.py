@@ -1,9 +1,10 @@
 """Whole profact processes, one fresh interpreter per call.
 
-The CliRunner tests run where every library module is already loaded, so
-they cannot see which modules a command loads, nor a fault in how an error
-that only a freshly loaded module defines finds its exit code.  These tests
-assert codes, error lines and module sets, never timings.
+The in-process tests (conftest.invoke) run where every library module is
+already loaded, so they cannot see which modules a command loads, nor a
+fault in how an error that only a freshly loaded module defines finds its
+exit code.  These tests assert codes, error lines and module sets, never
+timings.
 """
 
 import importlib
@@ -104,12 +105,138 @@ def test_exit_code_in_a_fresh_interpreter(args, extra, code, error):
         assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("args", [["--help"], ["reedy", "--help"]])
+# command lines with the exit code and standard error that click 8.4.0
+# gave them: the parser keeps its syntax and its usage lines byte for byte
+USAGE = {
+    "chi-long-aliases": (
+        ["chi", "--source-arrow", fixture("chi_f.json"), "--target-arrow", fixture("chi_t.json")]
+        + ["--pre-morphism", fixture("chi_pm.json"), "--output", os.devnull],
+        0,
+        "",
+    ),
+    "merge-long-aliases": (
+        ["merge", "--source-tower", fixture("merge_tower_F.json"), "--target-tower", fixture("merge_tower_G.json")]
+        + ["--first", fixture("merge_p.json"), "--second", fixture("merge_p.json"), f"-o{os.devnull}"],
+        0,
+        "",
+    ),
+    "format-equals": (
+        ["check", "directed-category", fixture("chain3.json"), "--format=text", f"--output={os.devnull}"],
+        0,
+        "",
+    ),
+    "missing-option": (["chi", "-f", "a"], 3, "error: Missing option '-t' / '--target-arrow'.\n"),
+    "missing-value": (["reedy", "a", "-o"], 3, "error: Option '-o' requires an argument.\n"),
+    "bad-format": (
+        ["reedy", "--format", "xml", "a"],
+        3,
+        "error: Invalid value for '--format': 'xml' is not one of 'json', 'text'.\n",
+    ),
+    "bad-cls": (
+        ["check", "special", "a", "--cls", "Q"],
+        3,
+        "error: Invalid value for '--cls': 'Q' is not one of 'N', 'M'.\n",
+    ),
+    "bad-check": (
+        ["check", "nope", "a"],
+        3,
+        "error: Invalid value for '{directed-category|directed-poset|levelwise|special|pm-valid|pm-leq}': 'nope' is not"
+        " one of 'directed-category', 'directed-poset', 'levelwise', 'special', 'pm-valid', 'pm-leq'.\n",
+    ),
+    "missing-check": (
+        ["check"],
+        3,
+        "error: Missing argument '{directed-category|directed-poset|levelwise|special|pm-valid|pm-leq}'. Choose from:\n"
+        "\tdirected-category,\n\tdirected-poset,\n\tlevelwise,\n\tspecial,\n\tpm-valid,\n\tpm-leq\n",
+    ),
+    "bad-levels": (
+        ["cofinalize", "a", "--levels", "abc"],
+        3,
+        "error: Invalid value for '--levels': 'abc' is not a valid integer.\n",
+    ),
+    "bad-reysha-cap": (
+        ["cofinalize", "--reysha-cap=1.5", "a"],
+        3,
+        "error: Invalid value for '--reysha-cap': '1.5' is not a valid integer.\n",
+    ),
+    "bad-seed": (["suite", "--seed", "x"], 3, "error: Invalid value for '--seed': 'x' is not a valid integer.\n"),
+    # options are checked in the order given, before the arguments
+    "bad-cases-first": (
+        ["suite", "--cases", "x", "--seed", "y"],
+        3,
+        "error: Invalid value for '--cases': 'x' is not a valid integer.\n",
+    ),
+    "bad-poset-max": (
+        ["suite", "--poset-max", "z"],
+        3,
+        "error: Invalid value for '--poset-max': 'z' is not a valid integer.\n",
+    ),
+    "bad-set-max": (
+        ["suite", "--set-max", ""],
+        3,
+        "error: Invalid value for '--set-max': '' is not a valid integer.\n",
+    ),
+    "option-before-argument": (
+        ["cofinalize", "--levels", "abc"],
+        3,
+        "error: Invalid value for '--levels': 'abc' is not a valid integer.\n",
+    ),
+    "close-option": (["reedy", "--outpt", "f", "a"], 3, "error: No such option '--outpt'. Did you mean '--output'?\n"),
+    "close-options": (
+        ["suite", "--see"],
+        3,
+        "error: No such option '--see'. (Did you mean one of: '--cases', '--seed'?)\n",
+    ),
+    "unknown-short-option": (["reedy", "-x", "a"], 3, "error: No such option '-x'.\n"),
+    "close-command": (["reedi"], 3, "error: No such command 'reedi'. Did you mean 'reedy'?\n"),
+    "extra-arguments": (["reedy", "a", "b", "c"], 3, "error: Got unexpected extra arguments (b c)\n"),
+    "help-with-value": (["reedy", "--help=1"], 3, "error: Option '--help' does not take a value.\n"),
+    "missing-command": (["--"], 3, "error: Missing command.\n"),
+    # a command name that looks like an option is read as one
+    "option-after-dashdash": (["--", "-x", "reedy"], 3, "error: No such option '-x'.\n"),
+    "help-after-dashdash": (["--", "--help"], 0, ""),
+}
+
+
+@pytest.mark.parametrize("name", list(USAGE))
+def test_a_command_line_gets_clicks_exit_code_and_usage_line(name):
+    args, code, stderr = USAGE[name]
+    result = python("-m", "profact.cli", *args)
+    assert (result.returncode, result.stderr) == (code, stderr)
+
+
+COMMANDS = ["reedy", "chi", "lift", "cofinalize", "merge", "check", "suite"]
+
+
+@pytest.mark.parametrize("args", [["--help"], *([command, "--help"] for command in COMMANDS)])
 def test_help_exits_0_with_the_usage_text(args):
-    # click ends --help with an exit that the usage-error line lets through
     result = python("-m", "profact.cli", *args)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("Usage: ") and result.stderr == ""
+
+
+def test_a_bare_call_is_a_usage_error_whose_line_is_the_help():
+    help_text = python("-m", "profact.cli", "--help").stdout
+    assert help_text.startswith("Usage: python -m profact.cli [OPTIONS] COMMAND [ARGS]...\n")
+    bare = python("-m", "profact.cli")
+    assert (bare.returncode, bare.stderr) == (3, f"error: {help_text}")
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # as in `profact suite | head -1`: the reader of the pipe has gone
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "profact.cli", "reedy", fixture("identity_over_v.json")],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=environment(),
+            timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_every_error_in_the_table_is_a_distinct_class():
@@ -145,10 +272,12 @@ except SystemExit as exc:
 
 
 def test_importing_the_command_line_loads_five_modules():
-    # perfbench/tracing.py counts calls in profact.base, so it must stay
-    result = python("-c", f"import sys, profact.cli; print({LOADED})")
+    # perfbench/tracing.py counts calls in profact.base, so it must stay;
+    # and nothing outside the standard library and profact loads with them
+    new = "sorted({m.split('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names))"
+    result = python("-c", f"import sys; before = set(sys.modules); import profact.cli; print({LOADED}, {new})")
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == repr(BASE)
+    assert result.stdout.strip() == f"{BASE!r} ['profact']"
 
 
 @pytest.mark.parametrize(
@@ -203,3 +332,13 @@ def test_a_non_ascii_id_reads_and_writes_the_same_in_the_c_locale(tmp_path):
     out = tmp_path / "out.json"
     assert run(0, "-o", str(out), **c_locale) == b""
     assert out.read_bytes() == expected
+    # an error line names the path as it was given, in UTF-8
+    missing = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "profact.cli", "reedy", "ü_missing.json"],
+        capture_output=True,
+        env=environment(**c_locale),
+        cwd=tmp_path,
+        timeout=300,
+    )
+    assert (missing.returncode, missing.stdout) == (3, b"")
+    assert missing.stderr == "error: ü_missing.json: file not found\n".encode()

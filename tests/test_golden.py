@@ -14,9 +14,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from profact.cli import main
+from conftest import invoke
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,7 +44,7 @@ CASES = {
 
 def run(args):
     """The stdout bytes and exit code of one in-process call."""
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     return result.stdout_bytes, result.exit_code
 
 

@@ -7,11 +7,10 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profact.cli import main
+from conftest import invoke
 
 
 def fixture(name):
@@ -23,7 +22,7 @@ def load(name):
 
 
 def run(args):
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     # an uncaught exception leaves something other than SystemExit behind
     assert isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
@@ -205,7 +204,7 @@ def test_chi_ignores_indices_outside_the_target(tmp_path):
     doc = load("chi_pm.json")
     doc["alpha"]["zz"] = "e0"
     pm = _write(tmp_path, "pm.json", doc)
-    result = CliRunner().invoke(main, ["chi", "-f", fixture("chi_f.json"), "-t", fixture("chi_t.json"), "-p", pm])
+    result = invoke(["chi", "-f", fixture("chi_f.json"), "-t", fixture("chi_t.json"), "-p", pm])
     assert result.exit_code == 0
     golden = Path(__file__).parent / "golden" / "chi.stdout"
     assert result.stdout_bytes == golden.read_bytes()

@@ -95,18 +95,18 @@ def tower_mistyped_report():
     return dataclasses.replace(tower, mor_map={**tower.mor_map, **dict.fromkeys(legs, "y>=y")}).verify()
 
 
-def chi_report():
-    """The fixture middle map with one value moved inside its fiber of the
-    right map: both rectangles still commute, naturality does not."""
+def chi_report(change):
+    """The report on the fixture middle map with its component at e0, the
+    lower end of e1 > e0, replaced by change(component), or dropped when
+    that is None."""
     load = lambda name: json.loads(resources.files("profact").joinpath("fixtures", name).read_text())
     f = serialize.nattrans_from_json(load("chi_f.json"))
     t = serialize.nattrans_from_json(load("chi_t.json"))
     pm = serialize.arrow_pre_morphism_from_json(load("chi_pm.json"), f, t)
     rf_f, rf_t = reedy(f), reedy(t)
     chim = chi_construct(pm, rf_f, rf_t)
-    low = chim.chi["e0"]
-    moved = morphism(low.source, low.target, {**low.mapping, "t:p0": "s:o:xe0_1"})
-    return verify_chi(PreMorphism(chim.alpha, {"chi": {**chim.chi, "e0": moved}}), pm, rf_f, rf_t)
+    chi = {**chim.chi, "e0": change(chim.chi["e0"])}
+    return verify_chi(PreMorphism(chim.alpha, {"chi": {b: h for b, h in chi.items() if h is not None}}), pm, rf_f, rf_t)
 
 
 def raw_report():
@@ -217,9 +217,25 @@ CASES = {
         lambda: ConeLift({**SOLVABLE.bottom, "s": morphism(B, THREE, {"a": "0", "b": "1"})}).verify(SOLVABLE),
         {"upper_triangles": False, "lower_triangles": False, "cone_compatible": False},
     ),
+    # one value moved inside its fiber of the right map: both rectangles
+    # still commute, naturality does not
     "chi_natural": (
-        chi_report,
+        lambda: chi_report(lambda low: morphism(low.source, low.target, {**low.mapping, "t:p0": "s:o:xe0_1"})),
         {"left_rectangle": True, "right_rectangle": True, "natural": False},
+    ),
+    # a component that is missing, or starts or ends at the wrong object,
+    # reads false in every check it takes part in, and raises nothing
+    "chi_missing": (
+        lambda: chi_report(lambda low: None),
+        {"left_rectangle": False, "right_rectangle": False, "natural": False},
+    ),
+    "chi_wrong_source": (
+        lambda: chi_report(lambda low: identity(low.target)),
+        {"left_rectangle": False, "right_rectangle": False, "natural": False},
+    ),
+    "chi_wrong_target": (
+        lambda: chi_report(lambda low: identity(low.source)),
+        {"left_rectangle": False, "right_rectangle": False, "natural": False},
     ),
     "raw_morphism": (raw_report, False),
     # an idempotent at (c, c) passes every chain through c, as in a diagram
