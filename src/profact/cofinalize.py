@@ -93,8 +93,7 @@ def build_tower(
         # the members of its Reysha, which is downward closed in prev
         new: list[tuple[str, tuple[str, ...]]] = []
         homs = {apex: {c: I.hom(apex, obj_map[c]) for c in prev.elements} for apex in I.objects}
-        for reysha in prev.reyshas(max_size=reysha_cap):
-            members = reysha.members
+        for members in prev.reyshas(max_size=reysha_cap):
             for apex in I.objects:
                 leg_choices = [homs[apex][c] for c in members]
                 if not all(leg_choices):
@@ -124,16 +123,15 @@ def build_tower(
     return CofinalTower(I, tuple(level_posets), obj_map, mor_map, reysha_cap)
 
 
-def check_tower_directedness(tower: CofinalTower, reysha_cap: int | None = None) -> bool:
-    """Every small downward closed subset of the penultimate level has an
-    upper bound in the final level."""
-    cap = tower.reysha_cap if reysha_cap is None else reysha_cap
+def check_tower_directedness(tower: CofinalTower) -> bool:
+    """Every downward closed subset of the penultimate level with at most
+    tower.reysha_cap members has an upper bound in the final level."""
     top = tower.top
     # c bounds its own strict downset, so a Reysha equal to one has an
     # upper bound without a search
     bounded = {top.strict_downset(c) for c in top.elements}
-    for reysha in tower.base.reyshas(max_size=cap):
-        if reysha.members not in bounded and not top.upper_bounds(reysha.members):
+    for members in tower.base.reyshas(max_size=tower.reysha_cap):
+        if members not in bounded and not top.upper_bounds(members):
             return False
     return True
 

@@ -21,7 +21,7 @@ from .base import (
     composite_mapping,
     identity,
 )
-from .poset import FinPoset, Reysha
+from .poset import FinPoset
 
 
 class DiagramError(ValueError):
@@ -82,19 +82,6 @@ class Diagram:
     def arrow(self, x: str, y: str) -> BaseMorphism:
         return self.arrows[(x, y)]
 
-    def restrict(self, reysha: Reysha) -> "Diagram":
-        """The restriction of a functor is a functor, so it is built without
-        Diagram.make's checks; its arrows are read off the downsets of the
-        restricted shape, which are the members' own."""
-        if reysha.parent != self.shape:
-            raise DiagramError("Reysha belongs to a different poset")
-        shape = self.shape.restrict(reysha.members)
-        return Diagram(
-            shape,
-            {x: self.objects[x] for x in shape.elements},
-            {(x, y): self.arrows[(x, y)] for x in shape.elements for y in shape.downset(x)},
-        )
-
 
 @dataclass(frozen=True)
 class NatTrans:
@@ -129,14 +116,34 @@ class NatTrans:
     def shape(self) -> FinPoset:
         return self.source.shape
 
-    def restrict(self, reysha: Reysha) -> "NatTrans":
-        """The restriction of a natural transformation is natural, so it is
-        built without NatTrans.make's checks."""
-        return NatTrans(
-            self.source.restrict(reysha),
-            self.target.restrict(reysha),
-            {x: self.components[x] for x in reysha.members},
-        )
+
+def reindex(diagram: Diagram, alpha: dict[str, str], shape: FinPoset) -> Diagram:
+    """The restriction X∘alpha of a diagram X along an order-preserving map
+    alpha from shape into X's shape.  A functor after a monotone map is a
+    functor, so once alpha is checked the result skips Diagram.make; its
+    arrows are read off shape's downsets."""
+    target = diagram.shape
+    for b in shape.elements:
+        if alpha.get(b) not in target:
+            raise DiagramError(f"index map does not send {b!r} into the diagram's shape")
+    for b, b2 in shape.strict_pairs():
+        if not target.le(alpha[b2], alpha[b]):
+            raise DiagramError(f"index map does not preserve the order on {b2!r} < {b!r}")
+    return Diagram(
+        shape,
+        {b: diagram.objects[alpha[b]] for b in shape.elements},
+        {(b, b2): diagram.arrows[(alpha[b], alpha[b2])] for b in shape.elements for b2 in shape.downset(b)},
+    )
+
+
+def reindex_nattrans(nt: NatTrans, alpha: dict[str, str], shape: FinPoset) -> NatTrans:
+    """The restriction of a transformation along alpha, each side as reindex
+    takes it; whiskering keeps it natural, so it skips NatTrans.make."""
+    return NatTrans(
+        reindex(nt.source, alpha, shape),
+        reindex(nt.target, alpha, shape),
+        {b: nt.components[alpha[b]] for b in shape.elements},
+    )
 
 
 class Limit(tuple):

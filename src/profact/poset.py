@@ -165,15 +165,10 @@ class FinPoset:
         le_pairs = self.le_pairs
         return tuple(c for c in smallest if all((m, c) in le_pairs for m in members))
 
-    def is_downward_closed(self, members: Iterable[str]) -> bool:
-        member_set = set(members)
-        if not all(x in self._index for x in member_set):
-            raise PosetError("subset mentions unknown elements")
-        return all(y in member_set for x in member_set for y in self._strict[x])
-
-    def reyshas(self, max_size: int | None = None) -> Iterator["Reysha"]:
-        """All downward closed subsets, in canonical subset order: by size,
-        then by canonical positions, as itertools.combinations lists them.
+    def reyshas(self, max_size: int | None = None) -> Iterator[tuple[str, ...]]:
+        """All Reyshas, the downward closed subsets, each as its members in
+        canonical order, in canonical subset order: by size, then by canonical
+        positions, as itertools.combinations lists them.
 
         The sets of size r + 1 are those of size r with one element added
         whose strict downset is already inside: removing a maximal element
@@ -188,7 +183,7 @@ class FinPoset:
         level: list[tuple[tuple[int, ...], int]] = [((), 0)]
         for r in range(largest + 1):
             for combo, _ in level:
-                yield Reysha._trusted(self, tuple(elements[i] for i in combo))
+                yield tuple(elements[i] for i in combo)
             if r == largest:
                 return
             grown: dict[int, tuple[int, ...]] = {}
@@ -209,33 +204,6 @@ class FinPoset:
         """Elements sorted by (degree, canonical position)."""
         degree = self._degrees()
         return tuple(sorted(self.elements, key=lambda x: (degree[x], self._index[x])))
-
-
-@dataclass(frozen=True)
-class Reysha:
-    """A downward closed subset of a poset."""
-
-    parent: FinPoset
-    members: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        member_set = set(self.members)
-        ordered = tuple(x for x in self.parent.elements if x in member_set)
-        if len(member_set) != len(self.members):
-            raise PosetError("duplicate members in Reysha")
-        object.__setattr__(self, "members", ordered)
-        if not self.parent.is_downward_closed(ordered):
-            raise PosetError(f"subset {self.members} is not downward closed")
-
-    @classmethod
-    def _trusted(cls, parent: FinPoset, members: tuple[str, ...]) -> "Reysha":
-        """A Reysha whose members are downward closed and in canonical
-        order by construction, as FinPoset.reyshas builds them.  It skips
-        the checks; the public constructor keeps them."""
-        reysha = object.__new__(cls)
-        object.__setattr__(reysha, "parent", parent)
-        object.__setattr__(reysha, "members", members)
-        return reysha
 
 
 def is_directed_poset(poset: FinPoset) -> bool:

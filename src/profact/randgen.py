@@ -4,8 +4,9 @@ pre-morphisms.
 Everything here is driven by a caller-supplied random.Random, so identical
 seeds give identical structures.  Diagrams and transformations are built in
 degree order by choosing random maps into the appropriate (matching) limit,
-which makes functoriality and naturality hold by construction; validity is
-still re-checked by the constructors.
+which makes functoriality and naturality hold by construction.  The
+constructors re-check them, except where diagrams.reindex restricts a
+structure along the index map it has checked.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 
 from .base import BaseMorphism, BaseObject, compose
 from .diagrams import Diagram, NatTrans, attach, cone_into_limit, limit_over_poset, matching_limit, matching_pullback
+from .diagrams import reindex, reindex_nattrans
 from .factorize import PreMorphism, check_arrow_pre_morphism
 from .poset import FinPoset
 from .procalc import ProObject, RawMorphism, restrict
@@ -113,15 +115,6 @@ def random_nattrans(rng: random.Random, shape: FinPoset, max_fiber: int) -> NatT
     return NatTrans.make(source, target, components)
 
 
-def reindex(diagram: Diagram, alpha: dict[str, str], shape: FinPoset) -> Diagram:
-    """Restrict a diagram along a strictly increasing index map."""
-    return Diagram.make(
-        shape,
-        {b: diagram.at(alpha[b]) for b in shape.elements},
-        {(b, b2): diagram.arrow(alpha[b], alpha[b2]) for b, b2 in shape.strict_pairs()},
-    )
-
-
 def junk_extend(
     rng: random.Random, source: Diagram, max_junk: int = 2, prefix: str = "n"
 ) -> tuple[Diagram, NatTrans]:
@@ -215,10 +208,8 @@ def random_arrow_pre_morphism(rng: random.Random, f: NatTrans) -> tuple[NatTrans
     of the pushout, which makes the square commute by construction.
     """
     b_shape, alpha = random_subposet(rng, f.shape)
-    e_alpha = reindex(f.source, alpha, b_shape)
-    f_alpha_tgt = reindex(f.target, alpha, b_shape)
-    f_alpha = NatTrans.make(e_alpha, f_alpha_tgt, {b: f.at(alpha[b]) for b in b_shape.elements})
-    top_diagram, phi = junk_extend(rng, e_alpha, prefix="k")
+    f_alpha = reindex_nattrans(f, alpha, b_shape)
+    top_diagram, phi = junk_extend(rng, f_alpha.source, prefix="k")
     pushed, in_top, in_bottom = pushout_diagram(phi, f_alpha)
     bottom_diagram, theta = junk_extend(rng, pushed, prefix="g")
     t = NatTrans.make(

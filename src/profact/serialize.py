@@ -63,6 +63,10 @@ def poset_to_json(poset: FinPoset) -> dict:
 def _ids(data: Any, path: str, what: str = "element") -> list[str]:
     if not isinstance(data, list) or not all(isinstance(e, str) for e in data):
         raise ParseError(f"expected a list of {what} ids", path)
+    # json.load accepts an escaped lone surrogate, which no UTF-8 output holds
+    for i, e in enumerate(data):
+        if not e.isascii() and any("\ud800" <= c <= "\udfff" for c in e):
+            raise ParseError(f"{what} id {e!r} holds a surrogate code point", f"{path}[{i}]")
     return data
 
 
@@ -83,8 +87,9 @@ def _is_element(shape: FinPoset, x: Any) -> bool:
 
 
 def object_from_json(data: Any, path: str = "$") -> BaseObject:
+    ids = tuple(_ids(data, path))
     try:
-        return BaseObject(tuple(_ids(data, path)))
+        return BaseObject(ids)
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc
 

@@ -1,9 +1,12 @@
-"""The in-process command-line runner the CLI tests share."""
+"""Helpers the tests share: the in-process command-line runner and the
+enumeration of every map between two finite sets."""
 
 import contextlib
 import io
+import itertools
 from dataclasses import dataclass
 
+from profact.base import morphism
 from profact.cli import main
 
 
@@ -43,3 +46,9 @@ def invoke(args: list[str]) -> Result:
         except Exception as exc:
             code, exception = 1, exc
     return Result(code, stdout.getvalue(), stderr.getvalue(), exception)
+
+
+def all_maps(source, target):
+    """Every map source -> target, in product order over target's carrier."""
+    for values in itertools.product(target.carrier, repeat=len(source.carrier)):
+        yield morphism(source, target, dict(zip(source.carrier, values)))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import all_maps
 from profact.base import (
     BaseError,
     BaseMorphism,
@@ -179,12 +180,6 @@ def test_lift_base_rejects_wrong_classes():
         lift_base(collapse, collapse, collapse, identity(one))
 
 
-def _all_maps(source, target):
-    """Every map source -> target, in product order over target's carrier."""
-    for values in itertools.product(target.carrier, repeat=len(source.carrier)):
-        yield morphism(source, target, dict(zip(source.carrier, values)))
-
-
 def test_lift_base_meets_its_definition_on_every_small_square():
     # every commuting square with g injective and f surjective, |A| <= 1,
     # |B| <= 2, |X| <= 3 and |Y| <= 2.  X's carrier runs against the order
@@ -193,10 +188,10 @@ def test_lift_base_meets_its_definition_on_every_small_square():
     for size_a, size_b, size_x, size_y in itertools.product(range(2), range(3), range(4), range(3)):
         a, b, y = (BaseObject(tuple(f"{name}{i}" for i in range(n))) for name, n in zip("aby", (size_a, size_b, size_y)))
         x = BaseObject(tuple(f"x{i}" for i in reversed(range(size_x))))
-        for g, f in itertools.product(_all_maps(a, b), _all_maps(x, y)):
+        for g, f in itertools.product(all_maps(a, b), all_maps(x, y)):
             if not (is_in_n(g) and is_in_m(f)):
                 continue
-            for top, bottom in itertools.product(_all_maps(a, x), _all_maps(b, y)):
+            for top, bottom in itertools.product(all_maps(a, x), all_maps(b, y)):
                 if compose(f, top) != compose(bottom, g):
                     continue
                 squares += 1

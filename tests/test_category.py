@@ -10,7 +10,7 @@ from profact.category import (
     is_directed_category,
     poset_as_category,
 )
-from profact.poset import FinPoset, Reysha
+from profact.poset import FinPoset
 from profact.randgen import random_directed_poset
 from profact.serialize import category_from_json
 
@@ -38,13 +38,15 @@ def category_poset_elements(cat: FinCategory) -> FinPoset | None:
     return FinPoset.make(cat.objects, pairs)
 
 
-def cone_extend(reysha: Reysha) -> FinCategory:
-    """Adjoin a fresh initial object to a Reysha viewed as a category.
+def cone_extend(poset: FinPoset, members: tuple[str, ...]) -> FinCategory:
+    """Adjoin a fresh initial object to a Reysha of poset, given by its
+    members, viewed as a category.
 
     The new object has exactly one morphism to every other object; the
     empty Reysha yields the one-object category on the cone point.
     """
-    base = poset_as_category(reysha.parent.restrict(reysha.members))
+    assert members in poset.reyshas()
+    base = poset_as_category(poset.restrict(members))
     if CONE_POINT in base.objects:
         raise CategoryError(f"element id {CONE_POINT!r} is reserved for the cone point")
     objects = (CONE_POINT,) + base.objects
@@ -115,7 +117,7 @@ def test_empty_category_fails_axiom_one():
 
 def test_cone_extend_adds_initial_object():
     vee = FinPoset.make(("x0", "x1", "t"), [("x0", "t"), ("x1", "t")])
-    extended = cone_extend(Reysha(vee, ("x0", "x1")))
+    extended = cone_extend(vee, ("x0", "x1"))
     assert CONE_POINT in extended.objects
     for obj in extended.objects:
         assert len(extended.hom(CONE_POINT, obj)) == 1
@@ -124,7 +126,7 @@ def test_cone_extend_adds_initial_object():
 
 def test_cone_extend_empty_reysha():
     vee = FinPoset.make(("x0", "x1", "t"), [("x0", "t"), ("x1", "t")])
-    extended = cone_extend(Reysha(vee, ()))
+    extended = cone_extend(vee, ())
     assert extended.objects == (CONE_POINT,)
     assert len(extended.morphisms) == 1
 

@@ -342,3 +342,42 @@ def test_a_non_ascii_id_reads_and_writes_the_same_in_the_c_locale(tmp_path):
     )
     assert (missing.returncode, missing.stdout) == (3, b"")
     assert missing.stderr == "error: ü_missing.json: file not found\n".encode()
+
+
+@pytest.mark.parametrize(
+    "name, old, new, args, path, message",
+    [
+        (
+            "chain2.json",
+            "y",
+            "\\ud800y",
+            ["cofinalize", "--levels", "1", "--reysha-cap", "1"],
+            ".objects[1]",
+            "object id '\\ud800y' holds a surrogate code point",
+        ),
+        (
+            "identity_over_v.json",
+            '"a"',
+            '"\\udcffa"',
+            ["reedy"],
+            ".source.objects.x0[0]",
+            "element id '\\udcffa' holds a surrogate code point",
+        ),
+    ],
+    ids=["cofinalize", "reedy"],
+)
+def test_an_id_holding_a_surrogate_is_a_parse_error(tmp_path, name, old, new, args, path, message):
+    # json.load reads the escape \ud800 as a lone surrogate, which UTF-8
+    # cannot encode: written to a real stdout, such an id ended in a
+    # UnicodeEncodeError or in bytes that are not UTF-8.  invoke writes to
+    # a StringIO, which takes any str, so only a process shows it
+    doc = tmp_path / name
+    doc.write_text(Path(fixture(name)).read_text().replace(old, new), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "profact.cli", args[0], str(doc), *args[1:]],
+        capture_output=True,
+        env=environment(),
+        timeout=300,
+    )
+    assert (result.returncode, result.stdout) == (3, b"")
+    assert result.stderr == f"error: {doc}{path}: {message}\n".encode()

@@ -124,7 +124,7 @@ def test_directedness_fails_when_checked_past_build_cap():
     # penultimate level has no upper bound at the top
     tower = build_tower(chain2(), levels=1, reysha_cap=1)
     assert check_tower_directedness(tower)
-    assert not check_tower_directedness(tower, reysha_cap=2)
+    assert not check_tower_directedness(dataclasses.replace(tower, reysha_cap=2))
 
 
 def test_cofinality_one_object_true():
@@ -307,8 +307,8 @@ def has_upper_bounds_bruteforce(tower, cap):
     base = tower.levels[-2] if len(tower.levels) > 1 else tower.levels[-1]
     top = tower.top
     return all(
-        any(all(top.le(m, c) for m in reysha.members) for c in top.elements)
-        for reysha in base.reyshas(max_size=cap)
+        any(all(top.le(m, c) for m in members) for c in top.elements)
+        for members in base.reyshas(max_size=cap)
     )
 
 
@@ -316,13 +316,14 @@ def has_upper_bounds_bruteforce(tower, cap):
 def test_directedness_matches_the_bruteforce_scan(tower):
     # check caps below, at and above the build cap
     for cap in range(5):
-        assert check_tower_directedness(tower, cap) == has_upper_bounds_bruteforce(tower, cap)
+        capped = dataclasses.replace(tower, reysha_cap=cap)
+        assert check_tower_directedness(capped) == has_upper_bounds_bruteforce(tower, cap)
 
 
 def test_directedness_false_past_the_build_cap_on_vee():
     tower = build_tower(load_category("vee.json"), levels=2, reysha_cap=1)
     assert check_tower_directedness(tower)
-    assert not check_tower_directedness(tower, 2)
+    assert not check_tower_directedness(dataclasses.replace(tower, reysha_cap=2))
     assert not has_upper_bounds_bruteforce(tower, 2)
 
 

@@ -20,16 +20,24 @@ from profact.diagrams import (
     matching_data,
     matching_limit,
     matching_pullback,
+    reindex,
+    reindex_nattrans,
     special_matching_data,
 )
 from profact.lifting import LiftingError, LiftingProblem, lift_against_special
-from profact.poset import FinPoset, Reysha
+from profact.poset import FinPoset
 from profact.randgen import random_diagram, random_nattrans, random_poset
 from profact.serialize import nattrans_from_json, nattrans_to_json
 
 
 def vee():
     return FinPoset.make(("x0", "x1", "t"), [("x0", "t"), ("x1", "t")])
+
+
+def restrict_to(diagram, members):
+    """The diagram restricted to members, a downward closed subset of its
+    shape in canonical order: reindexed along the inclusion."""
+    return reindex(diagram, {x: x for x in members}, diagram.shape.restrict(members))
 
 
 def constant_diagram(shape, fiber):
@@ -213,15 +221,15 @@ def pullback_reference(nt, x):
     the pullback against the target fiber's map into its matching limit.
     Returns its carrier ids, each id's row (family's values below x, d),
     and each source element's row under the relative map."""
-    below = Reysha(nt.shape, nt.shape.strict_downset(x))
-    source_limit = limit_over_poset(nt.source.restrict(below))
-    target_limit = limit_over_poset(nt.target.restrict(below))
-    legs = {s: nt.target.arrow(x, s) for s in below.members}
+    below = nt.shape.strict_downset(x)
+    source_limit = limit_over_poset(restrict_to(nt.source, below))
+    target_limit = limit_over_poset(restrict_to(nt.target, below))
+    legs = {s: nt.target.arrow(x, s) for s in below}
     fiber_map = cone_into_limit(nt.target.at(x), legs, target_limit)
     pb = pullback(limit_map(source_limit, target_limit, nt.components), fiber_map)
     carrier, to_limit, to_fiber = pb
-    rows = {p: (tuple(source_limit[1][s](to_limit(p)) for s in below.members), to_fiber(p)) for p in carrier.carrier}
-    into_limit = cone_into_limit(nt.source.at(x), {s: nt.source.arrow(x, s) for s in below.members}, source_limit)
+    rows = {p: (tuple(source_limit[1][s](to_limit(p)) for s in below), to_fiber(p)) for p in carrier.carrier}
+    into_limit = cone_into_limit(nt.source.at(x), {s: nt.source.arrow(x, s) for s in below}, source_limit)
     relative = induced_into_pullback(pb, into_limit, nt.at(x))
     return carrier.carrier, rows, {e: rows[relative(e)] for e in nt.source.at(x).carrier}
 
@@ -328,7 +336,7 @@ def test_elements_with_one_strict_downset_have_one_matching_limit():
     diagram = random_diagram(random.Random(3), shape, 3)
     first = matching_limit(diagram, "t1")
     assert matching_limit(diagram, "t2") == first
-    below = diagram.restrict(Reysha(shape, ("x0",)))
+    below = restrict_to(diagram, ("x0",))
     assert first == limit_over_poset(below)
 
 
@@ -351,7 +359,7 @@ def test_matching_limit_equals_the_restricted_limit_and_its_cone_check_stays_exa
     diagram = constant_diagram(shape, ab)
     limit = matching_limit(diagram, "t")
     assert matching_limit(diagram, "u") == limit
-    restricted = limit_over_poset(diagram.restrict(Reysha(shape, ("0", "1"))))
+    restricted = limit_over_poset(restrict_to(diagram, ("0", "1")))
     assert restricted == limit and restricted.index == limit.index
     cone = {"0": identity(ab), "1": identity(ab)}
     assert cone_into_limit(ab, cone, limit) == cone_into_limit(ab, cone, restricted)
@@ -360,6 +368,44 @@ def test_matching_limit_equals_the_restricted_limit_and_its_cone_check_stays_exa
     swapped = {"0": identity(ab), "1": morphism(ab, ab, {"a": "b", "b": "a"})}
     with pytest.raises(DiagramError, match="the legs do not form a cone"):
         cone_into_limit(ab, swapped, limit)
+
+
+def chain(n):
+    """The chain "0" < "1" < ... < str(n - 1)."""
+    elements = tuple(str(i) for i in range(n))
+    return FinPoset.make(elements, list(zip(elements, elements[1:])))
+
+
+def reindex_reference(diagram, alpha, shape):
+    """The restriction along alpha, built through Diagram.make's checks."""
+    return Diagram.make(
+        shape,
+        {b: diagram.at(alpha[b]) for b in shape.elements},
+        {(b, b2): diagram.arrow(alpha[b], alpha[b2]) for b, b2 in shape.strict_pairs()},
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reindex_along_the_shift_equals_the_checked_restriction(n):
+    # b -> b + 1 from the chain on n elements into the chain on n + 1
+    shape, alpha = chain(n), {str(b): str(b + 1) for b in range(n)}
+    nt = random_nattrans(random.Random(n), chain(n + 1), 3)
+    source = reindex_reference(nt.source, alpha, shape)
+    target = reindex_reference(nt.target, alpha, shape)
+    assert reindex(nt.source, alpha, shape) == source
+    assert reindex(nt.target, alpha, shape) == target
+    expected = NatTrans.make(source, target, {b: nt.at(alpha[b]) for b in shape.elements})
+    assert reindex_nattrans(nt, alpha, shape) == expected
+
+
+def test_reindex_along_a_constant_map_has_identity_arrows():
+    # an order-preserving map need not be injective
+    diagram = random_diagram(random.Random(5), chain(3), 3)
+    shape = chain(4)
+    alpha = {b: "1" for b in shape.elements}
+    reindexed = reindex(diagram, alpha, shape)
+    assert reindexed == reindex_reference(diagram, alpha, shape)
+    assert all(reindexed.arrow(b, b2) == identity(diagram.at("1")) for b, b2 in shape.strict_pairs())
 
 
 def test_attach_writes_each_arrow_as_a_projection_after_the_map_into_the_limit():
@@ -461,7 +507,7 @@ def test_limit_equals_the_lexicographic_reference(diagram):
     shape = diagram.shape
     for x in shape.elements:
         got = matching_limit(diagram, x)
-        expected = limit_over_poset(diagram.restrict(Reysha(shape, shape.strict_downset(x))))
+        expected = limit_over_poset(restrict_to(diagram, shape.strict_downset(x)))
         assert got[0] == expected[0]
         assert [(s, p, list(p.mapping.items())) for s, p in got[1].items()] == [
             (s, p, list(p.mapping.items())) for s, p in expected[1].items()

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from conftest import all_maps
 from profact.base import BaseMorphism, BaseObject, compose, factorize_base, identity, is_in_m, lift_base, morphism
 from profact import diagrams, lifting
 from profact.diagrams import Diagram, NatTrans, is_levelwise
@@ -460,17 +461,11 @@ def test_bruteforce_cap_counts_all_maps_not_the_walk():
     assert _rank_over_all_maps(witness, big) == 103
 
 
-def _all_maps(source, target):
-    """Every map source -> target, in product order over target's carrier."""
-    for values in itertools.product(target.carrier, repeat=len(source.carrier)):
-        yield morphism(source, target, dict(zip(source.carrier, values)))
-
-
 def _square_sides(sizes):
     """Every g: A -> B, f: X -> Y, top: A -> X and bottom: B -> Y with the
     given carrier sizes, one list per side of the square."""
     a, b, x, y = (BaseObject(tuple(f"{name}{i}" for i in range(n))) for name, n in zip("abxy", sizes))
-    return [list(_all_maps(a, b)), list(_all_maps(x, y)), list(_all_maps(a, x)), list(_all_maps(b, y))]
+    return [list(all_maps(a, b)), list(all_maps(x, y)), list(all_maps(a, x)), list(all_maps(b, y))]
 
 
 def _meets_definition(g, f, top, bottom):

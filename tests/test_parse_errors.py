@@ -69,6 +69,15 @@ def test_malformed_reedy_input_is_parse_error(tmp_path, corrupt, path):
     assert f"{bad}{path}:" in result.output
 
 
+def test_a_fiber_that_is_no_list_names_its_path_once(tmp_path):
+    doc = load("identity_over_v.json")
+    doc["source"]["objects"]["t"] = "ab"
+    bad = _write(tmp_path, "bad.json", doc)
+    result = run(["reedy", bad])
+    assert result.exit_code == 3
+    assert result.stderr == f"error: {bad}.source.objects.t: expected a list of element ids\n"
+
+
 def test_chi_index_outside_source_poset_is_parse_error(tmp_path):
     pm = load("chi_pm.json")
     pm["alpha"]["e0"] = "zz"

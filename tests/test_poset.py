@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profact.poset import FinPoset, PosetError, Reysha, is_directed_poset
+from profact.poset import FinPoset, PosetError, is_directed_poset
 from profact.randgen import random_poset
 
 
@@ -51,20 +51,6 @@ def test_downsets():
     assert v.strict_downset("x0") == ()
 
 
-def test_reysha_validation():
-    v = vee()
-    assert v.is_downward_closed(("x0",))
-    assert v.is_downward_closed(())
-    assert not v.is_downward_closed(("t",))
-    with pytest.raises(PosetError):
-        Reysha(v, ("t",))
-
-
-def test_reysha_canonical_member_order():
-    v = vee()
-    assert Reysha(v, ("x1", "x0")).members == ("x0", "x1")
-
-
 def test_reyshas_enumeration_matches_bruteforce():
     v = vee()
     expected = [
@@ -73,13 +59,14 @@ def test_reyshas_enumeration_matches_bruteforce():
         for combo in itertools.combinations(v.elements, r)
         if all(y in combo for x in combo for y in v.elements if v.lt(y, x))
     ]
-    assert [r.members for r in v.reyshas()] == expected
-    assert [r.members for r in v.reyshas(max_size=1)] == [(), ("x0",), ("x1",)]
+    assert list(v.reyshas()) == expected
+    assert list(v.reyshas(max_size=1)) == [(), ("x0",), ("x1",)]
 
 
 def test_principal_downset():
     v = vee()
-    assert Reysha(v, v.downset("t")).members == ("x0", "x1", "t")
+    assert v.downset("t") == ("x0", "x1", "t")
+    assert all(v.downset(x) in v.reyshas() for x in v.elements)
 
 
 def test_restrict():
@@ -144,10 +131,7 @@ def filtered_combinations(poset, max_size):
 @given(seed=st.integers(min_value=0, max_value=2**32), max_size=st.none() | st.integers(min_value=-1, max_value=8))
 def test_reyshas_match_filtered_combinations(seed, max_size):
     _, poset = shuffled_poset(seed)
-    reyshas = list(poset.reyshas(max_size=max_size))
-    assert [r.members for r in reyshas] == filtered_combinations(poset, max_size)
-    # the unchecked path builds what the checked constructor builds
-    assert reyshas == [Reysha(poset, r.members) for r in reyshas]
+    assert list(poset.reyshas(max_size=max_size)) == filtered_combinations(poset, max_size)
 
 
 def labelled_posets(n):
@@ -168,7 +152,7 @@ def test_reyshas_match_filtered_combinations_on_every_small_poset():
     for n in range(5):
         for poset in labelled_posets(n):
             for max_size in (None, *range(-1, 6)):
-                reyshas = [r.members for r in poset.reyshas(max_size=max_size)]
+                reyshas = list(poset.reyshas(max_size=max_size))
                 assert reyshas == filtered_combinations(poset, max_size), (poset, max_size)
             posets += 1
     # 1 + 1 + 3 + 19 + 219 labelled posets on 0-4 elements
@@ -200,12 +184,12 @@ def test_restriction_to_a_reysha_keeps_every_downset(seed):
     # a Reysha holds each member's downset, so the restriction reads the
     # same downsets, degrees and degree order as the parent
     poset = random_poset(random.Random(seed), 6)
-    for reysha in poset.reyshas():
-        sub = poset.restrict(reysha.members)
-        assert sub.elements == reysha.members
-        assert sub.le_pairs == {(y, x) for x in reysha.members for y in poset.downset(x)}
+    for members in poset.reyshas():
+        sub = poset.restrict(members)
+        assert sub.elements == members
+        assert sub.le_pairs == {(y, x) for x in members for y in poset.downset(x)}
         for x in sub.elements:
             assert sub.downset(x) == poset.downset(x)
             assert sub.strict_downset(x) == poset.strict_downset(x)
             assert sub.degree(x) == poset.degree(x)
-        assert sub.in_degree_order() == tuple(x for x in poset.in_degree_order() if x in reysha.members)
+        assert sub.in_degree_order() == tuple(x for x in poset.in_degree_order() if x in members)

@@ -13,7 +13,7 @@ from profact import serialize
 from profact.base import BaseObject, identity, morphism
 from profact.category import FinCategory
 from profact.cofinalize import build_tower
-from profact.diagrams import Diagram, NatTrans
+from profact.diagrams import Diagram, NatTrans, reindex
 from profact.factorize import PreMorphism, check_pre_morphism, chi_construct, reedy, verify_chi
 from profact.lifting import ConeLift, LiftingProblem
 from profact.poset import FinPoset
@@ -164,6 +164,20 @@ CASES = {
     "nattrans_naturality": (
         lambda: raised(lambda: NatTrans.make(flat(CHAIN), flat(CHAIN), identities(CHAIN, "a"))),
         "DiagramError: naturality fails on 'a' >= 'c'",
+    ),
+    # an index map along which a diagram is restricted must land in its
+    # shape, be defined on the whole new shape and preserve the order
+    "reindex_out_of_range": (
+        lambda: raised(lambda: reindex(flat(PAIR), {"s": "s", "t": "zz"}, PAIR)),
+        "DiagramError: index map does not send 't' into the diagram's shape",
+    ),
+    "reindex_undefined": (
+        lambda: raised(lambda: reindex(flat(PAIR), {"t": "t"}, PAIR)),
+        "DiagramError: index map does not send 's' into the diagram's shape",
+    ),
+    "reindex_not_order_preserving": (
+        lambda: raised(lambda: reindex(flat(PAIR), {"s": "t", "t": "s"}, PAIR)),
+        "DiagramError: index map does not preserve the order on 's' < 't'",
     ),
     "pre_morphism_not_increasing": (
         lambda: pre_morphism({**IDENTITY_ALPHA, "b": "a"}),
